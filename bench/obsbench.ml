@@ -7,9 +7,9 @@
 open Bechamel
 open Toolkit
 module Obs = Gb_obs.Obs
-module Metric = Gb_obs.Metric
+module Telemetry = Gb_obs.Telemetry
 
-let c = Metric.counter ~unit_:"op" "bench.obs_ops"
+let c = Telemetry.counter ~help:"op" "bench_obs_ops"
 
 let scan_rel () =
   let ds =
@@ -22,6 +22,7 @@ let scan_rel () =
 
 let tests ~enabled =
   Obs.set_enabled enabled;
+  Telemetry.set_enabled enabled;
   let scan = scan_rel () in
   let tag = if enabled then "on" else "off" in
   [
@@ -31,7 +32,7 @@ let tests ~enabled =
            Obs.Span.with_ ~name:"bench" (fun () -> Sys.opaque_identity 42)));
     Test.make
       ~name:(Printf.sprintf "counter add (%s)" tag)
-      (Staged.stage (fun () -> Metric.add c 1));
+      (Staged.stage (fun () -> Telemetry.add c 1));
     Test.make
       ~name:(Printf.sprintf "traced scan 10k rows (%s)" tag)
       (Staged.stage (fun () ->
@@ -70,8 +71,9 @@ let cell_overhead () =
   let e = Genbase.Engine_sql.colstore_udf in
   let one enabled =
     Obs.set_enabled enabled;
+    Telemetry.set_enabled enabled;
     Obs.reset ();
-    Metric.reset ();
+    Telemetry.reset ();
     match
       Genbase.Engine.run e ds Genbase.Query.Q1_regression ~timeout_s:60. ()
     with
@@ -88,6 +90,7 @@ let cell_overhead () =
   in
   let pcts = List.sort compare (List.init 5 (fun _ -> round ())) in
   Obs.set_enabled false;
+  Telemetry.set_enabled false;
   List.nth pcts (List.length pcts / 2)
 
 let run () =
@@ -96,6 +99,7 @@ let run () =
     @ List.map estimate (tests ~enabled:true)
   in
   Obs.set_enabled false;
+  Telemetry.set_enabled false;
   let rows =
     List.map
       (fun (name, est) ->

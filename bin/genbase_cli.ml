@@ -540,7 +540,7 @@ let conformance_cmd =
 
 let trace_cmd =
   let module Obs = Gb_obs.Obs in
-  let module Metric = Gb_obs.Metric in
+  let module Tele = Gb_obs.Telemetry in
   let module Tx = Gb_obs.Trace_export in
   let module H = Genbase.Harness in
   let query =
@@ -620,8 +620,9 @@ let trace_cmd =
   let overhead_pct e ds q ~timeout_s =
     let one enabled =
       Obs.set_enabled enabled;
+      Tele.set_enabled enabled;
       Obs.reset ();
-      Metric.reset ();
+      Tele.reset ();
       match Genbase.Engine.run e ds q ~timeout_s () with
       | Genbase.Engine.Completed (t, _) | Genbase.Engine.Degraded (t, _, _) ->
         Genbase.Engine.total t
@@ -640,6 +641,7 @@ let trace_cmd =
     in
     let rounds = List.init 5 (fun _ -> round ()) in
     Obs.set_enabled false;
+    Tele.set_enabled false;
     let pcts =
       List.sort compare
         (List.map (fun (off, on) -> 100. *. ((on /. off) -. 1.)) rounds)
@@ -674,13 +676,14 @@ let trace_cmd =
         end
       end
       else begin
+        (* Tracing turns telemetry on for the cell (run_cell), so its
+           counters fill. Export mode also profiles the GC, so cell
+           spans and counters carry allocation deltas; the overhead check
+           above leaves profiling off, matching the default-off contract
+           it bounds. *)
         Obs.set_enabled true;
-        (* Export mode also profiles the GC, so cell spans and counters
-           carry allocation deltas; the overhead check above leaves
-           profiling off, matching the default-off contract it bounds. *)
         Gb_obs.Profile.set_enabled true;
         Obs.reset ();
-        Metric.reset ();
         let cell = H.run_cell e ds q ~timeout_s:timeout in
         Obs.set_enabled false;
         Gb_obs.Profile.set_enabled false;
@@ -789,30 +792,30 @@ let bench_diff_cmd =
 (* --- serve / load --- *)
 
 (* Queue-policy flag: the conv rejects unknown names with a usage error
-   and the accepted set is derived from Server.policies, so the flag's
+   and the accepted set is derived from Admission.policies, so the flag's
    doc can never drift from the implementation. *)
 let policy_conv =
   let parse s =
-    match Gb_serve.Server.policy_of_string s with
+    match Gb_serve.Admission.policy_of_string s with
     | Ok p -> Ok p
     | Error msg -> Error (`Msg msg)
   in
   let print fmt p =
-    Format.pp_print_string fmt (Gb_serve.Server.policy_to_string p)
+    Format.pp_print_string fmt (Gb_serve.Admission.policy_to_string p)
   in
   Arg.conv (parse, print)
 
 let policy_arg =
   Arg.(
     value
-    & opt policy_conv Gb_serve.Server.Fifo
+    & opt policy_conv Gb_serve.Admission.Fifo
     & info [ "queue-policy" ] ~docv:"POLICY"
         ~doc:
           (Printf.sprintf "Admission queue discipline: %s."
              (String.concat " or "
                 (List.map
                    (fun (n, _) -> Printf.sprintf "$(b,%s)" n)
-                   Gb_serve.Server.policies))))
+                   Gb_serve.Admission.policies))))
 
 (* Deadline flag: non-numeric, zero and negative values are usage
    errors, not runtime surprises. *)

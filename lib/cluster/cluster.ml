@@ -3,21 +3,21 @@ module Stopwatch = Gb_util.Clock.Stopwatch
 module Fault = Gb_fault.Fault
 module Retry = Gb_fault.Retry
 module Obs = Gb_obs.Obs
-module Metric = Gb_obs.Metric
+module Telemetry = Gb_obs.Telemetry
 
-(* Trace counters (no-ops while tracing is disabled). The sim spans
+(* Counters (no-ops while telemetry is disabled). The sim spans
    emitted below land on the simulated-clock track with the node rank as
    the thread id, so Perfetto shows one lane per node. *)
-let c_comm_bytes = Metric.counter ~unit_:"byte" "cluster.comm_bytes"
-let c_supersteps = Metric.counter ~unit_:"superstep" "cluster.supersteps"
-let c_checkpoint_s = Metric.counter ~unit_:"s" "cluster.checkpoint_s"
-let c_retries = Metric.counter ~unit_:"retry" "fault.retries"
-let c_backoff_s = Metric.counter ~unit_:"s" "fault.backoff_s"
-let c_dropped = Metric.counter ~unit_:"message" "fault.messages_dropped"
-let c_delayed = Metric.counter ~unit_:"message" "fault.messages_delayed"
-let c_speculative = Metric.counter ~unit_:"restart" "fault.speculative_restarts"
-let c_crashes = Metric.counter ~unit_:"crash" "fault.crashes_recovered"
-let c_wasted_s = Metric.counter ~unit_:"s" "fault.wasted_s"
+let c_comm_bytes = Telemetry.counter ~help:"byte" "cluster_comm_bytes"
+let c_supersteps = Telemetry.counter ~help:"superstep" "cluster_supersteps"
+let c_checkpoint_s = Telemetry.counter ~help:"s" "cluster_checkpoint_s"
+let c_retries = Telemetry.counter ~help:"retry" "fault_retries"
+let c_backoff_s = Telemetry.counter ~help:"s" "fault_backoff_s"
+let c_dropped = Telemetry.counter ~help:"message" "fault_messages_dropped"
+let c_delayed = Telemetry.counter ~help:"message" "fault_messages_delayed"
+let c_speculative = Telemetry.counter ~help:"restart" "fault_speculative_restarts"
+let c_crashes = Telemetry.counter ~help:"crash" "fault_crashes_recovered"
+let c_wasted_s = Telemetry.counter ~help:"s" "fault_wasted_s"
 
 type recovery_stats = {
   crashes_recovered : int;
@@ -133,8 +133,8 @@ let charge_comm ?(label = "transfer") t ~bytes ~seconds =
           wasted_seconds =
             t.stats.wasted_seconds +. seconds +. retransmit_timeout_s;
         };
-      Metric.add c_dropped 1;
-      Metric.addf c_wasted_s (seconds +. retransmit_timeout_s);
+      Telemetry.add c_dropped 1;
+      Telemetry.addf c_wasted_s (seconds +. retransmit_timeout_s);
       (2. *. seconds) +. retransmit_timeout_s
     end
     else seconds
@@ -143,14 +143,14 @@ let charge_comm ?(label = "transfer") t ~bytes ~seconds =
     let d = Fault.delay t.plan ~op in
     if d > 0. then begin
       t.stats <- { t.stats with messages_delayed = t.stats.messages_delayed + 1 };
-      Metric.add c_delayed 1;
+      Telemetry.add c_delayed 1;
       seconds +. d
     end
     else seconds
   in
   t.comm_bytes <- t.comm_bytes + bytes;
   t.comm_seconds <- t.comm_seconds +. seconds;
-  Metric.add c_comm_bytes bytes;
+  Telemetry.add c_comm_bytes bytes;
   let t0 = Sim.now t.clock in
   Sim.advance t.clock seconds;
   Obs.Span.emit ~cat:"comm" ~name:("comm:" ^ label)
@@ -183,8 +183,8 @@ let handle_crashes t step =
           crashes_recovered = t.stats.crashes_recovered + 1;
           wasted_seconds = t.stats.wasted_seconds +. redo;
         };
-      Metric.add c_crashes 1;
-      Metric.addf c_wasted_s redo;
+      Telemetry.add c_crashes 1;
+      Telemetry.addf c_wasted_s redo;
       let t0 = Sim.now t.clock in
       Sim.advance t.clock redo;
       charge_comm ~label:"checkpoint-fetch" t ~bytes:t.ckpt_bytes
@@ -206,7 +206,7 @@ let maybe_checkpoint t step =
     Sim.advance t.clock secs;
     t.stats <-
       { t.stats with checkpoint_seconds = t.stats.checkpoint_seconds +. secs };
-    Metric.addf c_checkpoint_s secs;
+    Telemetry.addf c_checkpoint_s secs;
     Obs.Span.emit ~cat:"checkpoint" ~name:"checkpoint"
       ~attrs:
         [ ("superstep", Obs.Int step); ("bytes_per_node", Obs.Int t.ckpt_bytes) ]
@@ -266,8 +266,8 @@ let superstep_scaled t ~speedup f =
               speculative_restarts = t.stats.speculative_restarts + 1;
               wasted_seconds = t.stats.wasted_seconds +. dt;
             };
-          Metric.add c_speculative 1;
-          Metric.addf c_wasted_s dt;
+          Telemetry.add c_speculative 1;
+          Telemetry.addf c_wasted_s dt;
           Obs.Span.instant ~track:Obs.Sim ~tid:(node + 1) ~ts:tasks_t0
             ~name:"speculative-restart"
             ~attrs:[ ("superstep", Obs.Int step) ]
@@ -282,7 +282,7 @@ let superstep_scaled t ~speedup f =
               t.stats with
               wasted_seconds = t.stats.wasted_seconds +. (slowed -. dt);
             };
-          Metric.addf c_wasted_s (slowed -. dt);
+          Telemetry.addf c_wasted_s (slowed -. dt);
           slowed
         end
       end
@@ -314,9 +314,9 @@ let superstep_scaled t ~speedup f =
               +. (dt *. float_of_int failures)
               +. !backoff;
           };
-        Metric.add c_retries failures;
-        Metric.addf c_backoff_s !backoff;
-        Metric.addf c_wasted_s ((dt *. float_of_int failures) +. !backoff);
+        Telemetry.add c_retries failures;
+        Telemetry.addf c_backoff_s !backoff;
+        Telemetry.addf c_wasted_s ((dt *. float_of_int failures) +. !backoff);
         Obs.Span.instant ~track:Obs.Sim ~tid:(node + 1) ~ts:tasks_t0
           ~name:"oom-retry"
           ~attrs:
@@ -330,7 +330,7 @@ let superstep_scaled t ~speedup f =
   done;
   let worst = Array.fold_left Float.max 0. busy in
   Sim.advance t.clock worst;
-  Metric.add c_supersteps 1;
+  Telemetry.add c_supersteps 1;
   if Obs.enabled () then
     (* Per-node task spans: every node's work starts when the compute
        phase does and lasts that executor's accumulated busy time. *)

@@ -33,10 +33,10 @@ let transfer_time t ~bytes =
     base +. (3. *. float_of_int excess /. t.pcie_bandwidth_bps)
   end
 
-let c_pcie_bytes = Gb_obs.Metric.counter ~unit_:"byte" "device.pcie_bytes"
+let c_pcie_bytes = Gb_obs.Telemetry.counter ~help:"byte" "device_pcie_bytes"
 
 let offload t clock ~bytes_in ~bytes_out cls f =
-  Gb_obs.Metric.add c_pcie_bytes (bytes_in + bytes_out);
+  Gb_obs.Telemetry.add c_pcie_bytes (bytes_in + bytes_out);
   let t_in = Sim.now clock in
   Sim.advance clock (transfer_time t ~bytes:bytes_in);
   let t_kernel = Sim.now clock in

@@ -1,5 +1,6 @@
 module Spec = Gb_datagen.Spec
 module Render = Gb_util.Render
+module Tele = Gb_obs.Telemetry
 
 type cell = {
   engine : string;
@@ -34,25 +35,33 @@ let run_cell e ds query ~timeout_s =
     Printf.sprintf "cell:%s/%s/%s" e.Engine.name (Query.name query)
       (Spec.label size)
   in
+  let traced = Gb_obs.Obs.enabled () in
   let mark = Gb_obs.Obs.mark () in
-  let before = Gb_obs.Metric.snapshot () in
+  (* Counters gate on the telemetry flag, so a traced cell turns it on
+     for its own run to fill its counter columns. *)
+  let tele_was = Tele.enabled () in
+  if traced then Tele.set_enabled true;
+  let before = Tele.counter_snapshot () in
   (* The root span's duration is the engine-reported total of the kept
      attempt, not wall elapsed: wall time would fold in the untimed
      dataset loading and the discarded re-runs. *)
   let outcome =
-    Gb_obs.Profile.with_ ~cat:"cell" ~name:root_name
-      ~dur_of:(fun outcome ->
-        match outcome with
-        | Engine.Completed (t, _) | Engine.Degraded (t, _, _) ->
-          Some (Engine.total t)
-        | _ -> None)
-      (fun () -> best (Engine.run e ds query ~timeout_s ()) 4)
+    Fun.protect
+      ~finally:(fun () -> Tele.set_enabled tele_was)
+      (fun () ->
+        Gb_obs.Profile.with_ ~cat:"cell" ~name:root_name
+          ~dur_of:(fun outcome ->
+            match outcome with
+            | Engine.Completed (t, _) | Engine.Degraded (t, _, _) ->
+              Some (Engine.total t)
+            | _ -> None)
+          (fun () -> best (Engine.run e ds query ~timeout_s ()) 4))
   in
   let breakdown, counters =
-    if Gb_obs.Obs.enabled () then
+    if traced then
       ( Gb_obs.Trace_export.top_spans ~k:5 ~exclude_cat:"cell"
           (Gb_obs.Obs.events_since mark),
-        Gb_obs.Metric.delta before )
+        Tele.counter_delta before )
     else ([], [])
   in
   {

@@ -22,8 +22,9 @@ val run_cell : Engine.t -> Dataset.t -> Query.t -> timeout_s:float -> cell
 (** Run one (engine, query, data set) cell. When tracing is enabled the
     run is wrapped in a ["cell:<engine>/<query>/<size>"] root span whose
     duration equals the engine-reported total (matching
-    {!total_seconds}), and the cell carries its span breakdown and
-    counter deltas. *)
+    {!total_seconds}), telemetry is switched on for the cell's run
+    ({!Gb_obs.Telemetry.set_enabled}, restored afterwards), and the cell
+    carries its span breakdown and counter deltas. *)
 
 val total_seconds : cell -> float option
 (** [Some total] for a (possibly degraded) completion; [Some infinity]

@@ -142,7 +142,7 @@ let overlaps_of ~n_variants ~n_genes pairs =
   in
   Engine.Overlaps { n_variants; n_genes; pairs = canonical }
 
-let overlap_pairs_out = Gb_obs.Metric.counter ~unit_:"pair" "q6.overlap_pairs"
+let overlap_pairs_out = Gb_obs.Telemetry.counter ~help:"pair" "q6_overlap_pairs"
 
 (* The shared sweep kernel: partitioned over contiguous output ranges of
    the (id-ordered) variant side via pool-size-independent chunks, with
@@ -165,7 +165,7 @@ let overlap_sweep ?(min_overlap = 1) variants genes =
       chunks
   in
   let pairs = List.concat outs in
-  Gb_obs.Metric.add overlap_pairs_out (List.length pairs);
+  Gb_obs.Telemetry.add overlap_pairs_out (List.length pairs);
   pairs
 
 let overlap_axis_end variants genes =

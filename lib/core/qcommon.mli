@@ -49,7 +49,7 @@ val overlap_sweep :
 (** Parallel sort-merge interval sweep over pool-size-independent chunks
     of the (id-ordered) left side, stitched in chunk order: output is
     already canonical and identical at any domain count. Profiled as the
-    ["overlap_sweep"] kernel span; bumps ["q6.overlap_pairs"]. *)
+    ["overlap_sweep"] kernel span; bumps ["q6_overlap_pairs"]. *)
 
 val overlap_axis_end : Gb_util.Ranges.iv array -> Gb_util.Ranges.iv array -> int
 (** One past the largest coordinate either interval set touches. *)

@@ -1,7 +1,7 @@
 module A = Bigarray.Array1
 module Pool = Gb_par.Pool
 
-let flops = Gb_obs.Metric.counter ~unit_:"flop" "linalg.flops"
+let flops = Gb_obs.Telemetry.counter ~help:"flop" "linalg_flops"
 let fi = float_of_int
 
 (* Parallelism notes. Every kernel below runs on the shared Domain pool
@@ -20,7 +20,7 @@ let fi = float_of_int
 
 let gemv (m : Mat.t) x =
   if Array.length x <> m.cols then invalid_arg "Blas.gemv: dimension";
-  Gb_obs.Metric.addf flops (2. *. fi m.rows *. fi m.cols);
+  Gb_obs.Telemetry.addf flops (2. *. fi m.rows *. fi m.cols);
   let y = Array.make m.rows 0. in
   let data = m.data in
   Pool.parallel_for ~grain:64 ~lo:0 ~hi:m.rows (fun r_lo r_hi ->
@@ -42,7 +42,7 @@ let gemv (m : Mat.t) x =
    column range is the original kernel. *)
 let gemv_t (m : Mat.t) x =
   if Array.length x <> m.rows then invalid_arg "Blas.gemv_t: dimension";
-  Gb_obs.Metric.addf flops (2. *. fi m.rows *. fi m.cols);
+  Gb_obs.Telemetry.addf flops (2. *. fi m.rows *. fi m.cols);
   let y = Array.make m.cols 0. in
   let data = m.data in
   Pool.parallel_for ~grain:16 ~lo:0 ~hi:m.cols (fun j_lo j_hi ->
@@ -69,7 +69,7 @@ let block = 64
 let gemm (a : Mat.t) (b : Mat.t) =
   if a.cols <> b.rows then invalid_arg "Blas.gemm: dimension";
   let m = a.rows and k = a.cols and n = b.cols in
-  Gb_obs.Metric.addf flops (2. *. fi m *. fi k *. fi n);
+  Gb_obs.Telemetry.addf flops (2. *. fi m *. fi k *. fi n);
   let c = Mat.create m n in
   let ad = a.data and bd = b.data and cd = c.data in
   Pool.parallel_for ~grain:block ~lo:0 ~hi:m (fun r_lo r_hi ->
@@ -107,7 +107,7 @@ let gemm (a : Mat.t) (b : Mat.t) =
 
 let gemm_naive (a : Mat.t) (b : Mat.t) =
   if a.cols <> b.rows then invalid_arg "Blas.gemm_naive: dimension";
-  Gb_obs.Metric.addf flops (2. *. fi a.rows *. fi a.cols *. fi b.cols);
+  Gb_obs.Telemetry.addf flops (2. *. fi a.rows *. fi a.cols *. fi b.cols);
   let c = Mat.create a.rows b.cols in
   for i = 0 to a.rows - 1 do
     for j = 0 to b.cols - 1 do
@@ -129,7 +129,7 @@ let gemm_naive (a : Mat.t) (b : Mat.t) =
 let atb (a : Mat.t) (b : Mat.t) =
   if a.rows <> b.rows then invalid_arg "Blas.atb: dimension";
   let k = a.rows and m = a.cols and n = b.cols in
-  Gb_obs.Metric.addf flops (2. *. fi k *. fi m *. fi n);
+  Gb_obs.Telemetry.addf flops (2. *. fi k *. fi m *. fi n);
   let c = Mat.create m n in
   let ad = a.data and bd = b.data and cd = c.data in
   Pool.parallel_for ~grain:8 ~lo:0 ~hi:m (fun p_lo p_hi ->
@@ -157,7 +157,7 @@ let ata a = atb a a
    though the mirrored writes land outside the lane's own row band. *)
 let aat (a : Mat.t) =
   let m = a.rows and k = a.cols in
-  Gb_obs.Metric.addf flops (fi m *. fi m *. fi k);
+  Gb_obs.Telemetry.addf flops (fi m *. fi m *. fi k);
   let c = Mat.create m m in
   let ad = a.data in
   Pool.parallel_for ~grain:8 ~lo:0 ~hi:m (fun r_lo r_hi ->

@@ -6,7 +6,7 @@ type result = {
 
 (* One full-reorthogonalization Lanczos sweep building at most [max_iter]
    basis vectors, then a Ritz extraction from the tridiagonal matrix. *)
-let iters = Gb_obs.Metric.counter ~unit_:"iteration" "linalg.lanczos_iters"
+let iters = Gb_obs.Telemetry.counter ~help:"iteration" "linalg_lanczos_iters"
 
 let symmetric ?rng ?max_iter ?(tol = 1e-10) ~n ~k apply =
   if k <= 0 || k > n then invalid_arg "Lanczos.symmetric: bad k";
@@ -52,7 +52,7 @@ let symmetric ?rng ?max_iter ?(tol = 1e-10) ~n ~k apply =
      done
    with Exit -> ());
   let m = !m in
-  Gb_obs.Metric.add iters m;
+  Gb_obs.Telemetry.add iters m;
   let diag = Array.sub alphas 0 m in
   let off = Array.sub betas 0 (max 0 (m - 1)) in
   let values, vectors = Tridiag.eigen diag off in

@@ -5,14 +5,15 @@ type t = {
   n : int;
 }
 
+let flops = Gb_obs.Telemetry.counter ~help:"flop" "linalg_flops"
+
 (* Column j of [a] below the diagonal stores v_j (with v_j[j] implicitly 1);
    H_j = I - beta_j v_j v_j^T. *)
 let factorize src =
   let m, n = Mat.dims src in
   if m < n then invalid_arg "Qr.factorize: rows < cols";
   let fm = float_of_int m and fn = float_of_int n in
-  Gb_obs.Metric.addf
-    (Gb_obs.Metric.counter ~unit_:"flop" "linalg.flops")
+  Gb_obs.Telemetry.addf flops
     ((2. *. fm *. fn *. fn) -. (2. /. 3. *. fn *. fn *. fn));
   Gb_obs.Profile.with_ ~cat:"kernel" ~name:"qr.factorize"
     ~attrs:[ ("rows", Gb_obs.Obs.Int m); ("cols", Gb_obs.Obs.Int n) ]

@@ -2,12 +2,12 @@ module Sim = Gb_util.Clock.Sim
 module Stopwatch = Gb_util.Clock.Stopwatch
 module Fault = Gb_fault.Fault
 module Obs = Gb_obs.Obs
-module Metric = Gb_obs.Metric
+module Telemetry = Gb_obs.Telemetry
 
-let c_jobs = Metric.counter ~unit_:"job" "mr.jobs"
-let c_shuffle_bytes = Metric.counter ~unit_:"byte" "mr.shuffle_bytes"
-let c_retries = Metric.counter ~unit_:"retry" "fault.retries"
-let c_wasted_s = Metric.counter ~unit_:"s" "fault.wasted_s"
+let c_jobs = Telemetry.counter ~help:"job" "mr_jobs"
+let c_shuffle_bytes = Telemetry.counter ~help:"byte" "mr_shuffle_bytes"
+let c_retries = Telemetry.counter ~help:"retry" "fault_retries"
+let c_wasted_s = Telemetry.counter ~help:"s" "fault_wasted_s"
 
 type t = {
   clock : Sim.t;
@@ -69,8 +69,8 @@ let charge_task_faults t ~job ~name ~dt =
     let redone = float_of_int failures *. (dt +. t.job_overhead_s) in
     t.task_retries <- t.task_retries + failures;
     t.wasted_seconds <- t.wasted_seconds +. redone;
-    Metric.add c_retries failures;
-    Metric.addf c_wasted_s redone;
+    Telemetry.add c_retries failures;
+    Telemetry.addf c_wasted_s redone;
     let t0 = Sim.now t.clock in
     Sim.advance t.clock redone;
     Obs.Span.emit ~cat:"recovery" ~name:("retry:" ^ name)
@@ -116,7 +116,7 @@ let run_job t ~name ?combiner ~mapper ~reducer inputs =
   check_deadline t;
   let job = t.jobs in
   t.jobs <- job + 1;
-  Metric.add c_jobs 1;
+  Telemetry.add c_jobs 1;
   let job_t0 = Sim.now t.clock in
   Sim.advance t.clock t.job_overhead_s;
   let (out, shuffled_bytes), dt =
@@ -157,7 +157,7 @@ let run_job t ~name ?combiner ~mapper ~reducer inputs =
     let wire = float_of_int shuffled_bytes *. ((n -. 1.) /. n) in
     Sim.advance t.clock (wire /. (t.shuffle_bps *. n))
   end;
-  Metric.add c_shuffle_bytes shuffled_bytes;
+  Telemetry.add c_shuffle_bytes shuffled_bytes;
   Obs.Span.emit ~cat:"mr" ~name:("mr:" ^ name)
     ~attrs:
       [ ("job", Obs.Int job); ("shuffle_bytes", Obs.Int shuffled_bytes) ]
@@ -168,7 +168,7 @@ let text_job t ~name f inputs =
   check_deadline t;
   let job = t.jobs in
   t.jobs <- job + 1;
-  Metric.add c_jobs 1;
+  Telemetry.add c_jobs 1;
   let job_t0 = Sim.now t.clock in
   Sim.advance t.clock t.job_overhead_s;
   let out, dt =

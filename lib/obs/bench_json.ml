@@ -4,7 +4,7 @@
    versioned header (section, git rev, quick flag) plus one record per
    measured configuration. Records carry the sample statistics the diff
    needs (median is the comparison statistic; mean/p95/min/max are for
-   humans) and any counters captured alongside (gc.* deltas, row counts,
+   humans) and any counters captured alongside (gc_* deltas, row counts,
    phase seconds). [diff] compares two files key-by-key with a relative
    threshold AND a unit-aware absolute floor, so sub-millisecond jitter
    on a fast benchmark never trips the gate and a real 2x slowdown

@@ -28,7 +28,7 @@ type record = {
   p95 : float;
   min_v : float;
   max_v : float;
-  counters : (string * float) list;  (** gc.* deltas, row counts, phase seconds *)
+  counters : (string * float) list;  (** gc_* deltas, row counts, phase seconds *)
 }
 
 type file = {

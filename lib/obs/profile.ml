@@ -6,12 +6,12 @@
    module snapshots [Gc.quick_stat] around any span and reports the delta
    as span attributes, and — for the outermost profiled span only, so a
    cell's counters are not double-counted by its nested phases — as
-   [gc.*] counters in the {!Metric} registry.
+   [gc_*] {!Telemetry} counters.
 
    Gated on its own flag AND on {!Obs.enabled}: with either off, every
    hook reduces to a load-and-branch, takes no [Gc.quick_stat], and
    records nothing — the bit-identical-conformance contract extends to
-   these hooks. *)
+   these hooks. The counters additionally need {!Telemetry.enabled}. *)
 
 let on = Atomic.make false
 let enabled () = Atomic.get on && Obs.enabled ()
@@ -94,28 +94,30 @@ let delta_attrs = function
    them (keeping CSV counter columns stable for unprofiled runs). *)
 
 let counters =
+  let c name help = Telemetry.counter ~help name in
   lazy
-    ( Metric.counter ~unit_:"word" "gc.minor_words",
-      Metric.counter ~unit_:"word" "gc.major_words",
-      Metric.counter ~unit_:"word" "gc.promoted_words",
-      Metric.counter ~unit_:"collection" "gc.minor_collections",
-      Metric.counter ~unit_:"collection" "gc.major_collections",
-      Metric.counter ~unit_:"word" "gc.top_heap_growth_words" )
+    ( c "gc_minor_words" "Words allocated in the minor heap (word)",
+      c "gc_major_words" "Words allocated in the major heap (word)",
+      c "gc_promoted_words" "Words promoted to the major heap (word)",
+      c "gc_minor_collections" "Minor collections (collection)",
+      c "gc_major_collections" "Major collections (collection)",
+      c "gc_top_heap_growth_words" "Growth of the major-heap peak (word)" )
 
 let bump d =
   let minor_w, major_w, promoted_w, minor_c, major_c, top_heap =
     Lazy.force counters
   in
-  Metric.addf minor_w d.minor_words;
-  Metric.addf major_w d.major_words;
-  Metric.addf promoted_w d.promoted_words;
-  Metric.add minor_c d.minor_collections;
-  Metric.add major_c d.major_collections;
-  if d.top_heap_growth_words > 0 then Metric.add top_heap d.top_heap_growth_words
+  Telemetry.addf minor_w d.minor_words;
+  Telemetry.addf major_w d.major_words;
+  Telemetry.addf promoted_w d.promoted_words;
+  Telemetry.add minor_c d.minor_collections;
+  Telemetry.add major_c d.major_collections;
+  if d.top_heap_growth_words > 0 then
+    Telemetry.add top_heap d.top_heap_growth_words
 
 (* Depth of nested [with_] frames, tracked per domain (pool workers
    profile their own task trees independently). Only the outermost
-   profiled span feeds the [gc.*] counters: nested phases and kernels
+   profiled span feeds the [gc_*] counters: nested phases and kernels
    would otherwise count the same allocation two or three times over,
    making a cell's counter delta meaningless. Attributes are per-span
    and carry the nested deltas regardless of depth. *)

@@ -6,8 +6,8 @@
     ([gc_minor_words], [gc_major_words], [gc_promoted_words],
     [gc_minor_collections], [gc_major_collections], and
     [gc_top_heap_growth_words] when the heap peak moved) as close-time
-    attributes, and feeds the process-global [gc.*] counters in
-    {!Metric} — from the {e outermost} profiled span only, so a cell's
+    attributes, and feeds the process-global [gc_*] {!Telemetry}
+    counters — from the {e outermost} profiled span only, so a cell's
     counter delta is not double-counted by its nested phase and kernel
     spans. {!start}/{!delta_attrs} serve operators with a streaming loop
     of their own (the volcano [?trace] hooks), which cannot wrap.
@@ -15,7 +15,9 @@
     Doubly gated: hooks do nothing unless both {!set_enabled}[ true] and
     {!Obs.set_enabled}[ true] — with either off no [Gc.quick_stat] is
     taken, no attribute is built and no counter moves, extending the
-    bit-identical-conformance contract to these hooks. *)
+    bit-identical-conformance contract to these hooks. Like every
+    counter, the [gc_*] counters also need {!Telemetry.set_enabled}
+    [true]. *)
 
 val enabled : unit -> bool
 (** [true] iff GC profiling {e and} tracing are both on. *)
@@ -33,7 +35,7 @@ val start : unit -> snapshot option
 
 val delta_attrs : snapshot option -> Obs.attrs
 (** Attributes for the GC delta since [start] ([[]] for [None]). Does
-    not touch the [gc.*] counters — fused operator loops may abandon
+    not touch the [gc_*] counters — fused operator loops may abandon
     their stream mid-flight, so only {!with_} (which is exception-safe)
     feeds counters. *)
 
@@ -45,6 +47,6 @@ val with_ :
   (unit -> 'a) ->
   'a
 (** {!Obs.Span.with_} plus a GC delta: attributes on every profiled
-    span, [gc.*] counters from the outermost one. Falls back to a plain
+    span, [gc_*] counters from the outermost one. Falls back to a plain
     span when profiling is disabled (and to running [f] bare when
     tracing is). *)

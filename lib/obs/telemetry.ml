@@ -1,16 +1,19 @@
-(* Labeled metric families: counters, gauges and histograms keyed by
-   label sets, with explicit bucket boundaries and within-bucket linear
-   interpolation for quantiles, plus a sliding-window aggregator (a ring
-   of bucketed sub-windows advanced by whichever clock the caller
-   supplies — sim seconds in the simulated server, wall seconds in the
-   live one) so tail latency is queryable mid-run.
+(* The process's one metric registry. Labeled families: counters,
+   gauges and histograms keyed by label sets, with explicit bucket
+   boundaries and within-bucket linear interpolation for quantiles, plus
+   a sliding-window aggregator (a ring of bucketed sub-windows advanced
+   by whichever clock the caller supplies — sim seconds in the simulated
+   server, wall seconds in the live one) so tail latency is queryable
+   mid-run. Label-less counters (flops, rows scanned, shuffle bytes, …)
+   are counter families whose one cell is bound to a handle at
+   registration.
 
    The subsystem hangs off its own flag, independent of {!Obs}'s span
    flag: every mutation hook reduces to a load-and-branch when disabled,
-   so the serving hot paths keep the PR-3 one-branch overhead contract
-   even with telemetry compiled in. Registration (done once at module
-   top level) is never gated — a family handle is just a name bound to a
-   registry slot.
+   so the hot paths keep the one-branch overhead contract even with
+   telemetry compiled in. Registration (done once at module top level)
+   is never gated — a family handle is just a name bound to a registry
+   slot.
 
    Name discipline follows the Prometheus exposition rules so the
    {!Expo} renderer never has to escape metric or label *names*: metric
@@ -175,8 +178,7 @@ let locked m f =
 
 (* Find-or-register. Re-registration under the same name must agree on
    kind and (for histograms) bucket grid — a silent winner would skew
-   every later observation, the same failure mode the plain {!Metric}
-   registry had with units. [help] is not identity: the first non-empty
+   every later observation. [help] is not identity: the first non-empty
    help wins. *)
 let family ~kind ?(help = "") ?buckets name =
   check_metric_name (kind_label kind) name;
@@ -308,6 +310,24 @@ let bucket_width f v =
     invalid_arg "Telemetry.bucket_width: not a histogram";
   bucket_width_for f.f_buckets v
 
+(* --- label-less counters ---
+
+   The handle is the cell itself, resolved once at registration, so an
+   add is the flag load plus the CAS: no label canonicalization, no
+   family lock. {!reset} zeroes these cells in place rather than
+   dropping them, which keeps module-level handles counting. *)
+
+type counter = float Atomic.t
+
+let counter ?help name =
+  match cell (family ~kind:Counter ?help name) [] with
+  | Cnt a -> a
+  | Gge _ | Hst _ -> assert false
+
+let add c n = if Atomic.get enabled_flag then atomic_addf c (float_of_int n)
+let addf c x = if Atomic.get enabled_flag then atomic_addf c x
+let counter_value = Atomic.get
+
 (* --- snapshots (the Expo renderer's input) --- *)
 
 type value_snap =
@@ -356,6 +376,21 @@ let snapshot () =
     fams
   |> List.sort (fun a b -> compare a.fam b.fam)
 
+let counter_snapshot () =
+  List.filter_map
+    (fun s ->
+      match (s.kind, List.assoc_opt [] s.rows) with
+      | Counter, Some (Sample v) -> Some (s.fam, v)
+      | _ -> None)
+    (snapshot ())
+
+let counter_delta before =
+  List.filter_map
+    (fun (n, v) ->
+      let d = v -. Option.value (List.assoc_opt n before) ~default:0. in
+      if d <> 0. then Some (n, d) else None)
+    (counter_snapshot ())
+
 let reset () =
   let fams =
     locked registry_m (fun () ->
@@ -364,20 +399,17 @@ let reset () =
   List.iter
     (fun f ->
       locked f.f_lock (fun () ->
-          Hashtbl.iter
-            (fun _ c ->
-              match c with
+          Hashtbl.filter_map_inplace
+            (fun labels c ->
+              (match c with
               | Cnt a | Gge a -> Atomic.set a 0.
               | Hst h ->
                 Array.fill h.hc_counts 0 (Array.length h.hc_counts) 0;
                 h.hc_sum <- 0.;
-                h.hc_count <- 0)
-            f.f_cells;
-          Hashtbl.reset f.f_cells))
+                h.hc_count <- 0);
+              if labels = [] then Some c else None)
+            f.f_cells))
     fams
-
-let clear () =
-  locked registry_m (fun () -> Hashtbl.reset registry)
 
 (* --- sliding windows --- *)
 

@@ -1,14 +1,18 @@
-(** Labeled metric families with live quantiles.
+(** The metric registry: labeled families with live quantiles, and
+    label-less counters.
 
     Counters, gauges and histograms keyed by label sets ([engine],
     [query], [disposition], ...), with explicit bucket boundaries and
     within-bucket linear interpolation for honest p50/p99/p999, plus a
     sliding-window aggregator so tail latency is queryable mid-run.
+    Label-less {!counter}s carry the engine-side work counts (flops,
+    rows scanned, shuffle bytes, ...) and render like any other family.
 
-    The subsystem is gated on its own flag, independent of {!Obs}: with
-    telemetry disabled every mutation hook is a single atomic load and
-    branch, preserving the disabled-mode overhead contract. Family
-    registration is done once at module top level and is never gated.
+    Every counter, gauge and histogram is gated on this module's flag;
+    {!Obs}'s flag gates spans only. With telemetry disabled every
+    mutation hook is a single atomic load and branch, preserving the
+    disabled-mode overhead contract. Family registration is done once at
+    module top level and is never gated.
 
     Metric names must match [[a-zA-Z_:][a-zA-Z0-9_:]*] and label names
     the same without the colon (the Prometheus exposition rules), so
@@ -79,6 +83,23 @@ val quantile_agg : hist_family -> float -> float option
     finite bound. *)
 val bucket_width : hist_family -> float -> float
 
+(** {1 Label-less counters} *)
+
+type counter
+
+(** [counter name] finds or registers a counter family and binds its
+    empty-label cell, so call sites may bind one at module top level.
+    Same name and kind checks as {!counter_family}; put the unit in
+    [help], e.g. ["Floating-point operations (flop)"]. *)
+val counter : ?help:string -> string -> counter
+
+(** Add to the counter: one atomic load, then a CAS. No-op while
+    disabled. *)
+val add : counter -> int -> unit
+
+val addf : counter -> float -> unit
+val counter_value : counter -> float
+
 (** {1 Snapshots} — the input to {!Expo.render}. *)
 
 type value_snap =
@@ -101,11 +122,17 @@ type family_snap = {
     a canonical order, so rendering a snapshot is deterministic. *)
 val snapshot : unit -> family_snap list
 
-(** Zero all values and drop all cells; registrations survive. *)
-val reset : unit -> unit
+(** Every counter family's empty-label cell as [(name, value)], sorted
+    by name — the harness's CSV counter columns. *)
+val counter_snapshot : unit -> (string * float) list
 
-(** Drop all registrations (tests only). *)
-val clear : unit -> unit
+(** Counters that moved since a previous {!counter_snapshot}, sorted by
+    name. *)
+val counter_delta : (string * float) list -> (string * float) list
+
+(** Zero all values and drop every labeled cell. Registrations and
+    empty-label cells survive, so {!counter} handles keep counting. *)
+val reset : unit -> unit
 
 (** {1 Sliding windows}
 

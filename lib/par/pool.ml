@@ -23,16 +23,16 @@
    on that lane — task parallelism at the outer level and data
    parallelism at the kernel level share one pool without deadlock.
 
-   Observability: every executed task bumps the ["par.tasks"] counter
-   and every cross-lane steal bumps ["par.steals"] (both gated on
-   {!Gb_obs.Obs.enabled}, like every other counter); worker domains
+   Observability: every executed task bumps the ["par_tasks"] counter
+   and every cross-lane steal bumps ["par_steals"] (both gated on
+   {!Gb_obs.Telemetry.enabled}, like every other counter); worker domains
    register a per-domain tid with {!Gb_obs.Obs.set_domain_tid} so wall
    spans they emit land on their own track in trace exports. *)
 
-module Metric = Gb_obs.Metric
+module Telemetry = Gb_obs.Telemetry
 
-let tasks_c = Metric.counter ~unit_:"task" "par.tasks"
-let steals_c = Metric.counter ~unit_:"steal" "par.steals"
+let tasks_c = Telemetry.counter ~help:"task" "par_tasks"
+let steals_c = Telemetry.counter ~help:"steal" "par_steals"
 
 type task = unit -> unit
 
@@ -100,7 +100,7 @@ let run_task p t =
         The CAS only fails if another task already recorded one. *)
      ignore (Atomic.compare_and_set p.error None (Some e)));
   Domain.DLS.set in_region_key saved;
-  Metric.add tasks_c 1;
+  Telemetry.add tasks_c 1;
   Atomic.decr p.pending
 
 (* Pop locally, then sweep the other lanes for a steal. *)
@@ -122,7 +122,7 @@ let find_task p lane =
 let rec drain p lane =
   match find_task p lane with
   | Some (t, stolen) ->
-    if stolen then Metric.add steals_c 1;
+    if stolen then Telemetry.add steals_c 1;
     run_task p t;
     drain p lane
   | None -> ()

@@ -96,7 +96,7 @@ let victim t =
    with Exit -> ());
   !best
 
-let pool_faults = Gb_obs.Metric.counter ~unit_:"page" "storage.pool_page_faults"
+let pool_faults = Gb_obs.Telemetry.counter ~help:"page" "storage_pool_page_faults"
 
 let frame_for t page_id =
   if t.closed then invalid_arg "Buffer_pool: closed";
@@ -111,7 +111,7 @@ let frame_for t page_id =
     f
   | None ->
     t.misses <- t.misses + 1;
-    Gb_obs.Metric.add pool_faults 1;
+    Gb_obs.Telemetry.add pool_faults 1;
     let fi = victim t in
     let f = t.frames.(fi) in
     if f.page_id >= 0 then begin

@@ -49,13 +49,13 @@ let iter_cols t names f =
 let iter t f =
   iter_cols t (List.map fst (Schema.columns t.schema)) f
 
-let rows_scanned = Gb_obs.Metric.counter ~unit_:"row" "storage.rows_scanned"
-let values_decoded = Gb_obs.Metric.counter ~unit_:"value" "storage.values_decoded"
+let rows_scanned = Gb_obs.Telemetry.counter ~help:"row" "storage_rows_scanned"
+let values_decoded = Gb_obs.Telemetry.counter ~help:"value" "storage_values_decoded"
 
 let to_seq t names =
   let idx = List.map (Schema.index t.schema) names in
-  Gb_obs.Metric.add rows_scanned t.nrows;
-  Gb_obs.Metric.add values_decoded (t.nrows * List.length idx);
+  Gb_obs.Telemetry.add rows_scanned t.nrows;
+  Gb_obs.Telemetry.add values_decoded (t.nrows * List.length idx);
   (* Decoding is per-column independent — one task per column. *)
   let mats =
     Array.of_list
@@ -106,8 +106,8 @@ let scan_range t names ~on ~lo ~hi =
     Array.fold_left (fun acc alive -> if alive then acc else acc + 1) 0 live
   in
   let idx = List.map (Schema.index t.schema) names in
-  Gb_obs.Metric.add rows_scanned (t.nrows - (skipped * zone_block));
-  Gb_obs.Metric.add values_decoded (t.nrows * (1 + List.length idx));
+  Gb_obs.Telemetry.add rows_scanned (t.nrows - (skipped * zone_block));
+  Gb_obs.Telemetry.add values_decoded (t.nrows * (1 + List.length idx));
   let mats =
     Array.of_list
       (Gb_par.Pool.map_list (fun i -> Column.to_values t.columns.(i)) idx)

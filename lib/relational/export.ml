@@ -55,18 +55,18 @@ let csv_to_matrix csv =
   in
   Mat.of_arrays (Array.of_list parsed)
 
-let boundary_bytes = Gb_obs.Metric.counter ~unit_:"byte" "boundary.csv_bytes"
+let boundary_bytes = Gb_obs.Telemetry.counter ~help:"byte" "boundary_csv_bytes"
 
 let roundtrip_rel r =
   Gb_obs.Profile.with_ ~cat:"boundary" ~name:"export.roundtrip_rel"
   @@ fun () ->
   let csv = rel_to_csv r in
-  Gb_obs.Metric.add boundary_bytes (String.length csv);
+  Gb_obs.Telemetry.add boundary_bytes (String.length csv);
   Ops.of_list r.Ops.schema (csv_to_rows r.Ops.schema csv)
 
 let roundtrip_matrix m =
   Gb_obs.Profile.with_ ~cat:"boundary" ~name:"export.roundtrip_matrix"
   @@ fun () ->
   let csv = matrix_to_csv m in
-  Gb_obs.Metric.add boundary_bytes (String.length csv);
+  Gb_obs.Telemetry.add boundary_bytes (String.length csv);
   csv_to_matrix csv

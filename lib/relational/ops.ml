@@ -14,14 +14,14 @@ let scan_col_store cs names =
     rows = Col_store.to_seq cs names;
   }
 
-let rows_out = Gb_obs.Metric.counter ~unit_:"row" "relops.rows"
+let rows_out = Gb_obs.Telemetry.counter ~help:"row" "relops_rows"
 
 (* [gc] is the Profile snapshot taken when the loop first pulled; its
    delta rides the span as attributes only — fused loops can be
-   abandoned mid-stream, so they never feed the gc.* counters (that is
+   abandoned mid-stream, so they never feed the gc_* counters (that is
    {!Gb_obs.Profile.with_}'s job, which is exception-safe). *)
 let emit_op_span ~name ~t0 ~gc n =
-  Gb_obs.Metric.add rows_out n;
+  Gb_obs.Telemetry.add rows_out n;
   Gb_obs.Obs.Span.emit ~track:Gb_obs.Obs.Wall ~cat:"op"
     ~attrs:(("rows", Gb_obs.Obs.Int n) :: Gb_obs.Profile.delta_attrs gc)
     ~name ~t0
@@ -391,7 +391,7 @@ let traced ?(cat = "op") ?(attrs = []) ~name r =
       let rec wrap s () =
         match s () with
         | Seq.Nil ->
-          Gb_obs.Metric.add rows_out !n;
+          Gb_obs.Telemetry.add rows_out !n;
           Gb_obs.Obs.Span.emit ~track:Gb_obs.Obs.Wall ~cat
             ~attrs:
               (("rows", Gb_obs.Obs.Int !n)
@@ -406,7 +406,7 @@ let traced ?(cat = "op") ?(attrs = []) ~name r =
     in
     { r with rows }
 
-let overlap_out = Gb_obs.Metric.counter ~unit_:"pair" "relops.overlap_pairs"
+let overlap_out = Gb_obs.Telemetry.counter ~help:"pair" "relops_overlap_pairs"
 
 (* Sort-merge interval sweep join: left and right each carry a half-open
    genomic interval as (start, length) columns.  Output rows are
@@ -460,7 +460,7 @@ let interval_join ?trace ?(min_overlap = 1) ~left_span:(llo, llen)
         chunks
     in
     let out = List.concat outs in
-    Gb_obs.Metric.add overlap_out (List.length out);
+    Gb_obs.Telemetry.add overlap_out (List.length out);
     (match tr with
     | Some (name, t0, gc) -> emit_op_span ~name ~t0 ~gc (List.length out)
     | None -> ());

@@ -57,7 +57,7 @@ val guard : ?interval:int -> ?trace:string -> (unit -> unit) -> rel -> rel
 val traced : ?cat:string -> ?attrs:Gb_obs.Obs.attrs -> name:string -> rel -> rel
 (** Wrap a relation so that one full consumption emits a wall-clock
     tracing span (first pull to exhaustion) carrying the row count, and
-    bumps the ["relops.rows"] counter. The per-element cost while
+    bumps the ["relops_rows"] counter. The per-element cost while
     tracing is one int increment plus one extra [Seq] node; with tracing
     disabled this is the identity. {!Plan.run} applies it to plan nodes
     that lack a fused [?trace] equivalent. *)
@@ -77,7 +77,7 @@ val interval_join :
     ascending (left row index, right row index) — canonical for
     id-ordered inputs. The sweep is partitioned over pool-independent
     left-side chunks and stitched in order, so output is bitwise
-    identical at any domain count. Bumps ["relops.overlap_pairs"];
+    identical at any domain count. Bumps ["relops_overlap_pairs"];
     [?trace] as in {!filter}. *)
 
 val merge_join : on:(string * string) list -> rel -> rel -> rel

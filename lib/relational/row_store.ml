@@ -34,14 +34,14 @@ let insert_all t rows = List.iter (insert t) rows
 let row_count t = t.count
 let page_count t = List.length t.pages
 
-let tuples_decoded = Gb_obs.Metric.counter ~unit_:"tuple" "storage.tuples_decoded"
-let pages_read = Gb_obs.Metric.counter ~unit_:"page" "storage.pages_read"
+let tuples_decoded = Gb_obs.Telemetry.counter ~help:"tuple" "storage_tuples_decoded"
+let pages_read = Gb_obs.Telemetry.counter ~help:"page" "storage_pages_read"
 
 let iter t f =
   List.iter
     (fun page ->
-      Gb_obs.Metric.add pages_read 1;
-      Gb_obs.Metric.add tuples_decoded page.nslots;
+      Gb_obs.Telemetry.add pages_read 1;
+      Gb_obs.Telemetry.add tuples_decoded page.nslots;
       let pos = ref 0 in
       for _ = 1 to page.nslots do
         let row, consumed = Codec.decode t.schema page.data !pos in
@@ -61,12 +61,12 @@ let to_seq t =
     match pages with
     | [] -> Seq.Nil
     | page :: rest ->
-      Gb_obs.Metric.add pages_read 1;
+      Gb_obs.Telemetry.add pages_read 1;
       slots_seq page rest 0 0 ()
   and slots_seq page rest slot pos () =
     if slot >= page.nslots then page_seq rest ()
     else begin
-      Gb_obs.Metric.add tuples_decoded 1;
+      Gb_obs.Telemetry.add tuples_decoded 1;
       let row, consumed = Codec.decode t.schema page.data pos in
       Seq.Cons (row, slots_seq page rest (slot + 1) (pos + consumed))
     end

@@ -42,8 +42,6 @@ type t = {
   mutable trips : int;
 }
 
-let trip_counter = Gb_obs.Metric.counter "serve.breaker_trips"
-
 (* Labeled live gauge: 0 = closed, 1 = open, 2 = half-open per engine. *)
 let g_state =
   Gb_obs.Telemetry.gauge_family
@@ -123,8 +121,7 @@ let trip t =
   t.trips <- t.trips + 1;
   t.probes_in_flight <- 0;
   t.probe_successes <- 0;
-  reset_window t;
-  Gb_obs.Metric.add trip_counter 1
+  reset_window t
 
 (* Open -> half-open is judged lazily, on the next admit/state query
    after the cooldown elapses. *)

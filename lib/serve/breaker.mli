@@ -69,5 +69,4 @@ val record : t -> ok:bool -> unit
     engine errors, memory failures and timeouts. *)
 
 val trips : t -> int
-(** Closed/half-open -> open transitions so far (also mirrored on the
-    [serve.breaker_trips] counter when tracing is enabled). *)
+(** Closed/half-open -> open transitions so far. *)

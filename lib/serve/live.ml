@@ -1,7 +1,7 @@
-(* Wall-clock serving path: the same admission pipeline as the
-   simulated server (bounded queue, FIFO/SJF, circuit breakers, memory
-   budget, deadlines) wrapped around real engine executions on a small
-   pool of worker domains.
+(* Wall-clock serving path: the simulated server's admission policy
+   ({!Admission}: bounded queue, FIFO/SJF, circuit breakers) plus the
+   memory budget and deadlines, wrapped around real engine executions on
+   a small pool of worker domains.
 
    Each lane is one domain; kernels inside an engine still use the
    shared [Gb_par.Pool] for their own data parallelism, so this trades
@@ -17,7 +17,7 @@ module Query = Genbase.Query
 type config = {
   lanes : int;
   queue_depth : int;
-  policy : Server.policy;
+  policy : Admission.policy;
   breaker : Breaker.config;
   budget : Gb_par.Budget.t;
 }
@@ -26,7 +26,7 @@ let default_config () =
   {
     lanes = 2;
     queue_depth = 8;
-    policy = Server.Fifo;
+    policy = Admission.Fifo;
     breaker = Breaker.default_config;
     budget = Genbase.Harness.memory_budget ();
   }
@@ -37,14 +37,6 @@ type ticket = {
   mutable t_resp : Outcome.response option;
 }
 
-module Tele = Gb_obs.Telemetry
-
-(* Same families as the simulated server (find-or-register by name), so
-   one exposition covers both paths. *)
-let f_requests = Tele.counter_family "genbase_serve_requests_total"
-let f_responses = Tele.counter_family "genbase_serve_responses_total"
-let f_latency = Tele.hist_family "genbase_serve_latency_seconds"
-
 type item = {
   i_id : int;
   i_trace : int;
@@ -53,8 +45,6 @@ type item = {
   i_query : Query.t;
   i_params : Query.params;
   i_submitted : float;
-  i_deadline_at : float;
-  i_service : float;  (** SJF rank, from the {!Estimate} cost model *)
   i_bytes : int;
   i_ticket : ticket;
 }
@@ -62,58 +52,26 @@ type item = {
 type t = {
   cfg : config;
   epoch : float;
-  m : Mutex.t;
+  m : Mutex.t;  (** guards [adm], [stopping] and [next_id] *)
   cv : Condition.t;
-  mutable queue : item list;
+  adm : item Admission.t;
   mutable stopping : bool;
   mutable next_id : int;
-  breakers : (string, Breaker.t) Hashtbl.t;
   mutable workers : unit Domain.t list;
 }
 
 let now t = Unix.gettimeofday () -. t.epoch
 
-let breaker t name =
-  (* called under t.m *)
-  match Hashtbl.find_opt t.breakers name with
-  | Some b -> b
-  | None ->
-    let b = Breaker.create ~config:t.cfg.breaker ~now:(fun () -> now t) name in
-    Hashtbl.add t.breakers name b;
-    b
-
 let deliver (tk : ticket) (resp : Outcome.response) =
-  (* Same flight-recorder taps as the simulated server, on wall time. *)
-  (match resp.Outcome.disposition with
-  | Outcome.Shed _ -> Gb_obs.Recorder.observe_shed ~now:resp.Outcome.finished_s
-  | _ -> ());
-  Gb_obs.Recorder.observe_response ~trace:resp.Outcome.trace
-    ~latency_s:(Outcome.latency_s resp)
-    ~ok:
-      (match resp.Outcome.disposition with
-      | Outcome.Served (Outcome.Ok_ | Outcome.Degraded_) -> true
-      | _ -> false)
-    ~now:resp.Outcome.finished_s;
-  if Tele.enabled () then begin
-    let labels =
-      [
-        ("engine", resp.Outcome.engine);
-        ("query", Query.name resp.Outcome.query);
-      ]
-    in
-    Tele.incr f_responses (("disposition", Outcome.label resp) :: labels);
-    match resp.Outcome.disposition with
-    | Outcome.Served _ -> Tele.observe f_latency labels (Outcome.latency_s resp)
-    | Outcome.Shed _ | Outcome.Deadline_exceeded _ -> ()
-  end;
+  Admission.observe_response resp;
   Mutex.lock tk.t_m;
+  assert (Option.is_none tk.t_resp);
   tk.t_resp <- Some resp;
   Condition.broadcast tk.t_cv;
   Mutex.unlock tk.t_m
 
-let response t (it : item) ~finished ~wait ~exec ?(retry_after = None)
+let response (it : item) ~finished ~wait ~exec ?(retry_after = None)
     ?(engine_outcome = None) disposition =
-  ignore t;
   {
     Outcome.id = it.i_id;
     key = it.i_id;
@@ -130,33 +88,14 @@ let response t (it : item) ~finished ~wait ~exec ?(retry_after = None)
     engine_outcome;
   }
 
-(* Same head-selection rules as the simulated server. *)
-let pick_locked t =
-  match t.queue with
-  | [] -> None
-  | first :: rest ->
-    let better a b =
-      match t.cfg.policy with
-      | Server.Fifo -> if b.i_id < a.i_id then b else a
-      | Server.Sjf ->
-        let c = Float.compare b.i_service a.i_service in
-        if c < 0 || (c = 0 && b.i_id < a.i_id) then b else a
-    in
-    let q = List.fold_left better first rest in
-    t.queue <- List.filter (fun it -> it.i_id <> q.i_id) t.queue;
-    Some q
-
 let sweep_locked t =
+  let expired = Admission.expire t.adm in
   let tnow = now t in
-  let expired, live =
-    List.partition (fun it -> it.i_deadline_at < tnow) t.queue
-  in
-  t.queue <- live;
   List.iter
-    (fun it ->
-      Breaker.abandon (breaker t it.i_engine.Engine.name);
+    (fun (e : item Admission.entry) ->
+      let it = e.Admission.payload in
       deliver it.i_ticket
-        (response t it ~finished:tnow ~wait:(tnow -. it.i_submitted) ~exec:0.
+        (response it ~finished:tnow ~wait:(tnow -. it.i_submitted) ~exec:0.
            (Outcome.Deadline_exceeded `Queued)))
     expired
 
@@ -175,20 +114,23 @@ let breaker_ok = function
   | Engine.Completed _ | Engine.Degraded _ | Engine.Unsupported -> true
   | Engine.Timed_out | Engine.Out_of_memory | Engine.Errored _ -> false
 
-let execute t (it : item) =
+let locked t f =
+  Mutex.lock t.m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
+
+let execute t (e : item Admission.entry) =
+  let it = e.Admission.payload and engine = e.Admission.engine in
   let started = now t in
   let granted = Gb_par.Budget.reserve t.cfg.budget ~bytes:it.i_bytes in
   Fun.protect
     ~finally:(fun () -> Gb_par.Budget.release t.cfg.budget ~bytes:granted)
     (fun () ->
-      let remaining = it.i_deadline_at -. now t in
+      let remaining = e.Admission.deadline_at -. now t in
       if remaining <= 0. then begin
         (* Expired while waiting for memory: never executed. *)
-        Mutex.lock t.m;
-        Breaker.abandon (breaker t it.i_engine.Engine.name);
-        Mutex.unlock t.m;
+        locked t (fun () -> Admission.abandon t.adm ~engine);
         deliver it.i_ticket
-          (response t it ~finished:(now t)
+          (response it ~finished:(now t)
              ~wait:(now t -. it.i_submitted)
              ~exec:0.
              (Outcome.Deadline_exceeded `Queued))
@@ -200,7 +142,7 @@ let execute t (it : item) =
               [
                 ("trace", Gb_obs.Obs.Int it.i_trace);
                 ("id", Gb_obs.Obs.Int it.i_id);
-                ("engine", Gb_obs.Obs.Str it.i_engine.Engine.name);
+                ("engine", Gb_obs.Obs.Str engine);
                 ("query", Gb_obs.Obs.Str (Query.name it.i_query));
                 ("queue_wait_s", Gb_obs.Obs.Float (started -. it.i_submitted));
               ]
@@ -209,13 +151,10 @@ let execute t (it : item) =
                 ~timeout_s:remaining ())
         in
         let finished = now t in
-        Mutex.lock t.m;
-        Breaker.record
-          (breaker t it.i_engine.Engine.name)
-          ~ok:(breaker_ok outcome);
-        Mutex.unlock t.m;
+        locked t (fun () ->
+            Admission.complete t.adm ~engine ~ok:(breaker_ok outcome));
         deliver it.i_ticket
-          (response t it ~finished
+          (response it ~finished
              ~wait:(started -. it.i_submitted)
              ~exec:(finished -. started)
              ~engine_outcome:(Some outcome) (classify outcome))
@@ -226,13 +165,14 @@ let worker t =
   let rec loop () =
     Mutex.lock t.m;
     sweep_locked t;
-    match pick_locked t with
-    | Some it ->
+    match Admission.head t.adm with
+    | Some e ->
+      Admission.remove t.adm e;
       Mutex.unlock t.m;
-      execute t it;
+      execute t e;
       loop ()
     | None ->
-      if t.stopping then (Mutex.unlock t.m)
+      if t.stopping then Mutex.unlock t.m
       else begin
         Condition.wait t.cv t.m;
         Mutex.unlock t.m;
@@ -245,16 +185,21 @@ let create ?config () =
   let cfg = match config with Some c -> c | None -> default_config () in
   if cfg.lanes < 1 then invalid_arg "Live.create: lanes";
   if cfg.queue_depth < 0 then invalid_arg "Live.create: queue_depth";
+  let epoch = Unix.gettimeofday () in
   let t =
     {
       cfg;
-      epoch = Unix.gettimeofday ();
+      epoch;
       m = Mutex.create ();
       cv = Condition.create ();
-      queue = [];
+      adm =
+        Admission.create ~policy:cfg.policy ~queue_depth:cfg.queue_depth
+          ~lanes:cfg.lanes
+          ~mem_bytes:(Gb_par.Budget.capacity cfg.budget)
+          ~breaker:cfg.breaker
+          ~now:(fun () -> Unix.gettimeofday () -. epoch);
       stopping = false;
       next_id = 0;
-      breakers = Hashtbl.create 8;
       workers = [];
     }
   in
@@ -278,11 +223,11 @@ let submit t ~engine ~ds ?(params = Query.default_params) ?trace ~deadline_s
     { t_m = Mutex.create (); t_cv = Condition.create (); t_resp = None }
   in
   let spec = ds.Gb_datagen.Generate.spec in
-  let genes = spec.Gb_datagen.Spec.genes
-  and patients = spec.Gb_datagen.Spec.patients in
-  if Tele.enabled () then
-    Tele.incr f_requests
-      [ ("engine", engine.Engine.name); ("query", Query.name query) ];
+  let estimate =
+    Estimate.service_s ~engine:engine.Engine.name
+      ~genes:spec.Gb_datagen.Spec.genes ~patients:spec.Gb_datagen.Spec.patients
+      query
+  in
   Mutex.lock t.m;
   if t.stopping then begin
     Mutex.unlock t.m;
@@ -298,57 +243,41 @@ let submit t ~engine ~ds ?(params = Query.default_params) ?trace ~deadline_s
       i_query = query;
       i_params = params;
       i_submitted = now t;
-      i_deadline_at = now t +. deadline_s;
-      i_service =
-        Estimate.service_s ~engine:engine.Engine.name ~genes ~patients query;
       i_bytes = Genbase.Harness.cell_bytes ds;
       i_ticket = ticket;
     }
   in
-  let admit_instant decision =
-    if Gb_obs.Obs.active () then
-      Gb_obs.Obs.Span.instant ~track:Gb_obs.Obs.Wall
-        ~attrs:
-          [
-            ("trace", Gb_obs.Obs.Int it.i_trace);
-            ("id", Gb_obs.Obs.Int it.i_id);
-            ("engine", Gb_obs.Obs.Str engine.Engine.name);
-            ("decision", Gb_obs.Obs.Str decision);
-          ]
-        ~name:"serve.admit" ()
+  let verdict =
+    Admission.admit t.adm ~engine:engine.Engine.name ~query ~estimate
+      ~bytes:it.i_bytes
+      ~deadline_at:(it.i_submitted +. deadline_s)
+      it
   in
-  let reject decision disposition retry_after =
-    admit_instant decision;
+  if Gb_obs.Obs.active () then
+    Gb_obs.Obs.Span.instant ~track:Gb_obs.Obs.Wall
+      ~attrs:
+        [
+          ("trace", Gb_obs.Obs.Int it.i_trace);
+          ("id", Gb_obs.Obs.Int it.i_id);
+          ("engine", Gb_obs.Obs.Str engine.Engine.name);
+          ("decision", Gb_obs.Obs.Str (Admission.verdict_label verdict));
+        ]
+      ~name:"serve.admit" ();
+  (match verdict with
+  | Admission.Admitted ->
+    Condition.signal t.cv;
+    Mutex.unlock t.m
+  | Admission.Shed (reason, retry_after) ->
     Mutex.unlock t.m;
     deliver ticket
-      (response t it ~finished:it.i_submitted ~wait:0. ~exec:0.
-         ~retry_after disposition);
-    ticket
-  in
-  if it.i_bytes > Gb_par.Budget.capacity t.cfg.budget then
-    reject "shed:memory" (Outcome.Shed Outcome.Memory) None
-  else if List.length t.queue >= t.cfg.queue_depth then begin
-    let backlog =
-      List.fold_left (fun a q -> a +. q.i_service) 0. t.queue
-    in
-    reject "shed:queue_full"
-      (Outcome.Shed Outcome.Queue_full)
-      (Some (Float.max 0.05 (backlog /. float_of_int t.cfg.lanes)))
-  end
-  else
-    match Breaker.admit (breaker t engine.Engine.name) with
-    | `Fast_fail retry_after ->
-      reject "shed:breaker_open" (Outcome.Shed Outcome.Breaker_open)
-        (Some retry_after)
-    | `Admit ->
-      admit_instant "admitted";
-      t.queue <- it :: t.queue;
-      Condition.signal t.cv;
-      Mutex.unlock t.m;
-      ticket
+      (response it ~finished:it.i_submitted ~wait:0. ~exec:0. ~retry_after
+         (Outcome.Shed reason)));
+  ticket
 
 let run t ~engine ~ds ?params ~deadline_s query =
   await (submit t ~engine ~ds ?params ~deadline_s query)
+
+let breaker_trips t = locked t (fun () -> Admission.breaker_trips t.adm)
 
 let shutdown t =
   Mutex.lock t.m;

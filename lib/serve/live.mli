@@ -1,7 +1,7 @@
-(** Wall-clock serving: the simulated server's admission pipeline
-    (bounded FIFO/SJF queue, per-engine circuit breakers, memory budget,
-    deadlines) around real engine executions on a pool of worker
-    domains.
+(** Wall-clock serving: the simulated server's admission policy
+    ({!Admission}: bounded FIFO/SJF queue, per-engine circuit breakers)
+    plus its memory budget and deadlines, around real engine executions
+    on a pool of worker domains.
 
     Deadlines are enforced cooperatively: the remaining budget is passed
     to {!Genbase.Engine.run}, which arms {!Gb_util.Deadline.Ambient} so
@@ -12,7 +12,7 @@
 type config = {
   lanes : int;  (** worker domains executing queries *)
   queue_depth : int;
-  policy : Server.policy;
+  policy : Admission.policy;
   breaker : Breaker.config;
   budget : Gb_par.Budget.t;
 }
@@ -65,6 +65,10 @@ val run :
   Genbase.Query.t ->
   Outcome.response
 (** [await (submit ...)]. *)
+
+val breaker_trips : t -> (string * int) list
+(** Breaker trips per engine so far, sorted by name — the live
+    counterpart of {!Server.stats}[.breaker_trips]. *)
 
 val shutdown : t -> unit
 (** Drain the queue (queued work still executes), stop accepting new

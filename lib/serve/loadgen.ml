@@ -89,7 +89,7 @@ type config = {
   engines : string list;
   lanes : int;
   queue_depth : int;
-  policy : Server.policy;
+  policy : Admission.policy;
   mem_bytes : int option;  (** [None]: lanes x the largest working set *)
   deadline_factor : float;  (** deadline = factor x mean service time *)
   retry_budget_factor : float;  (** client budget = factor x deadline *)
@@ -108,7 +108,7 @@ let default_config scenario =
     engines = default_engines;
     lanes = 4;
     queue_depth = 16;
-    policy = Server.Fifo;
+    policy = Admission.Fifo;
     mem_bytes = None;
     deadline_factor = 8.;
     retry_budget_factor = 3.;
@@ -458,10 +458,10 @@ let run_instrumented ?objectives cfg =
    the summary's exact quantiles cover (every [Served _]), so the two
    must agree within the resolution of the buckets involved. *)
 let p99_agreement (s : summary) =
-  match Gb_obs.Telemetry.quantile_agg Server.latency_family 0.99 with
+  match Gb_obs.Telemetry.quantile_agg Admission.latency_family 0.99 with
   | None -> None
   | Some interp ->
-    let width v = Gb_obs.Telemetry.bucket_width Server.latency_family v in
+    let width v = Gb_obs.Telemetry.bucket_width Admission.latency_family v in
     let tolerance = Float.max (width interp) (width s.p99_s) in
     Some (interp, s.p99_s, tolerance)
 

@@ -38,7 +38,7 @@ type config = {
   engines : string list;
   lanes : int;
   queue_depth : int;
-  policy : Server.policy;
+  policy : Admission.policy;
   mem_bytes : int option;  (** [None]: lanes x the largest working set *)
   deadline_factor : float;  (** per-query deadline = factor x mean service *)
   retry_budget_factor : float;  (** client retry budget = factor x deadline *)

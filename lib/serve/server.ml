@@ -16,24 +16,10 @@
 
 module Sim = Gb_util.Clock.Sim
 
-type policy = Fifo | Sjf
-
-let policies = [ ("fifo", Fifo); ("sjf", Sjf) ]
-
-let policy_to_string = function Fifo -> "fifo" | Sjf -> "sjf"
-
-let policy_of_string s =
-  match List.assoc_opt (String.lowercase_ascii (String.trim s)) policies with
-  | Some p -> Ok p
-  | None ->
-    Error
-      (Printf.sprintf "unknown queue policy %S (expected %s)" s
-         (String.concat " or " (List.map fst policies)))
-
 type config = {
   lanes : int;
   queue_depth : int;
-  policy : policy;
+  policy : Admission.policy;
   mem_bytes : int;
   breaker : Breaker.config;
 }
@@ -42,7 +28,7 @@ let default_config =
   {
     lanes = 4;
     queue_depth = 16;
-    policy = Fifo;
+    policy = Admission.Fifo;
     mem_bytes = 4096 * 1024 * 1024;
     breaker = Breaker.default_config;
   }
@@ -71,8 +57,6 @@ type stats = {
 
 type queued = {
   req : request;
-  seq : int;
-  deadline_at : float;
   mutable mem_blocked_at : float option;
       (** first dispatch attempt that failed memory reservation — the
           start of the queue wait's memory-budget tail *)
@@ -89,31 +73,9 @@ type ev = Arrive of request | Finish of int  (** lane *)
 
 type event = { at : float; eseq : int; ev : ev }
 
-let c_requests = Gb_obs.Metric.counter "serve.requests"
-let c_served = Gb_obs.Metric.counter "serve.served"
-let c_failed = Gb_obs.Metric.counter "serve.failed"
-let c_shed = Gb_obs.Metric.counter "serve.shed"
-let c_deadline = Gb_obs.Metric.counter "serve.deadline_exceeded"
-let h_queue_wait = Gb_obs.Metric.histogram ~unit_:"s" "serve.queue_wait"
-
-(* Labeled live families (telemetry flag, independent of the span flag).
-   Latency is observed for every [Served _] response — the same set
-   Loadgen's exact post-hoc percentiles cover, which is what makes the
-   interpolated p99 comparable to the summary's p99 within one bucket
-   width. *)
+(* Labeled live families beyond the ones {!Admission} feeds for both
+   servers (telemetry flag, independent of the span flag). *)
 module Tele = Gb_obs.Telemetry
-
-let f_requests =
-  Tele.counter_family ~help:"Requests arriving at the server"
-    "genbase_serve_requests_total"
-
-let f_responses =
-  Tele.counter_family ~help:"Responses by final disposition"
-    "genbase_serve_responses_total"
-
-let f_latency =
-  Tele.hist_family ~help:"End-to-end latency of served requests (seconds)"
-    "genbase_serve_latency_seconds"
 
 let f_queue_wait =
   Tele.hist_family ~help:"Queue wait before execution (seconds)"
@@ -126,22 +88,16 @@ let g_mem =
   Tele.gauge_family ~help:"Reserved working-set bytes"
     "genbase_serve_mem_reserved_bytes"
 
-let latency_family = f_latency
-
 let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
   if config.lanes < 1 then invalid_arg "Server.run: lanes";
   if config.queue_depth < 0 then invalid_arg "Server.run: queue_depth";
   let clock = Sim.create () in
   let now () = Sim.now clock in
   let budget = Gb_par.Budget.create ~bytes:(max 1 config.mem_bytes) in
-  let breakers : (string, Breaker.t) Hashtbl.t = Hashtbl.create 8 in
-  let breaker engine =
-    match Hashtbl.find_opt breakers engine with
-    | Some b -> b
-    | None ->
-      let b = Breaker.create ~config:config.breaker ~now engine in
-      Hashtbl.add breakers engine b;
-      b
+  let adm =
+    Admission.create ~policy:config.policy ~queue_depth:config.queue_depth
+      ~lanes:config.lanes ~mem_bytes:config.mem_bytes ~breaker:config.breaker
+      ~now
   in
   let events = Gb_util.Heap.create ~cmp:(fun a b ->
       match Float.compare a.at b.at with 0 -> compare a.eseq b.eseq | c -> c)
@@ -151,44 +107,12 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
     incr eseq;
     Gb_util.Heap.push events { at; eseq = !eseq; ev }
   in
-  let queue : queued list ref = ref [] in
-  let qseq = ref 0 in
   let lanes : running option array = Array.make config.lanes None in
   let responses = ref [] in
   let max_queue_len = ref 0 and max_mem_used = ref 0 in
   let respond (resp : Outcome.response) =
     responses := resp :: !responses;
-    (* Flight-recorder taps: per-response tail-sampling decision, shed
-       spike detection. One atomic load each while not recording. *)
-    (match resp.Outcome.disposition with
-    | Outcome.Shed _ -> Gb_obs.Recorder.observe_shed ~now:resp.Outcome.finished_s
-    | _ -> ());
-    Gb_obs.Recorder.observe_response ~trace:resp.Outcome.trace
-      ~latency_s:(Outcome.latency_s resp)
-      ~ok:
-        (match resp.Outcome.disposition with
-        | Outcome.Served (Outcome.Ok_ | Outcome.Degraded_) -> true
-        | _ -> false)
-      ~now:resp.Outcome.finished_s;
-    (match resp.Outcome.disposition with
-    | Outcome.Served (Outcome.Ok_ | Outcome.Degraded_) ->
-      Gb_obs.Metric.add c_served 1
-    | Outcome.Served Outcome.Failed_ -> Gb_obs.Metric.add c_failed 1
-    | Outcome.Shed _ -> Gb_obs.Metric.add c_shed 1
-    | Outcome.Deadline_exceeded _ -> Gb_obs.Metric.add c_deadline 1);
-    if Tele.enabled () then begin
-      let labels =
-        [
-          ("engine", resp.Outcome.engine);
-          ("query", Genbase.Query.name resp.Outcome.query);
-        ]
-      in
-      Tele.incr f_responses (("disposition", Outcome.label resp) :: labels);
-      match resp.Outcome.disposition with
-      | Outcome.Served _ ->
-        Tele.observe f_latency labels (Outcome.latency_s resp)
-      | Outcome.Shed _ | Outcome.Deadline_exceeded _ -> ()
-    end;
+    Admission.observe_response resp;
     List.iter
       (fun (r : request) ->
         push_event (Float.max r.arrival_s resp.Outcome.finished_s) (Arrive r))
@@ -212,14 +136,6 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
       engine_outcome = None;
     }
   in
-  (* Hint accompanying a queue-full shed: roughly one drain of the
-     current backlog across the lanes. *)
-  let drain_estimate () =
-    let backlog =
-      List.fold_left (fun acc q -> acc +. q.req.service_s) 0. !queue
-    in
-    Float.max 0.05 (backlog /. float_of_int config.lanes)
-  in
   let free_lane () =
     let rec go i =
       if i >= Array.length lanes then None
@@ -228,51 +144,31 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
     in
     go 0
   in
+  let set_queue_depth () =
+    if Tele.enabled () then
+      Tele.set g_queue_depth [] (float_of_int (Admission.length adm))
+  in
   (* Expire queued entries whose deadline passed before they reached a
      lane. Judged lazily at dispatch points; the response is stamped at
      the deadline instant the entry actually died. *)
   let sweep_expired () =
-    let t = now () in
-    let expired, live =
-      List.partition (fun q -> q.deadline_at < t) !queue
-    in
-    queue := live;
     List.iter
-      (fun q ->
-        Breaker.abandon (breaker q.req.engine);
+      (fun (e : queued Admission.entry) ->
+        let r = e.Admission.payload.req and at = e.Admission.deadline_at in
         if Gb_obs.Obs.active () then
-          Gb_obs.Obs.Span.instant ~track:Gb_obs.Obs.Sim ~ts:q.deadline_at
+          Gb_obs.Obs.Span.instant ~track:Gb_obs.Obs.Sim ~ts:at
             ~attrs:
               [
-                ("trace", Gb_obs.Obs.Int q.req.trace);
-                ("id", Gb_obs.Obs.Int q.req.id);
-                ("engine", Gb_obs.Obs.Str q.req.engine);
+                ("trace", Gb_obs.Obs.Int r.trace);
+                ("id", Gb_obs.Obs.Int r.id);
+                ("engine", Gb_obs.Obs.Str r.engine);
               ]
             ~name:"serve.expire" ();
         respond
-          (base_response q.req
-             ~finished:q.deadline_at
-             ~wait:(q.deadline_at -. q.req.arrival_s)
+          (base_response r ~finished:at ~wait:(at -. r.arrival_s)
              (Outcome.Deadline_exceeded `Queued)))
-      expired;
-    if Tele.enabled () then
-      Tele.set g_queue_depth [] (float_of_int (List.length !queue))
-  in
-  (* Queue discipline: FIFO takes the oldest entry; SJF the cheapest
-     cost estimate (ties to the oldest, so equal-cost work keeps arrival
-     order and no request starves behind an equal peer). *)
-  let pick_next () =
-    match !queue with
-    | [] -> None
-    | first :: rest ->
-      let better a b =
-        match config.policy with
-        | Fifo -> if b.seq < a.seq then b else a
-        | Sjf ->
-          let c = Float.compare b.req.service_s a.req.service_s in
-          if c < 0 || (c = 0 && b.seq < a.seq) then b else a
-      in
-      Some (List.fold_left better first rest)
+      (Admission.expire adm);
+    set_queue_depth ()
   in
   let dispatch () =
     let continue_ = ref true in
@@ -282,9 +178,10 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
       match free_lane () with
       | None -> ()
       | Some lane -> (
-        match pick_next () with
+        match Admission.head adm with
         | None -> ()
-        | Some q -> (
+        | Some e -> (
+          let q = e.Admission.payload in
           (* Memory admission: the pipeline's Par.Budget stage. A
              reservation that does not fit right now keeps its place in
              the queue — execution, not queueing, is what the budget
@@ -292,10 +189,10 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
           match Gb_par.Budget.try_reserve budget ~bytes:q.req.bytes with
           | None -> if q.mem_blocked_at = None then q.mem_blocked_at <- Some (now ())
           | Some reserved ->
-            queue := List.filter (fun q' -> q'.seq <> q.seq) !queue;
+            Admission.remove adm e;
             max_mem_used := max !max_mem_used (Gb_par.Budget.used budget);
+            set_queue_depth ();
             if Tele.enabled () then begin
-              Tele.set g_queue_depth [] (float_of_int (List.length !queue));
               Tele.set g_mem [] (float_of_int (Gb_par.Budget.used budget));
               Tele.observe f_queue_wait
                 [
@@ -310,12 +207,12 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
                after the deadline means the checkpoint fires at the
                deadline instant; finishing exactly on it is a served
                query (Deadline.expired is a strict comparison). *)
-            let cancelled = completes_at > q.deadline_at in
-            let finish_at = if cancelled then q.deadline_at else completes_at in
+            let deadline_at = e.Admission.deadline_at in
+            let cancelled = completes_at > deadline_at in
+            let finish_at = if cancelled then deadline_at else completes_at in
             lanes.(lane) <-
               Some { r_req = q.req; started_s = t; reserved; cancelled };
             if Gb_obs.Obs.active () then begin
-              Gb_obs.Metric.observe h_queue_wait (t -. q.req.arrival_s);
               (* The tail of the wait spent blocked on the memory budget
                  rides along so the critical-path analyzer can split
                  queue wait from memory wait. *)
@@ -340,61 +237,32 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
     done
   in
   let arrive (r : request) =
-    Gb_obs.Metric.add c_requests 1;
-    if Tele.enabled () then
-      Tele.incr f_requests
-        [ ("engine", r.engine); ("query", Genbase.Query.name r.query) ];
+    let verdict =
+      Admission.admit adm ~engine:r.engine ~query:r.query
+        ~estimate:r.service_s ~bytes:r.bytes
+        ~deadline_at:(now () +. r.deadline_s)
+        { req = r; mem_blocked_at = None }
+    in
     (* One instant per arrival carrying the admission decision, linked
        to the rest of the request's spans by the trace attribute. *)
-    let admit_instant decision =
-      if Gb_obs.Obs.active () then
-        Gb_obs.Obs.Span.instant ~track:Gb_obs.Obs.Sim ~ts:(now ())
-          ~attrs:
-            [
-              ("trace", Gb_obs.Obs.Int r.trace);
-              ("id", Gb_obs.Obs.Int r.id);
-              ("attempt", Gb_obs.Obs.Int r.attempt);
-              ("engine", Gb_obs.Obs.Str r.engine);
-              ("decision", Gb_obs.Obs.Str decision);
-            ]
-          ~name:"serve.admit" ()
-    in
-    let t = now () in
-    if r.bytes > config.mem_bytes then begin
-      (* Could never run next to anything; a batch harness runs such a
-         query alone, a server refuses to stall the fleet for it. *)
-      admit_instant "shed:memory";
-      respond (base_response r (Outcome.Shed Outcome.Memory))
-    end
-    else if List.length !queue >= config.queue_depth then begin
-      admit_instant "shed:queue_full";
-      respond
-        (base_response r
-           ~retry_after:(Some (drain_estimate ()))
-           (Outcome.Shed Outcome.Queue_full))
-    end
-    else
-      match Breaker.admit (breaker r.engine) with
-      | `Fast_fail retry_after ->
-        admit_instant "shed:breaker_open";
-        respond
-          (base_response r ~retry_after:(Some retry_after)
-             (Outcome.Shed Outcome.Breaker_open))
-      | `Admit ->
-        admit_instant "admitted";
-        incr qseq;
-        queue :=
-          {
-            req = r;
-            seq = !qseq;
-            deadline_at = t +. r.deadline_s;
-            mem_blocked_at = None;
-          }
-          :: !queue;
-        max_queue_len := max !max_queue_len (List.length !queue);
-        if Tele.enabled () then
-          Tele.set g_queue_depth [] (float_of_int (List.length !queue));
-        dispatch ()
+    if Gb_obs.Obs.active () then
+      Gb_obs.Obs.Span.instant ~track:Gb_obs.Obs.Sim ~ts:(now ())
+        ~attrs:
+          [
+            ("trace", Gb_obs.Obs.Int r.trace);
+            ("id", Gb_obs.Obs.Int r.id);
+            ("attempt", Gb_obs.Obs.Int r.attempt);
+            ("engine", Gb_obs.Obs.Str r.engine);
+            ("decision", Gb_obs.Obs.Str (Admission.verdict_label verdict));
+          ]
+        ~name:"serve.admit" ();
+    match verdict with
+    | Admission.Shed (reason, retry_after) ->
+      respond (base_response r ~retry_after (Outcome.Shed reason))
+    | Admission.Admitted ->
+      max_queue_len := max !max_queue_len (Admission.length adm);
+      set_queue_depth ();
+      dispatch ()
   in
   let finish lane =
     match lanes.(lane) with
@@ -405,7 +273,7 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
       let t = now () in
       let r = run.r_req in
       let ok = (not run.cancelled) && not r.fail in
-      Breaker.record (breaker r.engine) ~ok;
+      Admission.complete adm ~engine:r.engine ~ok;
       if Tele.enabled () then
         Tele.set g_mem [] (float_of_int (Gb_par.Budget.used budget));
       if Gb_obs.Obs.active () then begin
@@ -453,15 +321,12 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
   (* Anything still queued when the arrival stream dries up gets
      dispatched by the Finish cascade above; a non-empty queue here
      would mean a lost wakeup. *)
-  assert (!queue = []);
+  assert (Admission.length adm = 0);
   let stats =
     {
       max_queue_len = !max_queue_len;
       max_mem_used = !max_mem_used;
-      breaker_trips =
-        Hashtbl.fold (fun name b acc -> (name, Breaker.trips b) :: acc)
-          breakers []
-        |> List.sort compare;
+      breaker_trips = Admission.breaker_trips adm;
     }
   in
   (List.sort (fun a b -> compare a.Outcome.id b.Outcome.id) !responses, stats)

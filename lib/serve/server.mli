@@ -9,33 +9,20 @@
 
     The simulation is pure: the same config and request list replay to
     bit-identical responses and stats. Time is the sim clock, memory is
-    a {!Gb_par.Budget}, per-engine health is a {!Breaker}. When tracing
-    is enabled the run emits [serve]-category sim-track spans (queue
-    wait on track 0, execution on track [lane+1]), [serve.admit] /
-    [serve.expire] / [serve.cancel] instants carrying the request's
-    trace id and admission decision, and [serve.*] counters. When
-    telemetry is enabled it additionally feeds the labeled
+    a {!Gb_par.Budget}, admission is the shared {!Admission} policy
+    with a {!Breaker} per engine. When tracing is enabled the run emits
+    [serve]-category sim-track spans (queue wait on track 0, execution
+    on track [lane+1]) and [serve.admit] / [serve.expire] /
+    [serve.cancel] instants carrying the request's trace id and
+    admission decision. When telemetry is enabled it feeds the labeled
     [genbase_serve_*] families: request/response counters and latency
     histograms keyed by [engine]/[query] (+ [disposition]), queue-wait
     histograms, and queue-depth / reserved-memory gauges. *)
 
-type policy =
-  | Fifo  (** strict arrival order *)
-  | Sjf
-      (** shortest job first by {!Estimate} service time; equal
-          estimates fall back to arrival order, so SJF never reorders
-          identical work *)
-
-val policies : (string * policy) list
-(** Name/value pairs, the single source for CLI parsing and usage. *)
-
-val policy_to_string : policy -> string
-val policy_of_string : string -> (policy, string) result
-
 type config = {
   lanes : int;  (** concurrent executions, the sim analogue of pool jobs *)
   queue_depth : int;  (** admission queue bound; 0 sheds every arrival *)
-  policy : policy;
+  policy : Admission.policy;  (** SJF ranks by [service_s] *)
   mem_bytes : int;  (** working-set budget across all running queries *)
   breaker : Breaker.config;
 }
@@ -81,8 +68,3 @@ val run :
     exactly on it is served — {!Gb_util.Deadline.expired} is a strict
     comparison. Raises [Invalid_argument] on a non-positive lane count
     or negative queue depth. *)
-
-val latency_family : Gb_obs.Telemetry.hist_family
-(** The [genbase_serve_latency_seconds] family — exposed so callers can
-    compare its interpolated quantiles against exact post-hoc
-    percentiles. *)

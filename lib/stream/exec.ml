@@ -15,15 +15,15 @@ let g_lag =
     "stream_ingest_lag"
 
 let c_batches =
-  Tele.counter_family ~help:"Batches applied, including replayed ones"
+  Tele.counter ~help:"Batches applied, including replayed ones"
     "stream_batches_applied_total"
 
 let c_crashes =
-  Tele.counter_family ~help:"Injected crashes absorbed by the executor"
+  Tele.counter ~help:"Injected crashes absorbed by the executor"
     "stream_crashes_total"
 
 let c_replayed =
-  Tele.counter_family ~help:"Batches replayed after crash recovery"
+  Tele.counter ~help:"Batches replayed after crash recovery"
     "stream_replayed_batches_total"
 
 type counters = {
@@ -101,7 +101,7 @@ let checkpoint t =
    work. *)
 let recover t =
   t.counters.crashes <- t.counters.crashes + 1;
-  Tele.incr c_crashes [];
+  Tele.add c_crashes 1;
   let restored_to =
     match t.ckpt with
     | Some (at, l, m) ->
@@ -116,7 +116,7 @@ let recover t =
   in
   let replayed = t.watermark - restored_to in
   t.counters.replayed_batches <- t.counters.replayed_batches + replayed;
-  Tele.incr c_replayed [] ~by:(float_of_int replayed);
+  Tele.add c_replayed replayed;
   for off = restored_to + 1 to t.watermark do
     t.counters.wasted_s <- t.counters.wasted_s +. t.batch_cost.(off)
   done;
@@ -164,7 +164,7 @@ let step ?fault t =
   t.batch_cost.(next) <- cost;
   t.watermark <- next;
   t.counters.batches_applied <- t.counters.batches_applied + 1;
-  Tele.incr c_batches [];
+  Tele.add c_batches 1;
   if (next + 1) mod t.checkpoint_every = 0 then checkpoint t;
   publish t
 

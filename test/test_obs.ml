@@ -9,14 +9,19 @@ module Cluster = Gb_cluster.Cluster
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
 
-(* Every test runs with the collector reset and tracing enabled unless
-   it says otherwise, and must leave tracing disabled for the rest of
-   the suite (the flag is process-global). *)
+(* Every test runs with the collector and registry reset and tracing
+   plus telemetry enabled unless it says otherwise, and must leave both
+   disabled for the rest of the suite (the flags are process-global). *)
 let with_tracing ?(enabled = true) f =
   Obs.set_enabled enabled;
+  Telemetry.set_enabled enabled;
   Obs.reset ();
-  Metric.reset ();
-  Fun.protect ~finally:(fun () -> Obs.set_enabled false) f
+  Telemetry.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Telemetry.set_enabled false)
+    f
 
 let spans events =
   List.filter_map
@@ -82,21 +87,22 @@ let test_dur_of_override () =
 
 let test_disabled_zero_events () =
   with_tracing ~enabled:false (fun () ->
-      let c = Metric.counter ~unit_:"op" "test.disabled" in
+      let c = Telemetry.counter "test_disabled" in
       Obs.Span.with_ ~name:"invisible" (fun () ->
           Obs.Span.emit ~name:"sim" ~t0:0. ~t1:1. ();
           Obs.Span.instant ~name:"blip" ();
-          Metric.add c 7;
+          Telemetry.add c 7;
           Obs.Log.line ~sink:ignore "progress");
       check Alcotest.int "no events collected" 0 (Obs.event_count ());
-      check (Alcotest.float 0.) "counter untouched" 0. (Metric.value c);
+      check (Alcotest.float 0.) "counter untouched" 0.
+        (Telemetry.counter_value c);
       check Alcotest.int "no open frames" 0 (Obs.open_depth ()))
 
 (* --- simulated-clock spans are a pure function of the seed --- *)
 
 let sim_run () =
   Obs.reset ();
-  Metric.reset ();
+  Telemetry.reset ();
   let c = Cluster.create ~nodes:3 () in
   Cluster.set_task_cost c (Some 0.02);
   Cluster.set_fault_plan c
@@ -130,44 +136,62 @@ let test_sim_spans_deterministic () =
 
 let test_counter_snapshot_sorted () =
   with_tracing (fun () ->
-      let cb = Metric.counter "test.bbb" and ca = Metric.counter "test.aaa" in
-      Metric.add cb 2;
-      let before = Metric.snapshot () in
-      Metric.add ca 1;
-      Metric.addf cb 0.5;
-      let snap = Metric.snapshot () in
+      let cb = Telemetry.counter "test_bbb"
+      and ca = Telemetry.counter "test_aaa" in
+      Telemetry.add cb 2;
+      let before = Telemetry.counter_snapshot () in
+      Telemetry.add ca 1;
+      Telemetry.addf cb 0.5;
+      let snap = Telemetry.counter_snapshot () in
       checkb "snapshot sorted by name" true
         (let names = List.map fst snap in
          names = List.sort compare names);
       check (Alcotest.float 0.) "int and float adds accumulate" 2.5
-        (List.assoc "test.bbb" snap);
-      let d = Metric.delta before in
+        (List.assoc "test_bbb" snap);
+      let d = Telemetry.counter_delta before in
       check (Alcotest.float 0.) "delta isolates movement" 1.
-        (List.assoc "test.aaa" d);
+        (List.assoc "test_aaa" d);
       check (Alcotest.float 0.) "delta of moved counter" 0.5
-        (List.assoc "test.bbb" d))
+        (List.assoc "test_bbb" d);
+      (* reset zeroes a label-less cell in place, so a module-level
+         handle keeps counting into the registry. *)
+      Telemetry.reset ();
+      Telemetry.add ca 2;
+      check Alcotest.(option (float 0.)) "handle survives reset" (Some 2.)
+        (List.assoc_opt "test_aaa" (Telemetry.counter_snapshot ())))
 
 let test_counters_domain_safe () =
   (* Hammer one counter and one histogram from 4 domains at once; the
-     atomic CAS loop and per-histogram lock must lose no updates. *)
+     atomic CAS loop and the family lock must lose no updates. *)
   with_tracing (fun () ->
-      let c = Metric.counter ~unit_:"op" "test.hammer" in
-      let h = Metric.histogram "test.hammer.hist" in
+      let c = Telemetry.counter "test_hammer" in
+      let h = Telemetry.hist_family "test_hammer_hist" in
       let per_domain = 25_000 in
       let work () =
         for i = 1 to per_domain do
-          Metric.add c 1;
-          if i land 255 = 0 then Metric.observe h (float_of_int (i land 31))
+          Telemetry.add c 1;
+          if i land 255 = 0 then
+            Telemetry.observe h [] (float_of_int (i land 31))
         done
       in
       let domains = List.init 4 (fun _ -> Domain.spawn work) in
       List.iter Domain.join domains;
       check (Alcotest.float 0.) "no lost counter increments"
         (float_of_int (4 * per_domain))
-        (Metric.value c);
-      check Alcotest.int "no lost histogram observations"
-        (4 * (per_domain / 256))
-        (Metric.stats h).Metric.count;
+        (Telemetry.counter_value c);
+      let observed =
+        List.find_map
+          (fun (s : Telemetry.family_snap) ->
+            match (s.Telemetry.fam, s.Telemetry.rows) with
+            | "test_hammer_hist", [ ([], Telemetry.Hist_sample { hcount; _ }) ]
+              ->
+              Some hcount
+            | _ -> None)
+          (Telemetry.snapshot ())
+      in
+      check Alcotest.(option int) "no lost histogram observations"
+        (Some (4 * (per_domain / 256)))
+        observed;
       (* Spans opened on a spawned domain must not corrupt the caller's
          stack: each domain has its own DLS frame list. *)
       let d =
@@ -232,66 +256,12 @@ let test_top_spans () =
         check (Alcotest.float 1e-9) "total" 3. total
       | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l))
 
-(* --- histogram quantiles --- *)
-
-let test_hist_empty () =
-  with_tracing (fun () ->
-      let h = Metric.histogram "test.hist.empty" in
-      let s = Metric.stats h in
-      check Alcotest.int "count" 0 s.Metric.count;
-      check (Alcotest.float 0.) "mean" 0. s.Metric.mean;
-      check (Alcotest.float 0.) "min" 0. s.Metric.min_v;
-      check (Alcotest.float 0.) "max" 0. s.Metric.max_v;
-      check (Alcotest.float 0.) "p50" 0. s.Metric.p50;
-      check (Alcotest.float 0.) "p99" 0. s.Metric.p99)
-
-let test_hist_single_sample () =
-  with_tracing (fun () ->
-      let h = Metric.histogram "test.hist.single" in
-      Metric.observe h 3.0;
-      let s = Metric.stats h in
-      check Alcotest.int "count" 1 s.Metric.count;
-      (* The sample's bucket upper bound is 4, but quantiles are capped
-         at the observed maximum, so a one-sample histogram reports the
-         sample itself. *)
-      check (Alcotest.float 0.) "p50 is the sample" 3.0 s.Metric.p50;
-      check (Alcotest.float 0.) "p99 is the sample" 3.0 s.Metric.p99)
-
-let test_hist_overflow_and_clamping () =
-  with_tracing (fun () ->
-      (* More samples than buckets: quantiles stay within the
-         factor-of-2 bucket guarantee of the true order statistics
-         (true median 64.5, true p99 = 127). *)
-      let h = Metric.histogram "test.hist.many" in
-      for v = 1 to 128 do
-        Metric.observe h (float_of_int v)
-      done;
-      let s = Metric.stats h in
-      check Alcotest.int "count" 128 s.Metric.count;
-      checkb "p50 within a factor of 2" true
-        (s.Metric.p50 >= 64.5 && s.Metric.p50 <= 129.);
-      checkb "p99 within a factor of 2" true
-        (s.Metric.p99 >= 127. && s.Metric.p99 <= 254.);
-      checkb "quantiles ordered" true (s.Metric.p50 <= s.Metric.p99);
-      (* Exponents beyond the bucket range clamp to the edge buckets
-         instead of indexing out of bounds, and the max_v cap keeps the
-         reported quantile finite. *)
-      let e = Metric.histogram "test.hist.extreme" in
-      Metric.observe e 1e-300;
-      Metric.observe e 1e300;
-      Metric.observe e 0.;
-      let se = Metric.stats e in
-      check Alcotest.int "extreme count" 3 se.Metric.count;
-      checkb "extreme p99 finite" true (Float.is_finite se.Metric.p99);
-      checkb "p99 capped at observed max" true
-        (se.Metric.p99 <= se.Metric.max_v))
-
 (* --- GC profiling gates --- *)
 
 let gc_counters_moved before =
   List.exists
-    (fun (n, _) -> String.length n >= 3 && String.sub n 0 3 = "gc.")
-    (Metric.delta before)
+    (fun (n, _) -> String.starts_with ~prefix:"gc_" n)
+    (Telemetry.counter_delta before)
 
 let churn () =
   (* Enough small allocations to guarantee a visible minor-words delta
@@ -305,10 +275,10 @@ let churn () =
 let test_gc_disabled_moves_nothing () =
   with_tracing (fun () ->
       (* Profiling defaults to off: a profiled span degrades to a plain
-         span — no gc.* counters, no gc_* attributes, free snapshots. *)
-      let before = Metric.snapshot () in
+         span — no gc_* counters, no gc_* attributes, free snapshots. *)
+      let before = Telemetry.counter_snapshot () in
       Profile.with_ ~name:"alloc" churn;
-      checkb "no gc.* counters when profiling off" false
+      checkb "no gc_* counters when profiling off" false
         (gc_counters_moved before);
       let s =
         List.find (fun s -> s.Obs.name = "alloc") (spans (Obs.events ()))
@@ -322,26 +292,35 @@ let test_gc_disabled_moves_nothing () =
 
 let test_gc_double_gate () =
   (* Enabling the profiler without tracing must still record nothing
-     (the bit-identical-conformance contract), while enabling both
-     moves the counters and attaches attributes. *)
+     (the bit-identical-conformance contract), even with telemetry on;
+     tracing without telemetry attaches attributes but moves no counter;
+     enabling all three moves the counters. *)
   Fun.protect
     ~finally:(fun () -> Profile.set_enabled false)
     (fun () ->
       with_tracing ~enabled:false (fun () ->
           Profile.set_enabled true;
-          let before = Metric.snapshot () in
+          Telemetry.set_enabled true;
+          let before = Telemetry.counter_snapshot () in
           Profile.with_ ~name:"dark" churn;
           check Alcotest.int "no events without tracing" 0 (Obs.event_count ());
           checkb "no counters without tracing" false
             (gc_counters_moved before));
       with_tracing (fun () ->
           Profile.set_enabled true;
-          let before = Metric.snapshot () in
+          Telemetry.set_enabled false;
+          let before = Telemetry.counter_snapshot () in
+          Profile.with_ ~name:"no-telemetry" churn;
+          checkb "no counters without telemetry" false
+            (gc_counters_moved before));
+      with_tracing (fun () ->
+          Profile.set_enabled true;
+          let before = Telemetry.counter_snapshot () in
           Profile.with_ ~name:"lit" churn;
-          checkb "counters move when both gates open" true
+          checkb "counters move when every gate is open" true
             (gc_counters_moved before);
           checkb "minor words observed" true
-            (List.assoc_opt "gc.minor_words" (Metric.delta before)
+            (List.assoc_opt "gc_minor_words" (Telemetry.counter_delta before)
              |> Option.fold ~none:false ~some:(fun w -> w > 0.));
           let s =
             List.find (fun s -> s.Obs.name = "lit") (spans (Obs.events ()))
@@ -448,56 +427,13 @@ let test_bench_diff () =
   check Alcotest.int "only_base" 1 (List.length repk.Bench_json.only_base);
   check Alcotest.int "only_cand" 1 (List.length repk.Bench_json.only_cand)
 
-(* --- Metric: unit clash + interpolated percentiles (satellites) --- *)
-
-let test_metric_unit_clash () =
-  let _ = Metric.counter ~unit_:"bytes" "test.unit_clash.counter" in
-  (* Same explicit unit and omitted unit both find the registration. *)
-  let _ = Metric.counter ~unit_:"bytes" "test.unit_clash.counter" in
-  let _ = Metric.counter "test.unit_clash.counter" in
-  checkb "differing counter unit raises" true
-    (match Metric.counter ~unit_:"s" "test.unit_clash.counter" with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  let _ = Metric.histogram ~unit_:"s" "test.unit_clash.hist" in
-  checkb "differing histogram unit raises" true
-    (match Metric.histogram ~unit_:"qps" "test.unit_clash.hist" with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_metric_interpolated_percentile () =
-  with_tracing (fun () ->
-      let h = Metric.histogram "test.interp.hist" in
-      (* 100 samples uniform over one power-of-two bucket (1, 2]: the
-         old bucket-upper percentile would report 2.0 for every
-         quantile; interpolation must land inside the bucket and be
-         clamped to the observed extremes. *)
-      for i = 1 to 100 do
-        Metric.observe h (1.0 +. (float_of_int i /. 100.))
-      done;
-      let s = Metric.stats h in
-      checkb "p50 interpolated inside bucket" true (s.Metric.p50 < 1.6);
-      checkb "p50 above bucket lower bound" true (s.Metric.p50 > 1.2);
-      checkb "p99 below max" true (s.Metric.p99 <= s.Metric.max_v);
-      checkb "p50 < p99" true (s.Metric.p50 < s.Metric.p99))
-
 (* --- Telemetry: labeled families --- *)
 
-(* Telemetry has its own flag, independent of Obs. Tests use uniquely
-   named families and reset values afterwards; registrations are
-   process-global by design (Telemetry.clear would invalidate the
-   serving layer's module-level family bindings). *)
-let with_telemetry f =
-  Telemetry.set_enabled true;
-  Telemetry.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Telemetry.set_enabled false;
-      Telemetry.reset ())
-    f
+(* Tests use uniquely named families; registrations are process-global
+   by design (module-level handles bind to them). *)
 
 let test_telemetry_families () =
-  with_telemetry (fun () ->
+  with_tracing (fun () ->
       let c = Telemetry.counter_family "test_tele_requests_total" in
       (* Find-or-register: same name, same family. *)
       let c' = Telemetry.counter_family "test_tele_requests_total" in
@@ -513,6 +449,21 @@ let test_telemetry_families () =
       let _ = Telemetry.hist_family ~buckets:[| 1.; 2. |] "test_tele_h" in
       checkb "bucket-grid clash raises" true
         (match Telemetry.hist_family ~buckets:[| 1.; 3. |] "test_tele_h" with
+        | exception Invalid_argument _ -> true
+        | _ -> false);
+      (* A label-less handle is its counter family's empty-label cell,
+         under the same kind and name checks. *)
+      let h = Telemetry.counter "test_tele_requests_total" in
+      Telemetry.incr c [];
+      Telemetry.add h 2;
+      check Alcotest.(float 1e-9) "handle is the family's [] cell" 3.
+        (Telemetry.counter_value h);
+      checkb "counter over a histogram raises" true
+        (match Telemetry.counter "test_tele_h" with
+        | exception Invalid_argument _ -> true
+        | _ -> false);
+      checkb "dotted counter name raises" true
+        (match Telemetry.counter "test.dotted" with
         | exception Invalid_argument _ -> true
         | _ -> false);
       checkb "invalid metric name raises" true
@@ -535,7 +486,7 @@ let test_telemetry_families () =
         (Telemetry.value c [ ("engine", "A"); ("query", "svd") ]))
 
 let test_telemetry_quantiles () =
-  with_telemetry (fun () ->
+  with_tracing (fun () ->
       let h =
         Telemetry.hist_family ~buckets:[| 1.; 2.; 4. |] "test_tele_lat"
       in
@@ -595,7 +546,7 @@ let test_telemetry_window () =
 (* --- Expo: exposition round-trip --- *)
 
 let test_expo_roundtrip () =
-  with_telemetry (fun () ->
+  with_tracing (fun () ->
       let c = Telemetry.counter_family ~help:"Total\nover lines \\ "
           "test_expo_total"
       in
@@ -632,7 +583,7 @@ let test_expo_roundtrip () =
              row_labels))
 
 let test_expo_rejects_corruption () =
-  with_telemetry (fun () ->
+  with_tracing (fun () ->
       let h = Telemetry.hist_family ~buckets:[| 1.; 2. |] "test_expo_bad" in
       Telemetry.observe h [] 0.5;
       let text = Expo.render (Telemetry.snapshot ()) in
@@ -675,13 +626,7 @@ let prop_expo_fixed_point =
   in
   QCheck.Test.make ~name:"exposition render/parse fixed point" ~count:60
     (QCheck.make case_gen) (fun (labels, values) ->
-      Telemetry.set_enabled true;
-      Telemetry.reset ();
-      Fun.protect
-        ~finally:(fun () ->
-          Telemetry.set_enabled false;
-          Telemetry.reset ())
-        (fun () ->
+      with_tracing (fun () ->
           (* Duplicate label names are rejected by canon; dedup first. *)
           let labels =
             List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
@@ -776,20 +721,12 @@ let suite =
       test_counters_domain_safe;
     Alcotest.test_case "chrome JSON round-trip" `Quick test_chrome_roundtrip;
     Alcotest.test_case "top spans for CSV breakdown" `Quick test_top_spans;
-    Alcotest.test_case "histogram: empty" `Quick test_hist_empty;
-    Alcotest.test_case "histogram: single sample" `Quick
-      test_hist_single_sample;
-    Alcotest.test_case "histogram: overflow + clamping" `Quick
-      test_hist_overflow_and_clamping;
     Alcotest.test_case "gc profiling off by default" `Quick
       test_gc_disabled_moves_nothing;
     Alcotest.test_case "gc profiling double gate" `Quick test_gc_double_gate;
     Alcotest.test_case "bench JSON round-trip" `Quick
       test_bench_json_roundtrip;
     Alcotest.test_case "bench diff verdicts" `Quick test_bench_diff;
-    Alcotest.test_case "metric unit clash" `Quick test_metric_unit_clash;
-    Alcotest.test_case "metric interpolated percentiles" `Quick
-      test_metric_interpolated_percentile;
     Alcotest.test_case "telemetry labeled families" `Quick
       test_telemetry_families;
     Alcotest.test_case "telemetry interpolated quantiles" `Quick

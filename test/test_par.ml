@@ -1,7 +1,7 @@
 (* Domain pool: jobs parsing, parallel_for coverage and equivalence to
    the sequential loop, map_reduce determinism, fork-join, exception
    propagation (and pool reuse afterwards), nested regions running
-   inline, the par.tasks counter, and the memory-budget gate.
+   inline, the par_tasks counter, and the memory-budget gate.
 
    The container running CI may have a single core; nothing here asserts
    wall-clock speedup — only correctness and determinism contracts. *)
@@ -186,15 +186,15 @@ let test_nested_runs_inline () =
 
 let test_tasks_counter () =
   with_jobs 2 (fun () ->
-      Gb_obs.Obs.set_enabled true;
+      Gb_obs.Telemetry.set_enabled true;
       Fun.protect
-        ~finally:(fun () -> Gb_obs.Obs.set_enabled false)
+        ~finally:(fun () -> Gb_obs.Telemetry.set_enabled false)
         (fun () ->
-          let before = Gb_obs.Metric.snapshot () in
+          let before = Gb_obs.Telemetry.counter_snapshot () in
           Pool.parallel_for ~grain:10 ~lo:0 ~hi:1000 (fun _ _ -> ());
-          let d = Gb_obs.Metric.delta before in
-          checkb "par.tasks counts spawned chunks" true
-            (match List.assoc_opt "par.tasks" d with
+          let d = Gb_obs.Telemetry.counter_delta before in
+          checkb "par_tasks counts spawned chunks" true
+            (match List.assoc_opt "par_tasks" d with
             | Some v -> v > 0.
             | None -> false)))
 

@@ -21,10 +21,17 @@ let analytics e ds q =
 
 let test_scidb_two_node_regression_penalty () =
   (* "SciDB often has worse performance on two nodes than on one" — the
-     chunk redistribution penalty. *)
+     chunk redistribution penalty. Both sides are measured wall time plus
+     a modelled penalty, so each keeps its best of 3 runs (the harness's
+     rule) to keep machine load out of the comparison. *)
   let ds = Lazy.force large in
-  let one = total (Engine_scidb_mn.engine ~nodes:1) ds Query.Q1_regression in
-  let two = total (Engine_scidb_mn.engine ~nodes:2) ds Query.Q1_regression in
+  let best nodes =
+    List.fold_left Float.min infinity
+      (List.init 3 (fun _ ->
+           total (Engine_scidb_mn.engine ~nodes) ds Query.Q1_regression))
+  in
+  let one = best 1 in
+  let two = best 2 in
   Alcotest.(check bool) "2 nodes slower than 1" (two > one) true
 
 let test_pbdr_scales () =

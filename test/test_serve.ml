@@ -7,6 +7,7 @@
 open Genbase
 module Serve = Gb_serve
 module Server = Gb_serve.Server
+module Admission = Gb_serve.Admission
 module Outcome = Gb_serve.Outcome
 module Breaker = Gb_serve.Breaker
 module Client = Gb_serve.Client
@@ -90,7 +91,7 @@ let test_burst_shedding_exact () =
      deadline (served). At t=2, r5 dispatches with zero budget left and
      is cancelled on the spot. *)
   let config =
-    { Server.default_config with lanes = 2; queue_depth = 3; policy = Server.Fifo }
+    { Server.default_config with lanes = 2; queue_depth = 3; policy = Admission.Fifo }
   in
   let requests =
     List.init 20 (fun i -> req ~id:(i + 1) ~deadline:2. ~service:1. ())
@@ -139,9 +140,9 @@ let test_sjf_order () =
          responses)
   in
   Alcotest.(check (list int)) "FIFO finishes in arrival order" [ 1; 2; 3; 4 ]
-    (mk Server.Fifo);
+    (mk Admission.Fifo);
   Alcotest.(check (list int)) "SJF finishes cheapest-first" [ 1; 4; 3; 2 ]
-    (mk Server.Sjf)
+    (mk Admission.Sjf)
 
 let test_memory_admission () =
   (* Budget fits one heavy query at a time: the second waits for the
@@ -567,26 +568,24 @@ let test_live_matches_direct =
           | Some o -> Format.asprintf "%a" Engine.pp_outcome o)
           (Format.asprintf "%a" Engine.pp_outcome d))
 
-let test_live_sheds_and_serves () =
-  (* One lane, depth-1 queue, and an engine gated on a condition
-     variable so the test controls exactly when the lane frees up: the
-     first query occupies the lane, the second queues, and the rest of
-     the burst sheds deterministically. *)
-  let m = Mutex.create () in
-  let cv = Condition.create () in
-  let gate_open = ref false in
-  let started = ref 0 in
-  let gated_engine =
+(* An engine gated on a condition variable, so a test controls exactly
+   when a lane frees up: [wait_started n] returns once [n] runs have
+   entered it, [open_gate ()] lets every run (current and future)
+   complete. *)
+let gated_engine name =
+  let m = Mutex.create () and cv = Condition.create () in
+  let opened = ref false and started = ref 0 in
+  let engine =
     {
-      Engine.name = "Gated";
+      Engine.name;
       kind = `Single_node;
       supports = (fun _ -> true);
       load =
         (fun _ _ ~params:_ ~timeout_s:_ ->
           Mutex.lock m;
-          started := !started + 1;
+          incr started;
           Condition.broadcast cv;
-          while not !gate_open do
+          while not !opened do
             Condition.wait cv m
           done;
           Mutex.unlock m;
@@ -595,63 +594,35 @@ let test_live_sheds_and_serves () =
             (Engine.Singular_values [| 1. |]));
     }
   in
-  let config =
-    {
-      Serve.Live.lanes = 1;
-      queue_depth = 1;
-      policy = Server.Fifo;
-      breaker = Breaker.default_config;
-      budget = Gb_par.Budget.create ~bytes:max_int;
-    }
+  let wait_started n =
+    Mutex.lock m;
+    while !started < n do
+      Condition.wait cv m
+    done;
+    Mutex.unlock m
   in
-  let t = Serve.Live.create ~config () in
-  let first =
-    Serve.Live.submit t ~engine:gated_engine ~ds:tiny ~deadline_s:300.
-      Query.Q4_svd
+  let open_gate () =
+    Mutex.lock m;
+    opened := true;
+    Condition.broadcast cv;
+    Mutex.unlock m
   in
-  (* Wait until the lane actually holds the first query, so the rest of
-     the burst observes a busy lane and a fillable queue. *)
-  Mutex.lock m;
-  while !started < 1 do
-    Condition.wait cv m
-  done;
-  Mutex.unlock m;
-  let burst =
-    List.init 5 (fun _ ->
-        Serve.Live.submit t ~engine:gated_engine ~ds:tiny ~deadline_s:300.
-          Query.Q4_svd)
-  in
-  Mutex.lock m;
-  gate_open := true;
-  Condition.broadcast cv;
-  Mutex.unlock m;
-  let responses = List.map Serve.Live.await (first :: burst) in
-  Serve.Live.shutdown t;
-  let served = count responses (fun r -> Outcome.goodput r) in
-  let shed =
-    count responses (fun r ->
-        match disposition r with
-        | Outcome.Shed Outcome.Queue_full -> true
-        | _ -> false)
-  in
-  Alcotest.(check int) "every submission resolved" 6 (List.length responses);
-  Alcotest.(check int) "lane + queue served" 2 served;
-  Alcotest.(check int) "the rest of the burst shed" 4 shed;
-  List.iter
-    (fun r ->
-      match disposition r with
-      | Outcome.Shed Outcome.Queue_full ->
-        Alcotest.(check bool) "shed carries retry-after"
-          (r.Outcome.retry_after_s <> None)
-          true
-      | _ -> ())
-    responses
+  (engine, wait_started, open_gate)
 
 (* --- request-scoped traces, SLO determinism, p99 agreement --- *)
 
 module Obs = Gb_obs.Obs
 module Telemetry = Gb_obs.Telemetry
 module Slo = Gb_obs.Slo
+
+let with_telemetry f =
+  Telemetry.set_enabled true;
+  Telemetry.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.set_enabled false;
+      Telemetry.reset ())
+    f
 
 (* Every span and instant of one logical request — admission decisions,
    queue wait, execution, retries — carries the same trace id, so a
@@ -730,13 +701,7 @@ let test_slo_chaos_deterministic () =
    agrees with the load generator's exact post-hoc p99 within one bucket
    width. *)
 let test_p99_agreement_overload () =
-  Telemetry.set_enabled true;
-  Telemetry.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Telemetry.set_enabled false;
-      Telemetry.reset ())
-    (fun () ->
+  with_telemetry (fun () ->
       let i = Loadgen.run_instrumented (quick_cfg "overload") in
       let summary = i.Loadgen.i_summary in
       match Loadgen.p99_agreement summary with
@@ -757,6 +722,194 @@ let test_p99_agreement_overload () =
         Alcotest.(check bool) "live window populated"
           (p50 <> None && p99 <> None)
           true)
+
+(* --- the shared admission core, on a fake clock --- *)
+
+let test_admission_table () =
+  let clock = ref 0. in
+  let breaker =
+    { Breaker.default_config with window = 1; min_samples = 1; cooldown_s = 10. }
+  in
+  let admit ?(engine = "E") ?(estimate = 1.) ?(bytes = 1) ?(deadline_at = 1e9)
+      adm payload =
+    Admission.admit adm ~engine ~query:Query.Q1_regression ~estimate ~bytes
+      ~deadline_at payload
+  in
+  (* A depth-2 queue over 2 lanes holding [estimates], with engine "Bad"
+     tripped. *)
+  let state ?(policy = Admission.Fifo) estimates =
+    let adm =
+      Admission.create ~policy ~queue_depth:2 ~lanes:2 ~mem_bytes:100 ~breaker
+        ~now:(fun () -> !clock)
+    in
+    List.iteri
+      (fun i estimate -> ignore (admit adm ~estimate (string_of_int i)))
+      estimates;
+    Admission.complete adm ~engine:"Bad" ~ok:false;
+    adm
+  in
+  let verdict adm ~engine ~bytes =
+    match admit adm ~engine ~bytes "new" with
+    | Admission.Shed (_, Some hint) as v ->
+      Printf.sprintf "%s %g" (Admission.verdict_label v) hint
+    | v -> Admission.verdict_label v
+  in
+  (* Ladder order is cap, queue, breaker; the queue-full hint is one
+     drain of the backlog across the lanes, floored at 50 ms. *)
+  List.iter
+    (fun (name, estimates, engine, bytes, expected) ->
+      Alcotest.(check string)
+        name expected
+        (verdict (state estimates) ~engine ~bytes))
+    [
+      ("cap first", [ 1.; 3. ], "Bad", 101, "shed:memory");
+      ("then queue", [ 1.; 3. ], "Bad", 1, "shed:queue_full 2");
+      ("hint floor", [ 0.01; 0.01 ], "E", 1, "shed:queue_full 0.05");
+      ("then breaker", [], "Bad", 1, "shed:breaker_open 10");
+      ("else admitted", [ 1. ], "E", 100, "admitted");
+    ];
+  (* FIFO by admission order; SJF by estimate, ties to the earlier. *)
+  List.iter
+    (fun (name, policy, estimates, expected) ->
+      Alcotest.(check (option string)) name expected
+        (Option.map (fun e -> e.Admission.payload)
+           (Admission.head (state ~policy estimates))))
+    [
+      ("fifo oldest", Admission.Fifo, [ 3.; 1. ], Some "0");
+      ("sjf cheapest", Admission.Sjf, [ 3.; 1. ], Some "1");
+      ("sjf tie to earlier", Admission.Sjf, [ 2.; 2. ], Some "0");
+      ("empty", Admission.Fifo, [], None);
+    ];
+  (* Expiry is strict: an entry dies once the clock passes its deadline. *)
+  let adm = state [] in
+  ignore (admit adm ~deadline_at:5. "early");
+  ignore (admit adm ~deadline_at:10. "on time");
+  clock := 10.;
+  Alcotest.(check (list string)) "expired" [ "early" ]
+    (List.map (fun e -> e.Admission.payload) (Admission.expire adm));
+  Alcotest.(check int) "still queued" 1 (Admission.length adm)
+
+(* --- the live server under concurrent load --- *)
+
+(* Sum over every cell of a labeled counter family. *)
+let family_total name =
+  List.concat_map
+    (fun (s : Telemetry.family_snap) ->
+      if s.Telemetry.fam = name then s.Telemetry.rows else [])
+    (Telemetry.snapshot ())
+  |> List.fold_left
+       (fun acc -> function _, Telemetry.Sample x -> acc +. x | _ -> acc)
+       0.
+
+(* Two lanes and a depth-3 queue under two submitting domains, a gated
+   engine, an engine whose load raises, a deadline that expires in the
+   queue, and a shutdown with work in flight. *)
+let test_live_sheds_and_serves () =
+  with_telemetry @@ fun () ->
+  let gated, gated_started, open_gated = gated_engine "Gated" in
+  let late, late_started, open_late = gated_engine "Late" in
+  let boom =
+    {
+      gated with
+      Engine.name = "Boom";
+      load = (fun _ _ ~params:_ ~timeout_s:_ -> failwith "boom");
+    }
+  in
+  let budget = Gb_par.Budget.create ~bytes:max_int in
+  let breaker =
+    { Breaker.default_config with min_samples = 2; cooldown_s = 1e6 }
+  in
+  let policy = Admission.Fifo in
+  let t =
+    Serve.Live.create
+      ~config:{ Serve.Live.lanes = 2; queue_depth = 3; policy; breaker; budget }
+      ()
+  in
+  let submit ?(deadline_s = 300.) engine =
+    Serve.Live.submit t ~engine ~ds:tiny ~deadline_s Query.Q4_svd
+  in
+  let from_two_domains n engine =
+    let go () = List.init n (fun _ -> submit engine) in
+    let a = Domain.spawn go and b = Domain.spawn go in
+    Domain.join a @ Domain.join b
+  in
+  (* Both lanes blocked; one request waits out its deadline in the
+     queue; six failing requests from two domains race for the two
+     slots left, so four shed. *)
+  let running = [ submit gated; submit gated ] in
+  gated_started 2;
+  let doomed = submit ~deadline_s:0.02 gated in
+  Unix.sleepf 0.1;
+  let booms = from_two_domains 3 boom in
+  open_gated ();
+  let first = List.map Serve.Live.await (running @ (doomed :: booms)) in
+  (* The two Boom runs failed and tripped its breaker. *)
+  let tripped = List.map Serve.Live.await (from_two_domains 1 boom) in
+  (* Shut down with two runs blocked and one queued; the queue drains. *)
+  let in_flight = [ submit late; submit late ] in
+  late_started 2;
+  let queued = submit late in
+  let stopper = Domain.spawn (fun () -> Serve.Live.shutdown t) in
+  Unix.sleepf 0.05;
+  open_late ();
+  Domain.join stopper;
+  let log = first @ tripped @ List.map Serve.Live.await (queued :: in_flight) in
+  Alcotest.(check bool) "submit after shutdown raises" true
+    (match submit gated with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  (* 14 submissions; the refused one above is not counted. *)
+  let n = 14 in
+  Alcotest.(check int) "every handle resolved" n (List.length log);
+  Alcotest.(check (pair (float 0.) (float 0.)))
+    "each request counted and answered exactly once"
+    (float_of_int n, float_of_int n)
+    ( family_total "genbase_serve_requests_total",
+      family_total "genbase_serve_responses_total" );
+  let tally =
+    List.map
+      (fun l -> (l, count log (fun r -> Outcome.label r = l)))
+      [
+        "ok"; "failed"; "deadline:queued"; "shed:queue_full";
+        "shed:breaker_open";
+      ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "dispositions"
+    [
+      ("ok", 5);
+      ("failed", 2);
+      ("deadline:queued", 1);
+      ("shed:queue_full", 4);
+      ("shed:breaker_open", 2);
+    ]
+    tally;
+  Alcotest.(check int) "dispositions sum to submissions" n
+    (List.fold_left (fun a (_, k) -> a + k) 0 tally);
+  Alcotest.(check bool) "every shed carries a retry-after hint" true
+    (List.for_all
+       (fun r ->
+         match disposition r with
+         | Outcome.Shed _ -> r.Outcome.retry_after_s <> None
+         | _ -> true)
+       log);
+  Alcotest.(check int) "budget released" 0 (Gb_par.Budget.used budget);
+  (* Breaker state matches the log: an engine tripped iff the log shows
+     its fast-fails, and Boom tripped on its [min_samples]-th failure. *)
+  let trips = Serve.Live.breaker_trips t in
+  Alcotest.(check (list (pair string int)))
+    "trips" [ ("Boom", 1); ("Gated", 0); ("Late", 0) ] trips;
+  List.iter
+    (fun (engine, k) ->
+      Alcotest.(check bool) (engine ^ " tripped iff fast-failed") (k > 0)
+        (List.exists
+           (fun r ->
+             r.Outcome.engine = engine
+             && disposition r = Outcome.Shed Outcome.Breaker_open)
+           log))
+    trips;
+  Alcotest.(check int) "failures before the trip" breaker.Breaker.min_samples
+    (count log (fun r -> disposition r = Outcome.Served Outcome.Failed_))
 
 let suite =
   [
@@ -783,5 +936,6 @@ let suite =
     ("slo alerts deterministic under chaos", `Quick,
      test_slo_chaos_deterministic);
     ("interpolated p99 agrees with exact", `Quick, test_p99_agreement_overload);
+    ("admission ladder, hint and head table", `Quick, test_admission_table);
   ]
   @ List.map QCheck_alcotest.to_alcotest [ test_live_matches_direct ]
