@@ -1,6 +1,6 @@
 (** The system-under-test interface.
 
-    An engine loads a data set once (setup, untimed) and then answers
+    An engine prepares a data set once (setup, untimed) and then answers
     queries, reporting the data-management and analytics phases separately
     (the split behind Figures 2 and 4). Real-compute engines report wall
     time; cluster/coprocessor/MapReduce engines report simulated seconds
@@ -67,25 +67,45 @@ val timing_of : outcome -> timing option
 val payload_of : outcome -> payload option
 val recovery_of : outcome -> recovery option
 
+type session = Query.t -> params:Query.params -> timeout_s:float -> outcome
+(** An engine prepared on one data set: it answers any number of
+    queries from what [prepare] built. A session may hold immutable
+    derived stores (row pages, compressed columns, chunked arrays) and
+    nothing else: every query starts its own deadline, simulated clock
+    and cooperative-timeout hook, so answering a query never changes
+    the answer to the next one. *)
+
 type t = {
   name : string;
   kind : [ `Single_node | `Multi_node of int ];
   supports : Query.t -> bool;
-  load : Dataset.t -> Query.t -> params:Query.params -> timeout_s:float -> outcome;
+  prepare : Dataset.t -> session;
+      (** Engines with a native store build it when [prepare] is applied
+          to the data set — loading is setup, outside the [dm] and
+          [analytics] clocks. *)
 }
 
 val run : t -> Dataset.t -> Query.t -> ?params:Query.params ->
   timeout_s:float -> unit -> outcome
-(** Drives [load], translating [Deadline.Timeout], [Mr.Timeout] and
-    memory-budget failures (including injected ones that exhaust their
-    retry budget) into the corresponding outcomes. Any other exception
-    becomes [Errored] — a misbehaving engine can fail its own cell but
-    never abort the grid.
+(** Prepares a session and answers one query from it, translating
+    [Deadline.Timeout], [Mr.Timeout] and memory-budget failures
+    (including injected ones that exhaust their retry budget) into the
+    corresponding outcomes. Any other exception becomes [Errored] — a
+    misbehaving engine can fail its own cell but never abort the grid.
 
     [run] also arms a wall-clock {!Gb_util.Deadline.Ambient} deadline of
-    [timeout_s] for the duration of [load]: kernels poll it from their
-    iteration loops, so a query can be cancelled mid-phase rather than
-    only at the engines' phase-boundary checks. *)
+    [timeout_s] for the duration of [prepare] and the query: kernels
+    poll it from their iteration loops, so a query can be cancelled
+    mid-phase rather than only at the engines' phase-boundary checks. *)
+
+val memo : t -> t
+(** The same engine with a one-entry memo on [prepare]: preparing the
+    physically same data set ([==]) as the previous call returns the
+    previous session; any other data set prepares a fresh session
+    (under a ["phase"]-category ["load"] span) and replaces the old
+    one. A [prepare] that raises leaves the memo as it was. The memo is
+    unsynchronized — one domain at a time — and keeps its last data set
+    and session alive until it is replaced or dropped. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 

@@ -288,7 +288,7 @@ let make ~name ~boundary ~fault ~nodes =
     Engine.name = name;
     kind = `Multi_node nodes;
     supports = (fun _ -> true);
-    load =
+    prepare =
       (fun ds q ~params ~timeout_s ->
         run ~boundary ?fault ~nodes ds q ~params ~timeout_s);
   }

@@ -257,7 +257,7 @@ let engine =
     Engine.name = "Hadoop";
     kind = `Single_node;
     supports;
-    load = (fun ds q ~params ~timeout_s -> run ~nodes:1 ds q ~params ~timeout_s);
+    prepare = (fun ds q ~params ~timeout_s -> run ~nodes:1 ds q ~params ~timeout_s);
   }
 
 let make_multinode ~fault ~nodes =
@@ -265,7 +265,7 @@ let make_multinode ~fault ~nodes =
     Engine.name = "Hadoop";
     kind = `Multi_node nodes;
     supports;
-    load = (fun ds q ~params ~timeout_s -> run ?fault ~nodes ds q ~params ~timeout_s);
+    prepare = (fun ds q ~params ~timeout_s -> run ?fault ~nodes ds q ~params ~timeout_s);
   }
 
 let engine_multinode ~nodes = make_multinode ~fault:None ~nodes

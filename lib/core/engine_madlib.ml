@@ -30,10 +30,12 @@ let dense_index ids =
 let identity_triples rel =
   to_triples rel ~gene_index:Fun.id
 
-let run ds query ~(params : Query.params) ~timeout_s =
+let prepare ds =
+  let stores = Engine_sql.make_db Engine_sql.Row_backend ds in
+  fun query ~(params : Query.params) ~timeout_s ->
   let dl = Gb_util.Deadline.start ~seconds:timeout_s in
   let check () = Gb_util.Deadline.check dl in
-  let db = Engine_sql.make_db Engine_sql.Row_backend ds ~check in
+  let db = stores ~check in
   let time name f =
     Gb_obs.Profile.with_ ~cat:"phase" ~name
       ~dur_of:(fun (_, t) -> Some t)
@@ -191,5 +193,5 @@ let engine =
     Engine.name = "Postgres + Madlib";
     kind = `Single_node;
     supports = (fun q -> q <> Query.Q3_biclustering);
-    load = run;
+    prepare;
   }

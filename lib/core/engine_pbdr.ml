@@ -248,7 +248,7 @@ let make ~fault ~nodes =
     Engine.name = "pbdR";
     kind = `Multi_node nodes;
     supports = (fun _ -> true);
-    load = (fun ds q ~params ~timeout_s -> run ?fault ~nodes ds q ~params ~timeout_s);
+    prepare = (fun ds q ~params ~timeout_s -> run ?fault ~nodes ds q ~params ~timeout_s);
   }
 
 let engine ~nodes = make ~fault:None ~nodes

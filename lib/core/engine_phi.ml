@@ -3,8 +3,6 @@ let engine =
     Engine.name = "SciDB + Xeon Phi";
     kind = `Single_node;
     supports = (fun _ -> true);
-    load =
-      (fun ds q ~params ~timeout_s ->
-        Engine_scidb.run_with_clock ~offload:Gb_coproc.Device.xeon_phi_5110p ds
-          q ~params ~timeout_s);
+    prepare =
+      Engine_scidb.run_with_clock ~offload:Gb_coproc.Device.xeon_phi_5110p;
   }

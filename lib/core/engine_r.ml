@@ -193,5 +193,5 @@ let engine =
     Engine.name = "Vanilla R";
     kind = `Single_node;
     supports = (fun _ -> true);
-    load = run;
+    prepare = run;
   }

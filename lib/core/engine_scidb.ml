@@ -8,10 +8,11 @@ let mat_bytes m =
   let r, c = Mat.dims m in
   8 * r * c
 
-let run_with_clock ?offload ds query ~(params : Query.params) ~timeout_s =
+let run_with_clock ?offload ds =
+  let adb = Dataset.load_array_db ds in
+  fun query ~(params : Query.params) ~timeout_s ->
   let dl = Gb_util.Deadline.start ~seconds:timeout_s in
   let clock = Sim.create () in
-  let adb = Dataset.load_array_db ds in
   let phase name f =
     let t0 = Sim.now clock in
     let gc = Gb_obs.Profile.start () in
@@ -218,5 +219,5 @@ let engine =
     Engine.name = "SciDB";
     kind = `Single_node;
     supports = (fun _ -> true);
-    load = (fun ds q ~params ~timeout_s -> run_with_clock ds q ~params ~timeout_s);
+    prepare = (fun ds -> run_with_clock ds);
   }

@@ -17,4 +17,7 @@ val run_with_clock :
   timeout_s:float ->
   Engine.outcome
 (** Shared implementation: with [offload] set, analytics kernels are
-    dispatched through the coprocessor model (configuration of Section 5). *)
+    dispatched through the coprocessor model (configuration of Section 5).
+    The array store is built when the data set is applied, so
+    [run_with_clock ?offload ds] is a session; each query then runs on
+    its own simulated clock and deadline. *)

@@ -307,7 +307,7 @@ let make ~fault ~nodes =
     Engine.name = "SciDB";
     kind = `Multi_node nodes;
     supports = (fun _ -> true);
-    load = (fun ds q ~params ~timeout_s -> run ?fault ~nodes ds q ~params ~timeout_s);
+    prepare = (fun ds q ~params ~timeout_s -> run ?fault ~nodes ds q ~params ~timeout_s);
   }
 
 let engine ~nodes = make ~fault:None ~nodes
@@ -318,7 +318,7 @@ let engine_phi ~nodes =
     Engine.name = "SciDB + Xeon Phi";
     kind = `Multi_node nodes;
     supports = (fun _ -> true);
-    load =
+    prepare =
       (fun ds q ~params ~timeout_s ->
         run ~device:Device.xeon_phi_5110p ~nodes ds q ~params ~timeout_s);
   }

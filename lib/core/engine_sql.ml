@@ -4,59 +4,37 @@ module Stopwatch = Gb_util.Clock.Stopwatch
 
 type backend = Row_backend | Col_backend
 
-let make_db backend ds ~check =
+(* The store set is built once, when [make_db backend ds] is applied;
+   each [~check] then yields a db over the same stores. *)
+let make_db backend ds =
   match backend with
   | Row_backend ->
     let db = Dataset.load_row_stores ds in
-    let scan table cols =
-      let store =
-        match table with
-        | "microarray" -> db.Dataset.microarray_r
-        | "patients" -> db.Dataset.patients_r
-        | "genes" -> db.Dataset.genes_r
-        | "go" -> db.Dataset.go_r
-        | "variants" -> db.Dataset.variants_r
-        | _ -> invalid_arg ("unknown table " ^ table)
-      in
-      (* A row store decodes whole tuples, then projects. *)
-      Ops.project cols (Ops.scan_row_store store)
+    let store = function
+      | "microarray" -> db.Dataset.microarray_r
+      | "patients" -> db.Dataset.patients_r
+      | "genes" -> db.Dataset.genes_r
+      | "go" -> db.Dataset.go_r
+      | "variants" -> db.Dataset.variants_r
+      | t -> invalid_arg ("unknown table " ^ t)
     in
-    let row_count table =
-      Row_store.row_count
-        (match table with
-        | "microarray" -> db.Dataset.microarray_r
-        | "patients" -> db.Dataset.patients_r
-        | "genes" -> db.Dataset.genes_r
-        | "go" -> db.Dataset.go_r
-        | "variants" -> db.Dataset.variants_r
-        | t -> invalid_arg t)
-    in
-    { Relops.scan; row_count; check }
+    (* A row store decodes whole tuples, then projects. *)
+    let scan table cols = Ops.project cols (Ops.scan_row_store (store table)) in
+    let row_count table = Row_store.row_count (store table) in
+    fun ~check -> { Relops.scan; row_count; check }
   | Col_backend ->
     let db = Dataset.load_col_stores ds in
-    let scan table cols =
-      let store =
-        match table with
-        | "microarray" -> db.Dataset.microarray_c
-        | "patients" -> db.Dataset.patients_c
-        | "genes" -> db.Dataset.genes_c
-        | "go" -> db.Dataset.go_c
-        | "variants" -> db.Dataset.variants_c
-        | _ -> invalid_arg ("unknown table " ^ table)
-      in
-      Ops.scan_col_store store cols
+    let store = function
+      | "microarray" -> db.Dataset.microarray_c
+      | "patients" -> db.Dataset.patients_c
+      | "genes" -> db.Dataset.genes_c
+      | "go" -> db.Dataset.go_c
+      | "variants" -> db.Dataset.variants_c
+      | t -> invalid_arg ("unknown table " ^ t)
     in
-    let row_count table =
-      Col_store.row_count
-        (match table with
-        | "microarray" -> db.Dataset.microarray_c
-        | "patients" -> db.Dataset.patients_c
-        | "genes" -> db.Dataset.genes_c
-        | "go" -> db.Dataset.go_c
-        | "variants" -> db.Dataset.variants_c
-        | t -> invalid_arg t)
-    in
-    { Relops.scan; row_count; check }
+    let scan table cols = Ops.scan_col_store (store table) cols in
+    let row_count table = Col_store.row_count (store table) in
+    fun ~check -> { Relops.scan; row_count; check }
 
 (* The export boundary ships the pivoted matrix (and response vector)
    through text, as the paper's external-R configurations must. *)
@@ -72,10 +50,12 @@ let cross_boundary_vec boundary y =
     let m = Mat.init (Array.length y) 1 (fun i _ -> y.(i)) in
     Mat.col (Export.roundtrip_matrix m) 0
 
-let run ~backend ~boundary ds query ~(params : Query.params) ~timeout_s =
+let prepare ~backend ~boundary ds =
+  let stores = make_db backend ds in
+  fun query ~(params : Query.params) ~timeout_s ->
   let dl = Gb_util.Deadline.start ~seconds:timeout_s in
   let check () = Gb_util.Deadline.check dl in
-  let db = make_db backend ds ~check in
+  let db = stores ~check in
   let time name f =
     Gb_obs.Profile.with_ ~cat:"phase" ~name
       ~dur_of:(fun (_, t) -> Some t)
@@ -171,7 +151,7 @@ let make ~name ~backend ~boundary =
     Engine.name;
     kind = `Single_node;
     supports = (fun _ -> true);
-    load = run ~backend ~boundary;
+    prepare = prepare ~backend ~boundary;
   }
 
 let postgres_r =

@@ -20,5 +20,8 @@ val colstore_udf : Engine.t
 
 val make_db :
   backend -> Dataset.t -> check:(unit -> unit) -> Relops.db
-(** Exposed for the multi-node engines, which reuse the same scans over
-    per-node partitions. *)
+(** The relational scans over one data set's stores. The stores are
+    built when [make_db backend ds] is applied, so a partial application
+    serves any number of queries, each with its own [check] hook.
+    Exposed for Madlib, which prepares its session over the row stores,
+    and for benches that replay the data-management layer. *)

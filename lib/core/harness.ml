@@ -15,8 +15,10 @@ type cell = {
 (* Sub-second cells are rerun a few times and the fastest kept:
    at this reproduction's scale some analytics phases take milliseconds and
    a single measurement is noise-dominated (visible in the Table 1
-   speedups otherwise). *)
+   speedups otherwise). The reruns share one prepared session; the memo
+   is the cell's own, so concurrent cells never share a session. *)
 let run_cell e ds query ~timeout_s =
+  let e = Engine.memo e in
   let rec best outcome tries =
     match outcome with
     | Engine.Completed (t, _) when Engine.total t < 1.0 && tries > 0 ->
@@ -161,7 +163,7 @@ let cell_bytes ds =
 let memory_budget () = Lazy.force budget
 
 (* Grid cells are independent (engines share no mutable state; each cell
-   regenerates its derived stores from the immutable dataset), so with
+   prepares its own session from the immutable dataset), so with
    more than one pool lane they run concurrently — kernels inside a cell
    then execute inline on that lane, trading kernel-level for cell-level
    parallelism. Tracing forces the sequential path: span marks, counter
@@ -187,13 +189,16 @@ let run_grid config engines_of_nodes ~node_counts ~queries ~sizes =
       (Format.asprintf "%a" Engine.pp_outcome c.outcome);
     c
   in
-  if Gb_par.Pool.jobs () > 1 && not (Gb_obs.Obs.enabled ()) then
+  if Gb_par.Pool.jobs () > 1 && not (Gb_obs.Obs.enabled ()) then begin
+    (* Forced before the cells fan out: a lazy value forced from two
+       domains at once raises [CamlinternalLazy.Undefined]. *)
+    let budget = memory_budget () in
     Gb_par.Pool.map_list
       (fun ((_, ds, _, _, _) as spec) ->
-        Gb_par.Budget.with_reservation (Lazy.force budget)
-          ~bytes:(cell_bytes ds)
+        Gb_par.Budget.with_reservation budget ~bytes:(cell_bytes ds)
           (fun () -> run spec))
       specs
+  end
   else List.map run specs
 
 let single_node_cells config =
@@ -214,6 +219,7 @@ let multi_node_cells config =
    reported speedup. Interleave the host and device runs and keep each
    phase's minimum: both sides then sample the same load conditions. *)
 let run_pair_interleaved ~iterations e_host e_phi ds q ~timeout_s =
+  let e_host = Engine.memo e_host and e_phi = Engine.memo e_phi in
   let run e = Engine.run e ds q ~timeout_s () in
   let merge a b =
     match (a, b) with

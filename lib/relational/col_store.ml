@@ -1,20 +1,21 @@
 type t = { schema : Schema.t; columns : Column.t array; nrows : int }
 
-let of_columns schema cols =
-  if Array.length cols <> Schema.arity schema then
-    invalid_arg "Col_store.of_columns: arity";
-  let nrows = if Array.length cols = 0 then 0 else Array.length cols.(0) in
+let of_compressed schema columns =
+  if Array.length columns <> Schema.arity schema then
+    invalid_arg "Col_store: arity";
+  let nrows = if Array.length columns = 0 then 0 else Column.length columns.(0) in
   Array.iter
     (fun c ->
-      if Array.length c <> nrows then invalid_arg "Col_store: ragged columns")
-    cols;
-  (* Columns compress independently — one task per column. *)
-  let columns =
-    Gb_par.Pool.map_array
-      (fun i -> Column.compress (Schema.ty schema i) cols.(i))
-      (Array.init (Array.length cols) Fun.id)
-  in
+      if Column.length c <> nrows then invalid_arg "Col_store: ragged columns")
+    columns;
   { schema; columns; nrows }
+
+let of_columns schema cols =
+  (* Columns compress independently — one task per column. *)
+  of_compressed schema
+    (Gb_par.Pool.map_array
+       (fun i -> Column.compress (Schema.ty schema i) cols.(i))
+       (Array.init (Array.length cols) Fun.id))
 
 let of_rows schema rows =
   let nrows = List.length rows in

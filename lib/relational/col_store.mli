@@ -7,6 +7,12 @@ val of_rows : Schema.t -> Value.t array list -> t
 val of_columns : Schema.t -> Value.t array array -> t
 (** [of_columns schema cols] where [cols.(i)] holds column [i]'s values. *)
 
+val of_compressed : Schema.t -> Column.t array -> t
+(** A table over columns already built (with {!Column.of_ints},
+    [Column.Float_plain] or {!Column.compress}), [columns.(i)] being
+    column [i] of [schema]. Raises [Invalid_argument] on an arity
+    mismatch or ragged columns. *)
+
 val schema : t -> Schema.t
 val row_count : t -> int
 val column : t -> int -> Column.t

@@ -74,7 +74,7 @@ let count_runs a =
   done;
   !runs
 
-let compress_ints a =
+let of_ints a =
   let n = Array.length a in
   if n = 0 then Int_plain [||]
   else begin
@@ -92,7 +92,7 @@ let compress_ints a =
 
 let compress ty values =
   match ty with
-  | Value.TInt -> compress_ints (Array.map Value.to_int values)
+  | Value.TInt -> of_ints (Array.map Value.to_int values)
   | Value.TFloat -> Float_plain (Array.map Value.to_float values)
   | Value.TStr ->
     let tbl = Hashtbl.create 64 in

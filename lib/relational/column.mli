@@ -15,6 +15,12 @@ type t =
   | Str_dict of { dict : string array; codes : int array }
 
 val compress : Value.ty -> Value.t array -> t
+
+val of_ints : int array -> t
+(** [compress TInt] over unboxed ints: the same encoding choice, with no
+    [Value.t] per element. (Unboxed floats need no entry point:
+    [compress TFloat] is always [Float_plain].) *)
+
 val length : t -> int
 val get : t -> int -> Value.t
 

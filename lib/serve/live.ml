@@ -9,7 +9,15 @@
    concurrent grid cells. Deadlines ride the ambient mechanism:
    [Engine.run] arms [Deadline.Ambient] with the remaining budget and
    the kernels' cooperative checkpoints turn an overrun into
-   [Timed_out]. *)
+   [Timed_out].
+
+   Each lane keeps one slot per engine name holding [Engine.memo] of the
+   last engine record seen under that name, so consecutive requests for
+   the same record and data set reuse the lane's prepared session
+   instead of rebuilding the engine's stores. A slot holds at most one
+   session, so retained memory is bounded by lanes x engine names x one
+   store set; a request naming another data set replaces it. Records are
+   compared physically because two engines may share a name. *)
 
 module Engine = Genbase.Engine
 module Query = Genbase.Query
@@ -118,7 +126,15 @@ let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-let execute t (e : item Admission.entry) =
+let slot_engine slots (e : Engine.t) =
+  match Hashtbl.find_opt slots e.Engine.name with
+  | Some (record, memo) when record == e -> memo
+  | _ ->
+    let memo = Engine.memo e in
+    Hashtbl.replace slots e.Engine.name (e, memo);
+    memo
+
+let execute t slots (e : item Admission.entry) =
   let it = e.Admission.payload and engine = e.Admission.engine in
   let started = now t in
   let granted = Gb_par.Budget.reserve t.cfg.budget ~bytes:it.i_bytes in
@@ -147,8 +163,9 @@ let execute t (e : item Admission.entry) =
                 ("queue_wait_s", Gb_obs.Obs.Float (started -. it.i_submitted));
               ]
             (fun () ->
-              Engine.run it.i_engine it.i_ds it.i_query ~params:it.i_params
-                ~timeout_s:remaining ())
+              Engine.run
+                (slot_engine slots it.i_engine)
+                it.i_ds it.i_query ~params:it.i_params ~timeout_s:remaining ())
         in
         let finished = now t in
         locked t (fun () ->
@@ -162,6 +179,7 @@ let execute t (e : item Admission.entry) =
 
 let worker t =
   Gb_obs.Obs.set_domain_tid (128 + (Domain.self () :> int));
+  let slots = Hashtbl.create 8 in
   let rec loop () =
     Mutex.lock t.m;
     sweep_locked t;
@@ -169,7 +187,7 @@ let worker t =
     | Some e ->
       Admission.remove t.adm e;
       Mutex.unlock t.m;
-      execute t e;
+      execute t slots e;
       loop ()
     | None ->
       if t.stopping then Mutex.unlock t.m

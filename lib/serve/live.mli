@@ -7,7 +7,13 @@
     to {!Genbase.Engine.run}, which arms {!Gb_util.Deadline.Ambient} so
     kernel checkpoints abort overrunning queries as [Timed_out] →
     [Deadline_exceeded `Running]. Memory admission shares
-    {!Genbase.Harness.memory_budget} with batch grids by default. *)
+    {!Genbase.Harness.memory_budget} with batch grids by default.
+
+    Each lane keeps the last prepared session per engine name
+    ({!Genbase.Engine.memo} of the last engine record submitted under
+    that name): a request for the same record on the physically same
+    data set reuses it, anything else prepares afresh (a ["load"] span
+    under [serve.exec]) and replaces it. *)
 
 type config = {
   lanes : int;  (** worker domains executing queries *)

@@ -186,7 +186,7 @@ let recovery t =
   }
 
 let engine ?fault ?profile ?staleness_limit ?(checkpoint_every = 4) () =
-  let load ds query ~params ~timeout_s:_ =
+  let prepare ds query ~params ~timeout_s:_ =
     let config =
       {
         Maintain.params;
@@ -209,5 +209,5 @@ let engine ?fault ?profile ?staleness_limit ?(checkpoint_every = 4) () =
     Engine.name = "Streaming IVM";
     kind = `Single_node;
     supports = (fun _ -> true);
-    load;
+    prepare;
   }

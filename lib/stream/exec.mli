@@ -76,10 +76,10 @@ val engine :
   ?checkpoint_every:int ->
   unit ->
   Genbase.Engine.t
-(** The subsystem as a harness pseudo-engine ("Streaming IVM"): [load]
-    generates the dataset's ingest log, streams it through an executor
-    (with optional fault injection), and answers the query from the
-    maintained state — [dm] is the ingest+maintenance phase, [analytics]
+(** The subsystem as a harness pseudo-engine ("Streaming IVM"): each
+    query of a session generates the dataset's ingest log, streams it
+    through an executor (with optional fault injection), and answers the
+    query from the maintained state — [dm] is the ingest+maintenance phase, [analytics]
     the final refresh (forced, so the fallback queries answer on the
     final data). Completes [Degraded] with the replay counts as recovery
     metadata when a crash was absorbed. *)

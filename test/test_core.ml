@@ -317,6 +317,88 @@ let test_errored_counts_as_infinite () =
   Alcotest.(check (option (float 0.))) "infinite" (Some infinity)
     (Harness.total_seconds c)
 
+(* --- prepared sessions --- *)
+
+let outcome_fingerprint = function
+  | Engine.Completed (_, p) | Engine.Degraded (_, _, p) ->
+    Gb_conformance.Compare.fingerprint p
+  | o -> Format.asprintf "%a" Engine.pp_outcome o
+
+(* Reuse gives the same answer: a memoized session answers Q1-Q6 twice,
+   in a seeded shuffled order, each time bit-identically to a fresh
+   [Engine.run] on the same data. *)
+let test_session_reuse_matches_fresh () =
+  let order = Array.of_list (Query.all @ Query.all) in
+  Gb_util.Prng.shuffle (Gb_util.Prng.create 0x5E5510L) order;
+  List.iter
+    (fun e ->
+      let fresh =
+        List.map
+          (fun q -> (q, outcome_fingerprint (Engine.run e tiny q ~timeout_s:60. ())))
+          Query.all
+      in
+      let session = Engine.memo e in
+      Array.iteri
+        (fun k q ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s (request %d)" e.Engine.name (Query.name q) k)
+            (List.assoc q fresh)
+            (outcome_fingerprint (Engine.run session tiny q ~timeout_s:60. ())))
+        order)
+    (Harness.single_node_engines @ [ Engine_phi.engine ])
+
+(* A sub-second cell is rerun up to four more times; the reruns share
+   the cell's one prepared session. *)
+let test_harness_cell_prepares_once () =
+  let prepares = ref 0 in
+  let e =
+    {
+      Engine.name = "Counting";
+      kind = `Single_node;
+      supports = (fun _ -> true);
+      prepare =
+        (fun _ ->
+          incr prepares;
+          fun _ ~params:_ ~timeout_s:_ ->
+            Engine.completed { Engine.dm = 0.; analytics = 0. }
+              (Engine.Singular_values [||]));
+    }
+  in
+  ignore (Harness.run_cell e tiny Query.Q1_regression ~timeout_s:10.);
+  Alcotest.(check int) "one prepare per cell" 1 !prepares
+
+(* The lean builders store the microarray table straight from the
+   matrix; pages and column encodings must equal the row-list path. *)
+let test_lean_store_builders () =
+  List.iter
+    (fun (label, ds) ->
+      let rows = Dataset.microarray_rows ds in
+      let schema = Dataset.microarray_schema in
+      let lean = (Dataset.load_row_stores ds).Dataset.microarray_r in
+      let reference = Gb_relational.Row_store.of_rows schema rows in
+      Alcotest.(check int) (label ^ ": page count")
+        (Gb_relational.Row_store.page_count reference)
+        (Gb_relational.Row_store.page_count lean);
+      Alcotest.(check bool) (label ^ ": rows decode equal") true
+        (List.of_seq (Gb_relational.Row_store.to_seq lean) = rows);
+      let lean = (Dataset.load_col_stores ds).Dataset.microarray_c in
+      let reference = Gb_relational.Col_store.of_rows schema rows in
+      Alcotest.(check int) (label ^ ": row count")
+        (Gb_relational.Col_store.row_count reference)
+        (Gb_relational.Col_store.row_count lean);
+      List.iteri
+        (fun i (name, _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: column %s equal" label name)
+            true
+            (Gb_relational.Col_store.column lean i
+            = Gb_relational.Col_store.column reference i))
+        (Gb_relational.Schema.columns schema))
+    [
+      ("small", Dataset.of_size Spec.Small);
+      ("37x53", Dataset.generate ~seed:11L (Spec.custom ~genes:37 ~patients:53));
+    ]
+
 let suite =
   [
     ("q1 cross-engine agreement", `Quick, test_q1_agreement);
@@ -335,5 +417,8 @@ let suite =
     ("harness outcome mapping", `Quick, test_harness_total_seconds);
     ("degenerate selection errors", `Quick, test_degenerate_selection_reports_error);
     ("errored counts as infinite", `Quick, test_errored_counts_as_infinite);
+    ("session reuse matches fresh runs", `Quick, test_session_reuse_matches_fresh);
+    ("harness cell prepares once", `Quick, test_harness_cell_prepares_once);
+    ("lean store builders", `Quick, test_lean_store_builders);
   ]
 

@@ -312,7 +312,7 @@ let bad_engine exn =
     Engine.name = "bad";
     kind = `Single_node;
     supports = (fun _ -> true);
-    load = (fun _ _ ~params:_ ~timeout_s:_ -> raise exn);
+    prepare = (fun _ _ ~params:_ ~timeout_s:_ -> raise exn);
   }
 
 let test_engine_run_catch_all () =

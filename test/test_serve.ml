@@ -541,32 +541,126 @@ let tiny = Dataset.generate (Spec.custom ~genes:100 ~patients:120)
 let live_engines =
   [ Engine_r.engine; Engine_sql.colstore_udf; Engine_scidb.engine ]
 
+let tiny_b = Dataset.generate ~seed:7L (Spec.custom ~genes:80 ~patients:90)
+
+(* One 1-lane server per case, driven through a random sequence of
+   (engine, query, data set): lane sessions hit, miss and switch data
+   sets, and every served payload must equal a direct run. *)
 let test_live_matches_direct =
-  QCheck.Test.make ~name:"served payloads equal direct engine runs" ~count:12
-    QCheck.(pair (int_range 0 (List.length live_engines - 1)) (int_range 0 4))
-    (fun (ei, qi) ->
-      let engine = List.nth live_engines ei in
-      let query = List.nth Query.all qi in
-      let direct =
-        Engine.run engine tiny query ~timeout_s:300. ()
+  let datasets = [| tiny; tiny_b |] in
+  let direct = Hashtbl.create 64 in
+  let direct_run ei qi di =
+    match Hashtbl.find_opt direct (ei, qi, di) with
+    | Some o -> o
+    | None ->
+      let o =
+        Engine.run (List.nth live_engines ei) datasets.(di)
+          (List.nth Query.all qi) ~timeout_s:300. ()
       in
+      Hashtbl.add direct (ei, qi, di) o;
+      o
+  in
+  QCheck.Test.make ~name:"served payloads equal direct engine runs" ~count:12
+    QCheck.(
+      list_of_size Gen.(int_range 2 8)
+        (triple
+           (int_range 0 (List.length live_engines - 1))
+           (int_range 0 (List.length Query.all - 1))
+           (int_range 0 1)))
+    (fun steps ->
       let t = Serve.Live.create ~config:{ (Serve.Live.default_config ()) with Serve.Live.lanes = 1 } () in
-      let served = Serve.Live.run t ~engine ~ds:tiny ~deadline_s:300. query in
-      Serve.Live.shutdown t;
-      match (served.Outcome.engine_outcome, direct) with
-      | Some (Engine.Completed (_, p1)), Engine.Completed (_, p2) ->
-        if p1 = p2 then true
-        else QCheck.Test.fail_reportf "payloads differ for %s/%s"
-            engine.Engine.name (Query.name query)
-      | Some (Engine.Unsupported | Engine.Errored _), (Engine.Unsupported | Engine.Errored _) ->
-        true
-      | o, d ->
-        QCheck.Test.fail_reportf "outcome mismatch for %s/%s: served %s, direct %s"
-          engine.Engine.name (Query.name query)
-          (match o with
-          | None -> "none"
-          | Some o -> Format.asprintf "%a" Engine.pp_outcome o)
-          (Format.asprintf "%a" Engine.pp_outcome d))
+      Fun.protect ~finally:(fun () -> Serve.Live.shutdown t) @@ fun () ->
+      List.for_all
+        (fun (ei, qi, di) ->
+          let engine = List.nth live_engines ei in
+          let query = List.nth Query.all qi in
+          let served =
+            Serve.Live.run t ~engine ~ds:datasets.(di) ~deadline_s:300. query
+          in
+          match (served.Outcome.engine_outcome, direct_run ei qi di) with
+          | Some (Engine.Completed (_, p1)), Engine.Completed (_, p2) ->
+            if p1 = p2 then true
+            else QCheck.Test.fail_reportf "payloads differ for %s/%s on data set %d"
+                engine.Engine.name (Query.name query) di
+          | Some (Engine.Unsupported | Engine.Errored _), (Engine.Unsupported | Engine.Errored _) ->
+            true
+          | o, d ->
+            QCheck.Test.fail_reportf "outcome mismatch for %s/%s: served %s, direct %s"
+              engine.Engine.name (Query.name query)
+              (match o with
+              | None -> "none"
+              | Some o -> Format.asprintf "%a" Engine.pp_outcome o)
+              (Format.asprintf "%a" Engine.pp_outcome d))
+        steps)
+
+(* A fake engine that counts its [prepare] calls and answers
+   [| tag; genes |], so a response names the record and the data set
+   that produced it. [fail ds] makes [prepare] raise on that data set;
+   [delay_s] makes it take that long. *)
+let counting_engine ?(fail = fun _ -> false) ?(delay_s = 0.) name tag =
+  let prepares = Atomic.make 0 in
+  let prepare ds =
+    Atomic.incr prepares;
+    if delay_s > 0. then Unix.sleepf delay_s;
+    if fail ds then failwith "prepare failed";
+    let genes = float_of_int ds.Gb_datagen.Generate.spec.Spec.genes in
+    fun _ ~params:_ ~timeout_s:_ ->
+      Engine.completed { Engine.dm = 0.; analytics = 0. }
+        (Engine.Singular_values [| tag; genes |])
+  in
+  ( { Engine.name; kind = `Single_node; supports = (fun _ -> true); prepare },
+    prepares )
+
+(* Lane slots over [Engine.memo]: one prepare per (record, data set) run
+   of requests, a raising prepare caches nothing and keeps the previous
+   session, and two records sharing a name each answer for
+   themselves. *)
+let test_live_lane_sessions () =
+  let t =
+    Serve.Live.create
+      ~config:{ (Serve.Live.default_config ()) with Serve.Live.lanes = 1 }
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Serve.Live.shutdown t) @@ fun () ->
+  let serve engine ds =
+    let r = Serve.Live.run t ~engine ~ds ~deadline_s:300. Query.Q1_regression in
+    match (disposition r, r.Outcome.engine_outcome) with
+    | Outcome.Served Outcome.Ok_, Some (Engine.Completed (_, Engine.Singular_values a)) ->
+      Some (a.(0), int_of_float a.(1))
+    | Outcome.Served Outcome.Failed_, _ -> None
+    | _ -> Alcotest.failf "unexpected response %s" (Outcome.label r)
+  in
+  let answer = Alcotest.(option (pair (float 0.) int)) in
+  let e, prepares = counting_engine "Counting" 1. in
+  for _ = 1 to 5 do
+    Alcotest.check answer "answer" (Some (1., 100)) (serve e tiny)
+  done;
+  Alcotest.(check int) "N requests on one data set: one prepare" 1
+    (Atomic.get prepares);
+  (* Sessions key on physical identity: an equal copy is another data
+     set. *)
+  let tiny_copy = Dataset.generate (Spec.custom ~genes:100 ~patients:120) in
+  List.iter
+    (fun (ds, genes) -> Alcotest.check answer "answer" (Some (1., genes)) (serve e ds))
+    [ (tiny_b, 80); (tiny_b, 80); (tiny, 100); (tiny_b, 80); (tiny_copy, 100) ];
+  Alcotest.(check int) "one prepare per data-set switch" 5 (Atomic.get prepares);
+  let flaky, flaky_prepares =
+    counting_engine ~fail:(fun ds -> ds == tiny_b) "Flaky" 2.
+  in
+  Alcotest.check answer "flaky ok" (Some (2., 100)) (serve flaky tiny);
+  Alcotest.check answer "raising prepare: served failed" None (serve flaky tiny_b);
+  Alcotest.check answer "flaky ok again" (Some (2., 100)) (serve flaky tiny);
+  Alcotest.(check int) "the failed prepare kept the old session" 2
+    (Atomic.get flaky_prepares);
+  Alcotest.check answer "still failing" None (serve flaky tiny_b);
+  Alcotest.(check int) "and cached nothing" 3 (Atomic.get flaky_prepares);
+  let a, a_prepares = counting_engine "Twin" 10. in
+  let b, b_prepares = counting_engine "Twin" 20. in
+  List.iter
+    (fun (e, tag) -> Alcotest.check answer "twin answers for itself" (Some (tag, 100)) (serve e tiny))
+    [ (a, 10.); (b, 20.); (a, 10.); (b, 20.) ];
+  Alcotest.(check (pair int int)) "each record switch replaces the slot" (2, 2)
+    (Atomic.get a_prepares, Atomic.get b_prepares)
 
 (* An engine gated on a condition variable, so a test controls exactly
    when a lane frees up: [wait_started n] returns once [n] runs have
@@ -580,7 +674,7 @@ let gated_engine name =
       Engine.name;
       kind = `Single_node;
       supports = (fun _ -> true);
-      load =
+      prepare =
         (fun _ _ ~params:_ ~timeout_s:_ ->
           Mutex.lock m;
           incr started;
@@ -614,6 +708,7 @@ let gated_engine name =
 module Obs = Gb_obs.Obs
 module Telemetry = Gb_obs.Telemetry
 module Slo = Gb_obs.Slo
+module Critpath = Gb_obs.Critpath
 
 let with_telemetry f =
   Telemetry.set_enabled true;
@@ -623,6 +718,65 @@ let with_telemetry f =
       Telemetry.set_enabled false;
       Telemetry.reset ())
     f
+
+(* A traced miss shows the store build as a [load] span under
+   [serve.exec], and critical-path blame names it as its own segment; a
+   hit has neither. *)
+let test_live_load_span () =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+  @@ fun () ->
+  let e, _ = counting_engine ~delay_s:0.005 "Traced" 1. in
+  let t =
+    Serve.Live.create
+      ~config:{ (Serve.Live.default_config ()) with Serve.Live.lanes = 1 }
+      ()
+  in
+  let request trace =
+    ignore
+      (Serve.Live.await
+         (Serve.Live.submit t ~engine:e ~ds:tiny ~trace ~deadline_s:300.
+            Query.Q1_regression))
+  in
+  request 1;
+  request 2;
+  Serve.Live.shutdown t;
+  let events = Obs.events () in
+  let spans =
+    List.filter_map (function Obs.Span_ev s -> Some s | _ -> None) events
+  in
+  let exec_of trace =
+    List.find
+      (fun (s : Obs.span) ->
+        s.Obs.name = "serve.exec"
+        && List.mem ("trace", Obs.Int trace) s.Obs.attrs)
+      spans
+  in
+  let loads_under (exec : Obs.span) =
+    List.filter
+      (fun (s : Obs.span) ->
+        s.Obs.name = "load" && s.Obs.parent = exec.Obs.id)
+      spans
+  in
+  Alcotest.(check int) "miss: serve.exec -> load" 1
+    (List.length (loads_under (exec_of 1)));
+  Alcotest.(check int) "hit: no load span" 0 (List.length (loads_under (exec_of 2)));
+  let requests = Critpath.requests events in
+  (match Critpath.check requests with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  let blame trace =
+    (List.find (fun r -> r.Critpath.r_trace = trace) requests)
+      .Critpath.r_blame
+  in
+  Alcotest.(check bool) "miss blames the build" true
+    (match List.assoc_opt "load" (blame 1) with Some d -> d > 0. | None -> false);
+  Alcotest.(check bool) "hit blames no build" false
+    (List.mem_assoc "load" (blame 2))
 
 (* Every span and instant of one logical request — admission decisions,
    queue wait, execution, retries — carries the same trace id, so a
@@ -802,7 +956,7 @@ let family_total name =
        0.
 
 (* Two lanes and a depth-3 queue under two submitting domains, a gated
-   engine, an engine whose load raises, a deadline that expires in the
+   engine, an engine whose queries raise, a deadline that expires in the
    queue, and a shutdown with work in flight. *)
 let test_live_sheds_and_serves () =
   with_telemetry @@ fun () ->
@@ -812,7 +966,7 @@ let test_live_sheds_and_serves () =
     {
       gated with
       Engine.name = "Boom";
-      load = (fun _ _ ~params:_ ~timeout_s:_ -> failwith "boom");
+      prepare = (fun _ _ ~params:_ ~timeout_s:_ -> failwith "boom");
     }
   in
   let budget = Gb_par.Budget.create ~bytes:max_int in
@@ -938,4 +1092,8 @@ let suite =
     ("interpolated p99 agrees with exact", `Quick, test_p99_agreement_overload);
     ("admission ladder, hint and head table", `Quick, test_admission_table);
   ]
+  @ [
+      ("live lane sessions", `Quick, test_live_lane_sessions);
+      ("live load span on a miss", `Quick, test_live_load_span);
+    ]
   @ List.map QCheck_alcotest.to_alcotest [ test_live_matches_direct ]
