@@ -29,6 +29,19 @@ let tests () =
   let chunked = Gb_arraydb.Chunked.of_matrix ds.Gb_datagen.Generate.expression in
   let some_rows = Array.init 40 (fun i -> i * 2) in
   let export_target = Mat.random g 64 64 in
+  (* Q1's and Q4's shapes on Medium: an 800x141 least-squares design and
+     the tridiagonal of a 140-step Lanczos run. *)
+  let q1_design = Mat.random g 800 141 in
+  let tri_d = Array.init 140 (fun _ -> Gb_util.Prng.normal g) in
+  let tri_e = Array.init 139 (fun _ -> Gb_util.Prng.normal g) in
+  (* Q3's input: the default age/gender selection of a Small dataset. *)
+  let q3 =
+    let small = Gb_datagen.Generate.generate (Gb_datagen.Spec.of_size Small) in
+    let p = Genbase.Query.default_params in
+    Mat.sub_rows small.Gb_datagen.Generate.expression
+      (Genbase.Qcommon.patients_by_age_gender small ~max_age:p.max_age
+         ~gender:p.gender)
+  in
   [
     Test.make ~name:"gemm 96x96 (blocked)"
       (Staged.stage (fun () -> ignore (Gb_linalg.Blas.gemm a b)));
@@ -36,6 +49,12 @@ let tests () =
       (Staged.stage (fun () -> ignore (Gb_linalg.Blas.gemm_naive a b)));
     Test.make ~name:"qr 256x32"
       (Staged.stage (fun () -> ignore (Gb_linalg.Qr.factorize tall)));
+    Test.make ~name:"qr 800x141"
+      (Staged.stage (fun () -> ignore (Gb_linalg.Qr.factorize q1_design)));
+    Test.make ~name:"tridiag eigen 140"
+      (Staged.stage (fun () -> ignore (Gb_linalg.Tridiag.eigen tri_d tri_e)));
+    Test.make ~name:"cheng_church"
+      (Staged.stage (fun () -> ignore (Gb_bicluster.Cheng_church.run q3)));
     Test.make ~name:"linreg 256x32"
       (Staged.stage (fun () -> ignore (Gb_linalg.Linreg.fit tall y)));
     Test.make ~name:"covariance 256x32"

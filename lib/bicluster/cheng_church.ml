@@ -1,4 +1,5 @@
 module Mat = Gb_linalg.Mat
+module A = Bigarray.Array1
 
 type bicluster = { rows : int array; cols : int array; msr : float }
 
@@ -22,7 +23,9 @@ let default_config =
   }
 
 (* State over boolean membership masks; means are recomputed per sweep,
-   which keeps each sweep O(m n) and the code obviously correct. *)
+   which keeps each sweep O(m n) and the code obviously correct. The
+   O(m n) loops run over ascending index arrays of the members, built
+   once per pass, and read [m.data] directly. *)
 type state = {
   m : Mat.t;
   row_in : bool array;
@@ -31,12 +34,22 @@ type state = {
   mutable ncols : int;
 }
 
-let members mask =
-  let out = ref [] in
-  for i = Array.length mask - 1 downto 0 do
-    if mask.(i) then out := i :: !out
-  done;
-  Array.of_list !out
+(* Indices where [mask] is [want], ascending. *)
+let indices want mask =
+  let count = ref 0 in
+  Array.iter (fun b -> if b = want then incr count) mask;
+  let out = Array.make !count 0 in
+  let p = ref 0 in
+  Array.iteri
+    (fun i b ->
+      if b = want then begin
+        out.(!p) <- i;
+        incr p
+      end)
+    mask;
+  out
+
+let members mask = indices true mask
 
 type sweep = {
   h : float; (* overall MSR *)
@@ -49,19 +62,24 @@ type sweep = {
 
 let sweep st =
   let nr, nc = Mat.dims st.m in
+  let data = st.m.Mat.data in
+  let rows = members st.row_in and cols = members st.col_in in
+  let ncols_in = Array.length cols in
   let row_means = Array.make nr 0. in
   let col_means = Array.make nc 0. in
   let total = ref 0. in
-  for i = 0 to nr - 1 do
-    if st.row_in.(i) then
-      for j = 0 to nc - 1 do
-        if st.col_in.(j) then begin
-          let v = Mat.unsafe_get st.m i j in
-          row_means.(i) <- row_means.(i) +. v;
-          col_means.(j) <- col_means.(j) +. v;
-          total := !total +. v
-        end
-      done
+  for a = 0 to Array.length rows - 1 do
+    let i = rows.(a) in
+    let base = i * nc in
+    let rsum = ref 0. in
+    for b = 0 to ncols_in - 1 do
+      let j = Array.unsafe_get cols b in
+      let v = A.unsafe_get data (base + j) in
+      rsum := !rsum +. v;
+      col_means.(j) <- col_means.(j) +. v;
+      total := !total +. v
+    done;
+    row_means.(i) <- !rsum
   done;
   let fr = float_of_int st.ncols and fc = float_of_int st.nrows in
   for i = 0 to nr - 1 do
@@ -74,20 +92,19 @@ let sweep st =
   let row_msr = Array.make nr 0. in
   let col_msr = Array.make nc 0. in
   let acc = ref 0. in
-  for i = 0 to nr - 1 do
-    if st.row_in.(i) then
-      for j = 0 to nc - 1 do
-        if st.col_in.(j) then begin
-          let r =
-            Mat.unsafe_get st.m i j -. row_means.(i) -. col_means.(j)
-            +. all_mean
-          in
-          let r2 = r *. r in
-          row_msr.(i) <- row_msr.(i) +. r2;
-          col_msr.(j) <- col_msr.(j) +. r2;
-          acc := !acc +. r2
-        end
-      done
+  for a = 0 to Array.length rows - 1 do
+    let i = rows.(a) in
+    let base = i * nc and rm = row_means.(i) in
+    let rsum = ref 0. in
+    for b = 0 to ncols_in - 1 do
+      let j = Array.unsafe_get cols b in
+      let r = A.unsafe_get data (base + j) -. rm -. col_means.(j) +. all_mean in
+      let r2 = r *. r in
+      rsum := !rsum +. r2;
+      col_msr.(j) <- col_msr.(j) +. r2;
+      acc := !acc +. r2
+    done;
+    row_msr.(i) <- !rsum
   done;
   for i = 0 to nr - 1 do
     if st.row_in.(i) then row_msr.(i) <- row_msr.(i) /. fr
@@ -192,55 +209,70 @@ let single_deletion cfg st s0 =
    current bicluster does not exceed its MSR. *)
 let node_addition st s0 =
   let nr, nc = Mat.dims st.m in
+  let data = st.m.Mat.data in
   let s = ref s0 in
   let changed = ref true in
   while !changed do
     Gb_util.Deadline.Ambient.checkpoint ();
     changed := false;
-    (* Column addition. *)
-    for j = 0 to nc - 1 do
-      if not st.col_in.(j) then begin
-        let acc = ref 0. and cm = ref 0. in
-        for i = 0 to nr - 1 do
-          if st.row_in.(i) then cm := !cm +. Mat.unsafe_get st.m i j
-        done;
-        let cm = !cm /. float_of_int st.nrows in
-        for i = 0 to nr - 1 do
-          if st.row_in.(i) then begin
-            let r =
-              Mat.unsafe_get st.m i j -. !s.row_means.(i) -. cm +. !s.all_mean
-            in
-            acc := !acc +. (r *. r)
-          end
-        done;
-        let e = !acc /. float_of_int st.nrows in
-        if e <= !s.h then begin
-          st.col_in.(j) <- true;
-          st.ncols <- st.ncols + 1;
-          changed := true
-        end
+    (* Column addition. A candidate's decision reads only the row set,
+       the sweep's row means, overall mean and residue — none of which
+       this pass changes — so the pass runs rows in the outer loop with
+       one accumulator per candidate column, and each column's sums
+       still run over the rows in ascending order. *)
+    let sw = !s in
+    let rows = members st.row_in and cand = indices false st.col_in in
+    let nk = Array.length cand in
+    let cms = Array.make nk 0. and accs = Array.make nk 0. in
+    for a = 0 to Array.length rows - 1 do
+      let base = rows.(a) * nc in
+      for c = 0 to nk - 1 do
+        cms.(c) <- cms.(c) +. A.unsafe_get data (base + Array.unsafe_get cand c)
+      done
+    done;
+    for c = 0 to nk - 1 do
+      cms.(c) <- cms.(c) /. float_of_int st.nrows
+    done;
+    for a = 0 to Array.length rows - 1 do
+      let i = rows.(a) in
+      let base = i * nc and rm = sw.row_means.(i) in
+      for c = 0 to nk - 1 do
+        let r =
+          A.unsafe_get data (base + Array.unsafe_get cand c) -. rm -. cms.(c)
+          +. sw.all_mean
+        in
+        accs.(c) <- accs.(c) +. (r *. r)
+      done
+    done;
+    for c = 0 to nk - 1 do
+      let e = accs.(c) /. float_of_int st.nrows in
+      if e <= sw.h then begin
+        st.col_in.(cand.(c)) <- true;
+        st.ncols <- st.ncols + 1;
+        changed := true
       end
     done;
     if !changed then s := sweep st;
-    (* Row addition. *)
+    (* Row addition: rows are contiguous, so each candidate row is read
+       directly over the (now fixed) column set. *)
+    let sw = !s in
+    let cols = members st.col_in in
     let row_changed = ref false in
     for i = 0 to nr - 1 do
       if not st.row_in.(i) then begin
+        let base = i * nc in
         let acc = ref 0. and rm = ref 0. in
-        for j = 0 to nc - 1 do
-          if st.col_in.(j) then rm := !rm +. Mat.unsafe_get st.m i j
+        for b = 0 to Array.length cols - 1 do
+          rm := !rm +. A.unsafe_get data (base + Array.unsafe_get cols b)
         done;
         let rm = !rm /. float_of_int st.ncols in
-        for j = 0 to nc - 1 do
-          if st.col_in.(j) then begin
-            let r =
-              Mat.unsafe_get st.m i j -. rm -. !s.col_means.(j) +. !s.all_mean
-            in
-            acc := !acc +. (r *. r)
-          end
+        for b = 0 to Array.length cols - 1 do
+          let j = Array.unsafe_get cols b in
+          let r = A.unsafe_get data (base + j) -. rm -. sw.col_means.(j) +. sw.all_mean in
+          acc := !acc +. (r *. r)
         done;
         let d = !acc /. float_of_int st.ncols in
-        if d <= !s.h then begin
+        if d <= sw.h then begin
           st.row_in.(i) <- true;
           st.nrows <- st.nrows + 1;
           row_changed := true
@@ -256,11 +288,12 @@ let node_addition st s0 =
 
 let data_range m =
   let lo = ref infinity and hi = ref neg_infinity in
-  Mat.iteri
-    (fun _ _ v ->
-      if v < !lo then lo := v;
-      if v > !hi then hi := v)
-    m;
+  let data = m.Mat.data in
+  for p = 0 to (m.Mat.rows * m.Mat.cols) - 1 do
+    let v = A.unsafe_get data p in
+    if v < !lo then lo := v;
+    if v > !hi then hi := v
+  done;
   if !lo > !hi then (0., 1.) else (!lo, !hi)
 
 let run ?(config = default_config) input =
@@ -292,12 +325,13 @@ let run ?(config = default_config) input =
          found := { rows; cols; msr = s.h } :: !found;
          (* Mask the found bicluster with uniform noise so the next search
             discovers different structure. *)
+         let width = Float.max 1e-9 (hi -. lo) in
          Array.iter
            (fun i ->
              Array.iter
                (fun j ->
-                 Mat.unsafe_set work i j
-                   (lo +. Gb_util.Prng.float rng (Float.max 1e-9 (hi -. lo))))
+                 A.unsafe_set work.Mat.data ((i * nc) + j)
+                   (lo +. Gb_util.Prng.float rng width))
                cols)
            rows
        done

@@ -16,14 +16,19 @@ let fi = float_of_int
    of the partition — so results are bitwise identical to sequential at
    ANY domain count, and the golden digests never move. True
    tree-reductions (Pool.map_reduce) are deterministic per domain count
-   but reassociate float sums, so the analytics kernels avoid them. *)
+   but reassociate float sums, so the analytics kernels avoid them.
+
+   gemv and gemv_t size their grain from the work per index
+   ([Pool.grain_for]): a product too small to repay a fork-join — the
+   Lanczos operator on Medium is ~112k multiply-adds — runs inline. *)
 
 let gemv (m : Mat.t) x =
   if Array.length x <> m.cols then invalid_arg "Blas.gemv: dimension";
   Gb_obs.Telemetry.addf flops (2. *. fi m.rows *. fi m.cols);
   let y = Array.make m.rows 0. in
   let data = m.data in
-  Pool.parallel_for ~grain:64 ~lo:0 ~hi:m.rows (fun r_lo r_hi ->
+  Pool.parallel_for ~grain:(Pool.grain_for ~work_per_index:m.cols) ~lo:0
+    ~hi:m.rows (fun r_lo r_hi ->
       for i = r_lo to r_hi - 1 do
         let base = i * m.cols in
         let acc = ref 0. in
@@ -45,7 +50,8 @@ let gemv_t (m : Mat.t) x =
   Gb_obs.Telemetry.addf flops (2. *. fi m.rows *. fi m.cols);
   let y = Array.make m.cols 0. in
   let data = m.data in
-  Pool.parallel_for ~grain:16 ~lo:0 ~hi:m.cols (fun j_lo j_hi ->
+  Pool.parallel_for ~grain:(Pool.grain_for ~work_per_index:m.rows) ~lo:0
+    ~hi:m.cols (fun j_lo j_hi ->
       for i = 0 to m.rows - 1 do
         let base = i * m.cols in
         let xi = Array.unsafe_get x i in

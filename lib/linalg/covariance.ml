@@ -29,11 +29,6 @@ let upper_pairs c =
 
 let by_abs_desc (_, _, a) (_, _, b) = Float.compare (Float.abs b) (Float.abs a)
 
-let pairs_above c t =
-  upper_pairs c
-  |> List.filter (fun (_, _, v) -> Float.abs v >= t)
-  |> List.sort by_abs_desc
-
 let top_fraction c q =
   let all = List.sort by_abs_desc (upper_pairs c) in
   let n = List.length all in

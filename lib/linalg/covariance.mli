@@ -11,10 +11,6 @@ val matrix : Mat.t -> Mat.t
 val matrix_naive : Mat.t -> Mat.t
 (** Same result through the untuned triple loop (the no-BLAS engines). *)
 
-val pairs_above : Mat.t -> float -> (int * int * float) list
-(** [pairs_above c t] lists the strictly-upper-triangle pairs [(i, j, cov)]
-    with [|cov| >= t], descending by absolute covariance. *)
-
 val top_fraction : Mat.t -> float -> (int * int * float) list
 (** [top_fraction c q] keeps the top fraction [q] (e.g. [0.1] for the
     paper's "top 10%") of upper-triangle pairs by absolute covariance. *)

@@ -1,3 +1,5 @@
+module A = Bigarray.Array1
+
 type result = {
   eigenvalues : float array;
   eigenvectors : Mat.t;
@@ -58,15 +60,22 @@ let symmetric ?rng ?max_iter ?(tol = 1e-10) ~n ~k apply =
   let values, vectors = Tridiag.eigen diag off in
   let k = min k m in
   let eigenvalues = Array.sub values 0 k in
-  (* Ritz vectors: columns of V * S for the top-k columns of S. *)
-  let eigenvectors =
-    Mat.init n k (fun row col ->
-        let acc = ref 0. in
-        for i = 0 to m - 1 do
-          acc := !acc +. (basis.(i).(row) *. Mat.unsafe_get vectors i col)
-        done;
-        !acc)
-  in
+  (* Ritz vectors: columns of V * S for the top-k columns of S. Each
+     output row accumulates in place over i ascending, adding basis_i[row]
+     times the first k entries of row i of S, so every element is the
+     same i-ascending sum as a per-element dot product. *)
+  let eigenvectors = Mat.create n k in
+  let out = eigenvectors.Mat.data and s = vectors.Mat.data in
+  for row = 0 to n - 1 do
+    let base = row * k in
+    for i = 0 to m - 1 do
+      let b = basis.(i).(row) and si = i * m in
+      for col = 0 to k - 1 do
+        A.unsafe_set out (base + col)
+          (A.unsafe_get out (base + col) +. (b *. A.unsafe_get s (si + col)))
+      done
+    done
+  done;
   { eigenvalues; eigenvectors; iterations = m }
 
 let top_eigen ?rng a k =

@@ -1,3 +1,5 @@
+module A = Bigarray.Array1
+
 type model = {
   intercept : float;
   coefficients : float array;
@@ -7,16 +9,27 @@ type model = {
 
 let with_intercept x =
   let m, n = Mat.dims x in
-  Mat.init m (n + 1) (fun i j -> if j = 0 then 1. else Mat.unsafe_get x i (j - 1))
+  let xa = Mat.create m (n + 1) in
+  let src = x.Mat.data and dst = xa.Mat.data in
+  for i = 0 to m - 1 do
+    let base = i * (n + 1) in
+    A.unsafe_set dst base 1.;
+    for j = 0 to n - 1 do
+      A.unsafe_set dst (base + 1 + j) (A.unsafe_get src ((i * n) + j))
+    done
+  done;
+  xa
 
 let assess x y intercept coef =
-  let m, _ = Mat.dims x in
+  let m, n = Mat.dims x in
+  let data = x.Mat.data in
   let mean_y = Vec.mean y in
   let ss_tot = ref 0. and ss_res = ref 0. in
   for i = 0 to m - 1 do
+    let base = i * n in
     let pred = ref intercept in
     for j = 0 to Array.length coef - 1 do
-      pred := !pred +. (coef.(j) *. Mat.unsafe_get x i j)
+      pred := !pred +. (coef.(j) *. A.unsafe_get data (base + j))
     done;
     let r = y.(i) -. !pred in
     ss_res := !ss_res +. (r *. r);

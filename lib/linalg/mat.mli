@@ -15,10 +15,19 @@ val create : int -> int -> t
 
 val init : int -> int -> (int -> int -> float) -> t
 val dims : t -> int * int
+
+(** Element accessors [get], [set], [unsafe_get] and [unsafe_set]. Called
+    from another module they are out-of-line calls that box every float
+    they take or return: the dev profile compiles each library with
+    [-opaque], so nothing is inlined across modules. An O(n{^2}) or
+    larger loop must index [m.data] directly
+    ([Bigarray.Array1.unsafe_get m.data ((i * m.cols) + j)]), as {!Blas}
+    does, and walk rows contiguously. *)
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val unsafe_get : t -> int -> int -> float
 val unsafe_set : t -> int -> int -> float -> unit
+
 val copy : t -> t
 val fill : t -> float -> unit
 val identity : int -> t

@@ -8,6 +8,8 @@
    exactly the sketch of the union — the property the streaming
    maintainers and the qcheck batching laws lean on. *)
 
+module A = Bigarray.Array1
+
 type t = {
   d : int;
   mutable n : int;
@@ -29,7 +31,20 @@ let check_dim t row =
       (Printf.sprintf "Moments: row has %d columns, sketch has %d"
          (Array.length row) t.d)
 
-(* Scratch-free rank-1 update: mean' = mean + delta/n', and
+(* [m2 += u v^T] when [add], else [m2 -= u v^T], row by row over the
+   flat d x d buffer. *)
+let rank1 ~add m2 u v =
+  let d = Array.length u and data = m2.Mat.data in
+  for i = 0 to d - 1 do
+    let ui = Array.unsafe_get u i and base = i * d in
+    for j = 0 to d - 1 do
+      let p = base + j in
+      let x = A.unsafe_get data p and uv = ui *. Array.unsafe_get v j in
+      A.unsafe_set data p (if add then x +. uv else x -. uv)
+    done
+  done
+
+(* Rank-1 update: mean' = mean + delta/n', and
    M2 += (x - mean) (x - mean')^T using the pre- and post-update
    deviations (the asymmetric form is exact, not an approximation). *)
 let add_row t row =
@@ -37,18 +52,13 @@ let add_row t row =
   let d = t.d in
   let n' = t.n + 1 in
   let delta = Array.make d 0.0 in
+  let post = Array.make d 0.0 in
   for j = 0 to d - 1 do
     delta.(j) <- row.(j) -. t.mean.(j);
-    t.mean.(j) <- t.mean.(j) +. (delta.(j) /. float_of_int n')
+    t.mean.(j) <- t.mean.(j) +. (delta.(j) /. float_of_int n');
+    post.(j) <- row.(j) -. t.mean.(j)
   done;
-  let m2 = t.m2 in
-  for i = 0 to d - 1 do
-    let di = delta.(i) in
-    for j = 0 to d - 1 do
-      Mat.unsafe_set m2 i j
-        (Mat.unsafe_get m2 i j +. (di *. (row.(j) -. t.mean.(j))))
-    done
-  done;
+  rank1 ~add:true t.m2 delta post;
   t.n <- n'
 
 (* Exact inverse of [add_row]: recover the pre-update mean, then
@@ -78,13 +88,7 @@ let remove_row t row =
       delta.(j) <- row.(j) -. mean_old;
       t.mean.(j) <- mean_old
     done;
-    let m2 = t.m2 in
-    for i = 0 to d - 1 do
-      let di = delta.(i) in
-      for j = 0 to d - 1 do
-        Mat.unsafe_set m2 i j (Mat.unsafe_get m2 i j -. (di *. post.(j)))
-      done
-    done;
+    rank1 ~add:false t.m2 delta post;
     t.n <- n'
   end
 
@@ -104,12 +108,13 @@ let merge a b =
       out.mean.(j) <- a.mean.(j) +. (delta.(j) *. nb /. nab)
     done;
     let w = na *. nb /. nab in
+    let ad = a.m2.Mat.data and bd = b.m2.Mat.data and od = out.m2.Mat.data in
     for i = 0 to d - 1 do
+      let wi = w *. delta.(i) and base = i * d in
       for j = 0 to d - 1 do
-        Mat.unsafe_set out.m2 i j
-          (Mat.unsafe_get a.m2 i j
-          +. Mat.unsafe_get b.m2 i j
-          +. (w *. delta.(i) *. delta.(j)))
+        let p = base + j in
+        A.unsafe_set od p
+          (A.unsafe_get ad p +. A.unsafe_get bd p +. (wi *. delta.(j)))
       done
     done;
     out
@@ -148,14 +153,20 @@ let regression t =
   if d < 1 then invalid_arg "Moments.regression: need a predictor column";
   if t.n <= t.d then
     invalid_arg "Moments.regression: need more rows than columns";
-  let m2xx = Mat.init d d (fun i j -> Mat.get t.m2 i j) in
-  let m2xy = Array.init d (fun i -> Mat.get t.m2 i d) in
+  let m2xx = Mat.create d d in
+  let src = t.m2.Mat.data and dst = m2xx.Mat.data in
+  for i = 0 to d - 1 do
+    for j = 0 to d - 1 do
+      A.unsafe_set dst ((i * d) + j) (A.unsafe_get src ((i * t.d) + j))
+    done
+  done;
+  let m2xy = Array.init d (fun i -> A.get src ((i * t.d) + d)) in
   let beta = Solve.cholesky m2xx m2xy in
   let intercept = ref t.mean.(d) in
   for j = 0 to d - 1 do
     intercept := !intercept -. (beta.(j) *. t.mean.(j))
   done;
-  let ss_tot = Mat.get t.m2 d d in
+  let ss_tot = A.get src ((d * t.d) + d) in
   let ss_res =
     let s = ref ss_tot in
     for j = 0 to d - 1 do

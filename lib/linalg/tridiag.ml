@@ -1,8 +1,13 @@
+module A = Bigarray.Array1
+
 let hypot2 a b = Float.hypot a b
 
 (* Classic tql2 (EISPACK) adapted to OCaml: QL with implicit shifts,
-   accumulating the rotations into [z] when eigenvectors are wanted. *)
-let tql2 d e z =
+   accumulating the rotations into [zt] when eigenvectors are wanted.
+   [zt] is the eigenvector matrix transposed (row i holds column i), so
+   a rotation of columns i and i+1 updates two contiguous rows; each
+   element sees the same operations as in the column layout. *)
+let tql2 d e zt =
   let n = Array.length d in
   if n = 0 then ()
   else begin
@@ -50,16 +55,18 @@ let tql2 d e z =
                p := !s *. r2;
                d.(i + 1) <- g2 +. !p;
                g := (!c *. r2) -. b;
-               (match z with
+               (match zt with
                | None -> ()
-               | Some z ->
-                 let nn = z.Mat.rows in
+               | Some zt ->
+                 let nn = zt.Mat.cols and zd = zt.Mat.data in
+                 let s = !s and c = !c in
+                 let row_i = i * nn in
+                 let row_i1 = row_i + nn in
                  for k = 0 to nn - 1 do
-                   let f = Mat.unsafe_get z k (i + 1) in
-                   Mat.unsafe_set z k (i + 1)
-                     ((!s *. Mat.unsafe_get z k i) +. (!c *. f));
-                   Mat.unsafe_set z k i
-                     ((!c *. Mat.unsafe_get z k i) -. (!s *. f))
+                   let f = A.unsafe_get zd (row_i1 + k) in
+                   let zik = A.unsafe_get zd (row_i + k) in
+                   A.unsafe_set zd (row_i1 + k) ((s *. zik) +. (c *. f));
+                   A.unsafe_set zd (row_i + k) ((c *. zik) -. (s *. f))
                  done)
              done;
              d.(l) <- d.(l) -. !p;
@@ -71,14 +78,25 @@ let tql2 d e z =
     done
   end
 
-let sort_desc d z =
+(* Column c of the result is eigenvector idx.(c), i.e. row idx.(c) of
+   the transposed accumulator. *)
+let sort_desc d zt =
   let n = Array.length d in
   let idx = Gb_util.Order.argsort ~descending:true d in
   let values = Array.map (fun i -> d.(i)) idx in
   let vectors =
-    match z with
+    match zt with
     | None -> Mat.create 0 0
-    | Some z -> Mat.init n n (fun r c -> Mat.get z r idx.(c))
+    | Some zt ->
+      let out = Mat.create n n in
+      let src = zt.Mat.data and dst = out.Mat.data in
+      for c = 0 to n - 1 do
+        let row = idx.(c) * n in
+        for r = 0 to n - 1 do
+          A.unsafe_set dst ((r * n) + c) (A.unsafe_get src (row + r))
+        done
+      done;
+      out
   in
   (values, vectors)
 
@@ -90,9 +108,10 @@ let eigen diag offdiag =
   check diag offdiag;
   let n = Array.length diag in
   let d = Array.copy diag and e = Array.copy offdiag in
-  let z = Mat.identity n in
-  tql2 d e (Some z);
-  sort_desc d (Some z)
+  (* The identity is its own transpose. *)
+  let zt = Mat.identity n in
+  tql2 d e (Some zt);
+  sort_desc d (Some zt)
 
 let eigenvalues diag offdiag =
   check diag offdiag;

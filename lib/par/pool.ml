@@ -289,6 +289,15 @@ let ranges ~grain ~lo ~hi =
         (lo + (c * size), min hi (lo + ((c + 1) * size))))
   end
 
+(* A region costs a wake-up, task pushes and a join: about 0.2 ms inside
+   a kernel on the recording host, which a chunk of fewer multiply-adds
+   than this does not repay (DESIGN.md, "Analytics kernels"). *)
+let min_chunk_work = 500_000
+
+let grain_for ~work_per_index =
+  let w = max 1 work_per_index in
+  max 1 ((min_chunk_work + w - 1) / w)
+
 (* --- operations --- *)
 
 let parallel_for ?(grain = 1) ~lo ~hi body =

@@ -47,6 +47,13 @@ val parallel_for : ?grain:int -> lo:int -> hi:int -> (int -> int -> unit) -> uni
     made on the caller. [body] must only perform writes that are
     disjoint across subranges. *)
 
+val grain_for : work_per_index:int -> int
+(** [grain_for ~work_per_index] is the smallest grain whose chunks carry
+    at least 500k multiply-adds, the work that repays a fork-join on the
+    recording host (DESIGN.md, "Analytics kernels"), when each index
+    costs [work_per_index]. A region whose whole range is below that
+    runs inline under {!parallel_for}. *)
+
 val map_reduce :
   ?grain:int ->
   lo:int ->

@@ -116,6 +116,21 @@ let test_msr_decreases_with_deletion () =
       Alcotest.(check bool) "msr <= delta" (b.Cheng_church.msr <= 0.05) true)
     (Cheng_church.run ~config m)
 
+(* Allocation budgets (see test_linalg's): one sweep allocates O(m + n)
+   words, and a run makes O(m + n) sweeps per bicluster, so neither may
+   grow with m n. A per-cell boxed accessor in the sweep overshoots both
+   by well over 10x at this shape. *)
+let test_alloc_budget () =
+  let nr = 200 and nc = 150 in
+  let m = Mat.random (Gb_util.Prng.create 3L) nr nc in
+  let mn = float_of_int (nr + nc) in
+  Test_linalg.check_budget "mean_squared_residue (one sweep)"
+    ~budget:(8. *. mn) (fun () ->
+      Cheng_church.mean_squared_residue m (Array.init nr Fun.id)
+        (Array.init nc Fun.id));
+  Test_linalg.check_budget "Cheng_church.run" ~budget:(16. *. mn *. mn)
+    (fun () -> Cheng_church.run m)
+
 let suite =
   [
     ("msr constant zero", `Quick, test_msr_constant_zero);
@@ -128,4 +143,5 @@ let suite =
     ("deterministic", `Quick, test_deterministic);
     ("too small input", `Quick, test_too_small_input);
     ("msr below delta", `Quick, test_msr_decreases_with_deletion);
+    ("alloc budget", `Quick, test_alloc_budget);
   ]

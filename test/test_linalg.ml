@@ -362,6 +362,80 @@ let test_covariance_sample_unbiased_shape () =
   let all = Randomized.covariance_sample ~rng:g ~rows:1_000 m in
   Alcotest.(check bool) "full sample exact" (Mat.equal full all) true
 
+(* --- allocation budgets ---
+
+   Under the dev profile's -opaque, a Mat accessor called from another
+   module is an out-of-line call that boxes its float, so an inner loop
+   built on one allocates per element. Each budget below grows with the
+   dimensions (m + n), not with their product, so such a loop creeping
+   back into a kernel overshoots it by orders of magnitude. Shapes keep
+   every vector under the minor heap's size limit, so the scratch
+   vectors are counted too. [Gc.minor_words] counts the calling domain
+   only, hence the pool pinned to one domain. *)
+
+let minor_words f =
+  Gb_par.Pool.set_jobs 1;
+  Fun.protect ~finally:Gb_par.Pool.reset_jobs (fun () ->
+      ignore (Sys.opaque_identity (f ()));
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (f ()));
+      Gc.minor_words () -. before)
+
+let check_budget name ~budget f =
+  let words = minor_words f in
+  if words > budget then
+    Alcotest.failf "%s allocated %.0f minor words, budget %.0f" name words
+      budget
+
+let test_alloc_qr () =
+  let m = 240 and n = 60 in
+  let a = Mat.random (rng ()) m n in
+  let b = Array.init m float_of_int in
+  check_budget "Qr.factorize + Qr.solve 240x60"
+    ~budget:(8. *. float_of_int (m + n))
+    (fun () -> Qr.solve (Qr.factorize a) b)
+
+let test_alloc_tridiag () =
+  let n = 120 in
+  let g = rng () in
+  let d = Array.init n (fun _ -> Gb_util.Prng.normal g) in
+  let e = Array.init (n - 1) (fun _ -> Gb_util.Prng.normal g) in
+  check_budget "Tridiag.eigen 120" ~budget:(16. *. float_of_int n) (fun () ->
+      Tridiag.eigen d e)
+
+(* Each iteration allocates its basis vector and operator output (n
+   words each) and boxes one dot product per reorthogonalization step
+   (at most n), so this budget is per iteration: O(n + k) words each. *)
+let test_alloc_lanczos () =
+  let n = 200 and k = 60 in
+  let a = Blas.aat (Mat.random (rng ()) n n) in
+  let run () =
+    Lanczos.symmetric ~rng:(Gb_util.Prng.create 3L) ~n ~k (fun v ->
+        Blas.gemv a v)
+  in
+  let iters = (run ()).Lanczos.iterations in
+  check_budget "Lanczos.symmetric n=200 k=60"
+    ~budget:(10. *. float_of_int (iters * (n + k)))
+    run
+
+let test_alloc_moments () =
+  let d = 100 in
+  let g = rng () in
+  let sk = Moments.of_matrix (Mat.random g 5 d) in
+  let row = Array.init d (fun _ -> Gb_util.Prng.normal g) in
+  check_budget "Moments.add_row + remove_row d=100"
+    ~budget:(8. *. float_of_int d) (fun () ->
+      Moments.add_row sk row;
+      Moments.remove_row sk row)
+
+let test_alloc_cholesky () =
+  let n = 60 in
+  let x = Mat.random (rng ()) (2 * n) n in
+  let a = Blas.ata x in
+  let b = Array.init n float_of_int in
+  check_budget "Solve.cholesky 60" ~budget:(8. *. float_of_int n) (fun () ->
+      Solve.cholesky a b)
+
 let suite =
   [
     ("mat basics", `Quick, test_mat_basics);
@@ -395,6 +469,11 @@ let suite =
     ("randomized svd low rank", `Quick, test_randomized_svd_low_rank);
     ("randomized svd close to exact", `Quick, test_randomized_svd_close_to_exact);
     ("covariance sampling", `Quick, test_covariance_sample_unbiased_shape);
+    ("alloc budget qr", `Quick, test_alloc_qr);
+    ("alloc budget tridiag", `Quick, test_alloc_tridiag);
+    ("alloc budget lanczos", `Quick, test_alloc_lanczos);
+    ("alloc budget moments", `Quick, test_alloc_moments);
+    ("alloc budget cholesky", `Quick, test_alloc_cholesky);
     QCheck_alcotest.to_alcotest prop_qr_reconstructs;
     QCheck_alcotest.to_alcotest prop_gemm_assoc_with_vector;
     QCheck_alcotest.to_alcotest prop_covariance_symmetric;
