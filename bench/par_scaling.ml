@@ -1,12 +1,18 @@
 (* Domain-pool scaling: the same kernel at 1, 2 and 4 domains.
 
-   Three kernels cover the three wired-up subsystems — blocked GEMM
-   (lib/linalg), the covariance pipeline (center + syrk), and the
-   partitioned hash join (lib/relational). Each (kernel, domains) cell
-   reports the median of several wall-clock samples after a warmup run,
-   plus its speedup over the 1-domain median as a counter, so the
+   Three kernels cover three subsystems — blocked GEMM (lib/linalg),
+   the covariance pipeline (center + syrk), and the streaming hash join
+   (lib/relational), which runs on the calling domain at every count,
+   so its d2/d4 rows show what idle workers cost. Each (kernel,
+   domains) cell carries every wall-clock sample taken after a warmup
+   run, plus its speedup over the 1-domain median as a counter, so the
    committed BENCH_par.json baseline guards the 1-domain cost and the
    scaling trend is visible in the same file.
+
+   Three region-latency probes time the pool itself, in nanoseconds: an
+   empty region (two chunks, no work), an 8-chunk region of 8k float
+   adds, and 100 such regions back to back. At one domain each runs
+   inline, so the d1 rows are the cost without the pool.
 
    Honesty note: speedups here are whatever the host delivers. On a
    single-core container the 2- and 4-domain cells measure pure pool
@@ -21,9 +27,9 @@ open Gb_relational
 let domain_counts = [ 1; 2; 4 ]
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let r = f () in
-  (Unix.gettimeofday () -. t0, r)
+  (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9, r)
 
 let median xs =
   let s = List.sort compare xs in
@@ -58,6 +64,29 @@ let join_input ~build_rows ~probe_rows =
     Ops.of_list right_schema right,
     [ ("gene_id", "gene_id") ] )
 
+(* Region probes: the same bodies at every domain count. Grain 1024 over
+   8192 indices is 8 chunks at 2 and at 4 lanes. *)
+let region_probes () =
+  let buf = Array.make 8192 0. in
+  let adds lo hi =
+    for i = lo to hi - 1 do
+      buf.(i) <- buf.(i) +. 1.
+    done
+  in
+  let eight () = Pool.parallel_for ~grain:1024 ~lo:0 ~hi:8192 adds in
+  [
+    ( "region-empty",
+      "2 chunks",
+      fun () -> Pool.parallel_for ~lo:0 ~hi:2 (fun _ _ -> ()) );
+    ("region-8chunk", "8x1k adds", eight);
+    ( "region-100x",
+      "100x8 chunks",
+      fun () ->
+        for _ = 1 to 100 do
+          eight ()
+        done );
+  ]
+
 let run ~quick =
   let samples = if quick then 3 else 5 in
   let g = Gb_util.Prng.create 0x9A12L in
@@ -82,39 +111,49 @@ let run ~quick =
         fun () -> ignore (Ops.count (Ops.hash_join ~on jl jr)) );
     ]
   in
-  let results =
+  let sweep samples probes =
     List.map
       (fun (name, shape, f) ->
         let per_jobs =
-          List.map
-            (fun jobs -> (jobs, median (measure ~samples ~jobs f)))
-            domain_counts
+          List.map (fun jobs -> (jobs, measure ~samples ~jobs f)) domain_counts
         in
         (name, shape, per_jobs))
-      kernels
+      probes
   in
+  let results = sweep samples kernels in
+  let regions = sweep (if quick then 100 else 400) (region_probes ()) in
   Pool.reset_jobs ();
   Pool.shutdown ();
   Printf.printf "%-12s %-12s %10s %10s %10s %18s\n" "kernel" "shape" "d=1"
     "d=2" "d=4" "speedup d4/d1";
   List.iter
     (fun (name, shape, per_jobs) ->
-      let t d = List.assoc d per_jobs in
+      let t d = median (List.assoc d per_jobs) in
       Printf.printf "%-12s %-12s %9.4fs %9.4fs %9.4fs %17.2fx\n" name shape
         (t 1) (t 2) (t 4)
         (t 1 /. t 4))
     results;
-  List.concat_map
-    (fun (name, _, per_jobs) ->
-      let t1 = List.assoc 1 per_jobs in
-      List.filter_map
-        (fun (jobs, med) ->
-          let counters =
-            if jobs = 1 then []
-            else [ ("speedup_vs_d1", t1 /. med) ]
-          in
-          Gb_obs.Bench_json.make ~name
-            ~size:(Printf.sprintf "d%d" jobs)
-            ~unit_:"s" ~counters [ med ])
-        per_jobs)
-    results
+  Printf.printf "\n%-12s %-12s %10s %10s %10s  (median us)\n" "region"
+    "shape" "d=1" "d=2" "d=4";
+  List.iter
+    (fun (name, shape, per_jobs) ->
+      let t d = 1e6 *. median (List.assoc d per_jobs) in
+      Printf.printf "%-12s %-12s %10.2f %10.2f %10.2f\n" name shape (t 1)
+        (t 2) (t 4))
+    regions;
+  let record ~unit_ ~scale ~speedup (name, _, per_jobs) =
+    let t d = median (List.assoc d per_jobs) in
+    List.filter_map
+      (fun (jobs, samples) ->
+        let counters =
+          if speedup && jobs > 1 then [ ("speedup_vs_d1", t 1 /. t jobs) ]
+          else []
+        in
+        Gb_obs.Bench_json.make ~name
+          ~size:(Printf.sprintf "d%d" jobs)
+          ~unit_ ~counters
+          (List.map (fun s -> s *. scale) samples))
+      per_jobs
+  in
+  List.concat_map (record ~unit_:"s" ~scale:1. ~speedup:true) results
+  @ List.concat_map (record ~unit_:"ns" ~scale:1e9 ~speedup:false) regions

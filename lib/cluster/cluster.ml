@@ -58,7 +58,6 @@ type t = {
   (* fault injection + recovery *)
   mutable plan : Fault.plan;
   mutable frng : Gb_util.Prng.t;
-  mutable retry_policy : Retry.policy;
   mutable step : int;
   mutable ops : int;
   dead : bool array;
@@ -82,7 +81,6 @@ let create ?(net = Netmodel.default) ~nodes () =
     compute_speedup = 1.;
     plan = Fault.empty;
     frng = Fault.rng Fault.empty;
-    retry_policy = Retry.default;
     step = 0;
     ops = 0;
     dead = Array.make nodes false;
@@ -105,8 +103,6 @@ let set_deadline t d =
 let set_fault_plan t plan =
   t.plan <- plan;
   t.frng <- Fault.rng plan
-
-let set_retry_policy t p = t.retry_policy <- p
 
 let set_checkpoint t ~every ~bytes_per_node =
   if every < 0 || bytes_per_node < 0 then invalid_arg "Cluster.set_checkpoint";
@@ -293,7 +289,7 @@ let superstep_scaled t ~speedup f =
     let dt =
       let failures = Fault.oom_failures t.plan ~node ~superstep:step in
       if failures = 0 then dt
-      else if failures >= t.retry_policy.Retry.max_attempts then
+      else if failures >= Retry.default.Retry.max_attempts then
         raise
           (Fault.Injected_oom
              (Printf.sprintf
@@ -303,7 +299,7 @@ let superstep_scaled t ~speedup f =
         let backoff = ref 0. in
         for attempt = 1 to failures do
           backoff :=
-            !backoff +. Retry.delay_for t.retry_policy ~rng:t.frng ~attempt
+            !backoff +. Retry.delay_for Retry.default ~rng:t.frng ~attempt
         done;
         t.stats <-
           {

@@ -18,7 +18,7 @@
       waiting, the backup's finish time counts and the straggling attempt
       becomes wasted work;
     - a {e transient memory failure} retries the node's task under the
-      configured {!Gb_fault.Retry.policy}, with exponential backoff charged
+      {!Gb_fault.Retry.default} policy, with exponential backoff charged
       to the simulated clock; past the budget it escalates to
       {!Gb_fault.Fault.Injected_oom};
     - a {e dropped message} is retransmitted after an ack timeout; a
@@ -80,10 +80,6 @@ val set_fault_plan : t -> Gb_fault.Fault.plan -> unit
 (** Arm a deterministic fault plan. Replaces any previous plan and
     reseeds the backoff-jitter generator from the plan's seed, so the
     same plan replays identically. *)
-
-val set_retry_policy : t -> Gb_fault.Retry.policy -> unit
-(** Policy for transient-failure retries (default
-    {!Gb_fault.Retry.default}). *)
 
 val set_checkpoint : t -> every:int -> bytes_per_node:int -> unit
 (** Checkpoint every [every] supersteps ([0] disables): live nodes write

@@ -5,18 +5,16 @@ let flops = Gb_obs.Telemetry.counter ~help:"flop" "linalg_flops"
 let fi = float_of_int
 
 (* Parallelism notes. Every kernel below runs on the shared Domain pool
-   via [Pool.parallel_for] / [Pool.map_reduce]; with one domain (the
-   default) those calls collapse to a single inline invocation of the
-   body over the whole range — the exact sequential loops this file has
-   always had, bitwise.
+   via [Pool.parallel_for]; with one domain (the default) that call
+   collapses to a single inline invocation of the body over the whole
+   range — the exact sequential loops this file has always had, bitwise.
 
    Every kernel here partitions over its *output* elements (rows of C
    for gemv/gemm/aat, output rows for atb/ata, output columns for
    gemv_t), keeping each element's accumulation order fixed regardless
    of the partition — so results are bitwise identical to sequential at
-   ANY domain count, and the golden digests never move. True
-   tree-reductions (Pool.map_reduce) are deterministic per domain count
-   but reassociate float sums, so the analytics kernels avoid them.
+   ANY domain count, and the golden digests never move. A tree reduction
+   over chunks would reassociate float sums, so no kernel uses one.
 
    gemv and gemv_t size their grain from the work per index
    ([Pool.grain_for]): a product too small to repay a fork-join — the

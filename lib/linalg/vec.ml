@@ -15,11 +15,6 @@ let nrm2 x = sqrt (dot x x)
 
 let scale a x = Array.map (fun v -> a *. v) x
 
-let scale_inplace a x =
-  for i = 0 to Array.length x - 1 do
-    Array.unsafe_set x i (a *. Array.unsafe_get x i)
-  done
-
 let axpy a x y =
   check2 "axpy" x y;
   for i = 0 to Array.length x - 1 do

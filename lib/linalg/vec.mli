@@ -3,7 +3,6 @@
 val dot : float array -> float array -> float
 val nrm2 : float array -> float
 val scale : float -> float array -> float array
-val scale_inplace : float -> float array -> unit
 
 val axpy : float -> float array -> float array -> unit
 (** [axpy a x y] computes [y <- a*x + y] in place. *)

@@ -147,9 +147,11 @@ let parse (s : string) : (t, string) result =
       advance ()
     done;
     let str = String.sub s start (!pos - start) in
+    (* [1e400] overflows to infinity, which has no JSON encoding: reject
+       it rather than let a round trip write it back as null. *)
     match float_of_string_opt str with
-    | Some f -> Num f
-    | None -> fail ("bad number " ^ str)
+    | Some f when Float.is_finite f -> Num f
+    | _ -> fail ("bad number " ^ str)
   in
   let rec parse_value () =
     skip_ws ();

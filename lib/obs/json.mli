@@ -25,7 +25,8 @@ val to_string : t -> string
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries an offset-annotated
-    message. Rejects trailing garbage. *)
+    message. Rejects trailing garbage and numbers outside the finite
+    float range (such as [1e400]). *)
 
 (** {1 Tree accessors} — for consumers walking parsed documents. *)
 

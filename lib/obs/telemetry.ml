@@ -223,8 +223,6 @@ let counter_family ?help name = family ~kind:Counter ?help name
 let gauge_family ?help name = family ~kind:Gauge ?help name
 let hist_family ?help ?buckets name = family ~kind:Histogram ?help ?buckets name
 
-let family_name (f : family) = f.f_name
-
 let cell f labels =
   let labels = canon labels in
   locked f.f_lock (fun () ->

@@ -48,8 +48,6 @@ val gauge_family : ?help:string -> string -> gauge_family
     with a different grid raises [Invalid_argument]. *)
 val hist_family : ?help:string -> ?buckets:float array -> string -> hist_family
 
-val family_name : counter_family -> string
-
 (** [incr f labels] adds [by] (default 1, must be >= 0) to the cell.
     No-op while disabled. *)
 val incr : counter_family -> ?by:float -> labels -> unit

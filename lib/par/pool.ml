@@ -4,47 +4,52 @@
    and reused across queries: [jobs ()] lanes, lane 0 being whichever
    domain submits work (it participates in every region) and lanes
    1..jobs-1 being dedicated worker domains parked on a condition
-   variable between regions. Each lane owns a work-stealing {!Deque};
-   a region pushes its chunk tasks round-robin across the deques, wakes
-   the workers, and every lane then pops locally and steals when dry.
+   variable between regions. A region is [n] indexed tasks behind one
+   record: the submitter publishes it, wakes the workers, and every lane
+   then claims the next index from the record's atomic cursor until the
+   cursor passes [n].
 
    Determinism contract:
    - [jobs () = 1] runs every operation inline on the caller over the
      whole index range — bitwise identical to the pre-pool sequential
      kernels, with no domain ever spawned.
    - For [jobs () = n], chunk boundaries are a pure function of the
-     range, the grain and [n], and {!map_reduce} combines chunk results
-     over a fixed binary tree on the chunk index — so a given domain
-     count always produces the same floats, regardless of which lane ran
-     which chunk or in what order.
+     range, the grain and [n], and every task writes outputs disjoint
+     from every other task's — so a given domain count always produces
+     the same floats, regardless of which lane ran which chunk or in
+     what order.
 
    Nesting: a parallel operation issued from inside a running task (a
    kernel inside a harness cell, say) executes inline and sequentially
    on that lane — task parallelism at the outer level and data
    parallelism at the kernel level share one pool without deadlock.
 
-   Observability: every executed task bumps the ["par_tasks"] counter
-   and every cross-lane steal bumps ["par_steals"] (both gated on
-   {!Gb_obs.Telemetry.enabled}, like every other counter); worker domains
-   register a per-domain tid with {!Gb_obs.Obs.set_domain_tid} so wall
-   spans they emit land on their own track in trace exports. *)
+   Observability: every task a region runs bumps the ["par_tasks"]
+   counter (gated on {!Gb_obs.Telemetry.enabled}, like every other
+   counter); worker domains register a per-domain tid with
+   {!Gb_obs.Obs.set_domain_tid} so wall spans they emit land on their
+   own track in trace exports. *)
 
 module Telemetry = Gb_obs.Telemetry
 
 let tasks_c = Telemetry.counter ~help:"task" "par_tasks"
-let steals_c = Telemetry.counter ~help:"steal" "par_steals"
 
-type task = unit -> unit
+(* One parallel operation: tasks [0, n) of [task]. *)
+type region = {
+  n : int;
+  task : int -> unit;
+  next : int Atomic.t;  (** next unclaimed task index *)
+  pending : int Atomic.t;  (** tasks not yet finished *)
+  error : exn option Atomic.t;  (** first task exception *)
+}
 
 type pool = {
   lanes : int;
-  deques : task Deque.t array;  (** length [lanes]; index 0 = submitter *)
   m : Mutex.t;
   cv : Condition.t;
-  mutable job_seq : int;  (** bumped when a region publishes tasks *)
+  mutable job_seq : int;  (** bumped when a region is published *)
   mutable stop : bool;
-  pending : int Atomic.t;  (** tasks of the current region not yet finished *)
-  error : exn option Atomic.t;  (** first task exception of the region *)
+  mutable region : region option;  (** the region in flight, under [m] *)
   mutable domains : unit Domain.t list;
 }
 
@@ -81,76 +86,43 @@ let jobs () = match !override with Some n -> n | None -> jobs_from_env ()
 
 (* --- per-domain state --- *)
 
-(* Lane id of a pool worker domain; -1 on every other domain. *)
-let lane_key = Domain.DLS.new_key (fun () -> -1)
-
-(* True while this domain is executing inside a region (either a worker
-   running a task, or the submitter helping): parallel operations seeing
-   it run inline. *)
+(* True while this domain is executing inside a region (a worker domain
+   always, the submitter while it helps): parallel operations seeing it
+   run inline. *)
 let in_region_key = Domain.DLS.new_key (fun () -> false)
 
 (* --- the worker protocol --- *)
 
-let run_task p t =
-  let saved = Domain.DLS.get in_region_key in
-  Domain.DLS.set in_region_key true;
-  (try t ()
-   with e ->
-     (* Keep the first failure; the submitter re-raises after the join.
-        The CAS only fails if another task already recorded one. *)
-     ignore (Atomic.compare_and_set p.error None (Some e)));
-  Domain.DLS.set in_region_key saved;
-  Telemetry.add tasks_c 1;
-  Atomic.decr p.pending
-
-(* Pop locally, then sweep the other lanes for a steal. *)
-let find_task p lane =
-  match Deque.pop p.deques.(lane) with
-  | Some t -> Some (t, false)
-  | None ->
-    let n = p.lanes in
-    let rec sweep k =
-      if k >= n - 1 then None
-      else
-        let v = (lane + 1 + k) mod n in
-        match Deque.steal p.deques.(v) with
-        | Some t -> Some (t, true)
-        | None -> sweep (k + 1)
-    in
-    sweep 0
-
-let rec drain p lane =
-  match find_task p lane with
-  | Some (t, stolen) ->
-    if stolen then Telemetry.add steals_c 1;
-    run_task p t;
-    drain p lane
-  | None -> ()
+(* Claim and run tasks until the cursor passes [n]. The CAS keeps the
+   first failure; the submitter re-raises it after the join. *)
+let rec drain r =
+  let i = Atomic.fetch_and_add r.next 1 in
+  if i < r.n then begin
+    (try r.task i
+     with e -> ignore (Atomic.compare_and_set r.error None (Some e)));
+    Telemetry.add tasks_c 1;
+    Atomic.decr r.pending;
+    drain r
+  end
 
 let worker p lane () =
-  Domain.DLS.set lane_key lane;
+  Domain.DLS.set in_region_key true;
   (* Wall-clock spans emitted from this domain carry its lane as tid,
      mirroring the 1-based per-node tid convention of the simulated
      engines. *)
   Gb_obs.Obs.set_domain_tid lane;
   let seen = ref 0 in
   let rec loop () =
-    drain p lane;
-    if Atomic.get p.pending > 0 then begin
-      (* Tasks exist but are all claimed: their owners are computing.
-         Spin politely — regions are short-lived. *)
-      Domain.cpu_relax ();
+    Mutex.lock p.m;
+    while (not p.stop) && p.job_seq = !seen do
+      Condition.wait p.cv p.m
+    done;
+    seen := p.job_seq;
+    let stop = p.stop and r = p.region in
+    Mutex.unlock p.m;
+    if not stop then begin
+      Option.iter drain r;
       loop ()
-    end
-    else begin
-      Mutex.lock p.m;
-      while (not p.stop) && p.job_seq = !seen do
-        Condition.wait p.cv p.m
-      done;
-      seen := p.job_seq;
-      let stop = p.stop in
-      Mutex.unlock p.m;
-      if not stop then loop ()
     end
   in
   loop ()
@@ -168,13 +140,11 @@ let spawn lanes =
   let p =
     {
       lanes;
-      deques = Array.init lanes (fun _ -> Deque.create ());
       m = Mutex.create ();
       cv = Condition.create ();
       job_seq = 0;
       stop = false;
-      pending = Atomic.make 0;
-      error = Atomic.make None;
+      region = None;
       domains = [];
     }
   in
@@ -225,52 +195,54 @@ let ensure () =
 
 (* --- regions --- *)
 
-(* Publish [tasks] round-robin across the lanes, wake the workers, help
-   until every task finished, then re-raise the first task exception.
-   Caller must hold [region_m] and must not already be in a region. *)
-let region p tasks =
-  let n = Array.length tasks in
-  Atomic.set p.error None;
-  Atomic.set p.pending n;
-  Array.iteri (fun k t -> Deque.push p.deques.(k mod p.lanes) t) tasks;
+(* Publish tasks [0, n) of [task], wake the workers, help until every
+   task finished, unpublish (the pool keeps no closure between regions),
+   then re-raise the first task exception. Caller must hold [region_m]
+   and must not already be in a region. *)
+let region p n task =
+  let r =
+    {
+      n;
+      task;
+      next = Atomic.make 0;
+      pending = Atomic.make n;
+      error = Atomic.make None;
+    }
+  in
   Mutex.lock p.m;
+  p.region <- Some r;
   p.job_seq <- p.job_seq + 1;
   Condition.broadcast p.cv;
   Mutex.unlock p.m;
-  let saved = Domain.DLS.get in_region_key in
   Domain.DLS.set in_region_key true;
-  let rec help () =
-    drain p 0;
-    if Atomic.get p.pending > 0 then begin
-      Domain.cpu_relax ();
-      help ()
-    end
-  in
-  help ();
-  Domain.DLS.set in_region_key saved;
-  match Atomic.get p.error with Some e -> raise e | None -> ()
+  drain r;
+  while Atomic.get r.pending > 0 do
+    Domain.cpu_relax ()
+  done;
+  Domain.DLS.set in_region_key false;
+  Mutex.lock p.m;
+  p.region <- None;
+  Mutex.unlock p.m;
+  match Atomic.get r.error with Some e -> raise e | None -> ()
 
 let in_parallel_region () = Domain.DLS.get in_region_key
 
-(* Submit an array of thunks as one region, or run them inline when the
-   pool cannot help (single lane, or already inside a region). *)
-let run_tasks tasks =
-  if Array.length tasks = 0 then ()
-  else if jobs () = 1 || in_parallel_region () || Array.length tasks = 1 then
-    Array.iter (fun t -> t ()) tasks
-  else begin
-    let p = ensure () in
-    Mutex.lock region_m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock region_m)
-      (fun () -> region p tasks)
-  end
+(* Run tasks [0, n) as one region. Callers have already ruled out
+   inline execution (one lane, one task, or inside a region); the pool
+   is resolved under [region_m] so concurrent first submitters spawn
+   it once. *)
+let run n task =
+  Mutex.lock region_m;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock region_m)
+    (fun () -> region (ensure ()) n task)
 
 (* --- range chunking ---
 
    Boundaries depend only on (lo, hi, grain, lanes): an even split into
-   ~4 chunks per lane, never smaller than [grain], so stealing can
-   rebalance while a fixed domain count keeps a fixed decomposition. *)
+   ~4 chunks per lane, never smaller than [grain], so lanes that finish
+   early claim more chunks while a fixed domain count keeps a fixed
+   decomposition. *)
 let chunk_ranges ~grain ~lanes ~lo ~hi =
   let n = hi - lo in
   let target = lanes * 4 in
@@ -289,8 +261,8 @@ let ranges ~grain ~lo ~hi =
         (lo + (c * size), min hi (lo + ((c + 1) * size))))
   end
 
-(* A region costs a wake-up, task pushes and a join: about 0.2 ms inside
-   a kernel on the recording host, which a chunk of fewer multiply-adds
+(* A region costs a wake-up, a publish and a join: about 0.2 ms inside a
+   kernel on the recording host, which a chunk of fewer multiply-adds
    than this does not repay (DESIGN.md, "Analytics kernels"). *)
 let min_chunk_work = 500_000
 
@@ -308,47 +280,11 @@ let parallel_for ?(grain = 1) ~lo ~hi body =
     else begin
       let rs = chunk_ranges ~grain ~lanes ~lo ~hi in
       if Array.length rs <= 1 then body lo hi
-      else run_tasks (Array.map (fun (a, b) () -> body a b) rs)
+      else
+        run (Array.length rs) (fun c ->
+            let a, b = rs.(c) in
+            body a b)
     end
-  end
-
-let map_reduce ?(grain = 1) ~lo ~hi ~map ~combine () =
-  if hi - lo <= 0 then invalid_arg "Pool.map_reduce: empty range";
-  let lanes = jobs () in
-  if lanes = 1 || in_parallel_region () || hi - lo <= grain then map lo hi
-  else begin
-    let rs = chunk_ranges ~grain ~lanes ~lo ~hi in
-    let n = Array.length rs in
-    if n = 1 then map lo hi
-    else begin
-      let slots = Array.make n None in
-      run_tasks
-        (Array.mapi
-           (fun i (a, b) () -> slots.(i) <- Some (map a b))
-           rs);
-      (* Fixed binary tree over the chunk index: the combine order for a
-         given (range, grain, domain count) never varies, so floats come
-         out the same on every run. *)
-      let rec reduce a b =
-        if b - a = 1 then Option.get slots.(a)
-        else
-          let mid = a + ((b - a) / 2) in
-          combine (reduce a mid) (reduce mid b)
-      in
-      reduce 0 n
-    end
-  end
-
-let par2 f g =
-  if jobs () = 1 || in_parallel_region () then
-    let a = f () in
-    let b = g () in
-    (a, b)
-  else begin
-    let ra = ref None and rb = ref None in
-    run_tasks
-      [| (fun () -> ra := Some (f ())); (fun () -> rb := Some (g ())) |];
-    (Option.get !ra, Option.get !rb)
   end
 
 let map_array f xs =
@@ -357,7 +293,7 @@ let map_array f xs =
   else if jobs () = 1 || in_parallel_region () || n = 1 then Array.map f xs
   else begin
     let slots = Array.make n None in
-    run_tasks (Array.mapi (fun i x () -> slots.(i) <- Some (f x)) xs);
+    run n (fun i -> slots.(i) <- Some (f xs.(i)));
     Array.map Option.get slots
   end
 

@@ -6,11 +6,13 @@
     to 1 — at which point every operation runs inline on the caller and
     reproduces the sequential kernels bitwise, with no domain spawned.
 
+    Each parallel operation is one region of indexed tasks: every lane
+    claims the next index from a shared atomic cursor until none remain.
+
     Determinism: chunk boundaries are a pure function of (range, grain,
-    domain count) and {!map_reduce} combines over a fixed binary tree,
-    so a given domain count always produces the same floats. Operations
-    issued from inside a running task execute inline (no nested
-    regions, no deadlock). *)
+    domain count) and tasks write disjoint outputs, so a given domain
+    count always produces the same floats. Operations issued from inside
+    a running task execute inline (no nested regions, no deadlock). *)
 
 val env_var : string
 (** ["GENBASE_DOMAINS"]. *)
@@ -54,23 +56,6 @@ val grain_for : work_per_index:int -> int
     costs [work_per_index]. A region whose whole range is below that
     runs inline under {!parallel_for}. *)
 
-val map_reduce :
-  ?grain:int ->
-  lo:int ->
-  hi:int ->
-  map:(int -> int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  unit ->
-  'a
-(** [map_reduce ~lo ~hi ~map ~combine ()] maps disjoint subranges and
-    folds the per-chunk results with [combine] over a fixed binary tree
-    on chunk index — deterministic for a given domain count. With one
-    lane, returns [map lo hi] directly. Raises [Invalid_argument] on an
-    empty range. *)
-
-val par2 : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-(** Fork–join pair; sequential ([f] then [g]) with one lane. *)
-
 val map_array : ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel map; one task per element. *)
 
@@ -80,4 +65,4 @@ val map_list : ('a -> 'b) -> 'a list -> 'b list
 val ranges : grain:int -> lo:int -> hi:int -> (int * int) list
 (** Pure fixed-grain chunking of [\[lo, hi)] — independent of the
     domain count, for callers that need partitioning stable across pool
-    sizes (e.g. the hash join's chunk-ordered stitching). *)
+    sizes (e.g. the Q6 interval sweep's chunk-ordered stitching). *)

@@ -29,14 +29,3 @@ val to_seq : t -> string list -> Value.t array Seq.t
 
 val compression_report : t -> (string * string * int) list
 (** [(column, encoding, bytes)] per column. *)
-
-val zone_block : int
-(** Rows per zone-map block. *)
-
-val scan_range :
-  t -> string list -> on:string -> lo:float -> hi:float ->
-  Value.t array Seq.t * int
-(** Zone-map-accelerated range scan: returns the rows of the named columns
-    whose numeric [on] value lies in [lo, hi], plus the number of
-    [zone_block]-row blocks the per-block min/max summaries allowed the
-    scan to skip without reading. *)

@@ -100,81 +100,6 @@ let map_column name e r =
     rows = Seq.map (fun row -> Array.append row [| f row |]) r.rows;
   }
 
-(* Partitioned parallel build+probe, used when the Domain pool has more
-   than one lane. The output row sequence is byte-identical to the
-   sequential loop's:
-
-   - the build side is split into fixed-grain chunks, each chunk scatters
-     its rows into per-partition lists (partition = generic hash of the
-     join key), and the per-chunk lists are stitched in chunk order — so
-     every partition sees its rows in original right-side order;
-   - each partition's hash table is then built exactly as the sequential
-     build would over that row subset ([replace k (row :: existing)], so
-     matches come back in right order after the [List.rev]);
-   - probe chunks each emit their output rows in left order, and chunk
-     outputs concatenate in order.
-
-   All rows with equal keys share a partition, so per-left-row match
-   lists — and hence the whole output — match the sequential join. The
-   price is materialization at first pull; the 1-lane path below keeps
-   the original fully streaming loop. *)
-let hash_join_par ~lanes ~lkey ~rkey left_rows right_rows =
-  let module Pool = Gb_par.Pool in
-  let rarr = Array.of_seq right_rows in
-  let larr = Array.of_seq left_rows in
-  let rec pow2 n = if n >= 4 * lanes || n >= 64 then n else pow2 (2 * n) in
-  let nparts = pow2 8 in
-  let part_of k = Hashtbl.hash k land (nparts - 1) in
-  let grain = 8192 in
-  let chunk_ranges = Pool.ranges ~grain ~lo:0 ~hi:(Array.length rarr) in
-  let scattered =
-    Pool.map_list
-      (fun (a, b) ->
-        let buckets = Array.make nparts [] in
-        for i = b - 1 downto a do
-          let row = rarr.(i) in
-          let p = part_of (rkey row) in
-          buckets.(p) <- row :: buckets.(p)
-        done;
-        buckets)
-      chunk_ranges
-  in
-  let tables =
-    Pool.map_array
-      (fun p ->
-        let table = Hashtbl.create 1024 in
-        List.iter
-          (fun buckets ->
-            List.iter
-              (fun row ->
-                let k = rkey row in
-                let existing = try Hashtbl.find table k with Not_found -> [] in
-                Hashtbl.replace table k (row :: existing))
-              buckets.(p))
-          scattered;
-        table)
-      (Array.init nparts Fun.id)
-  in
-  let probe_ranges = Pool.ranges ~grain ~lo:0 ~hi:(Array.length larr) in
-  let outs =
-    Pool.map_list
-      (fun (a, b) ->
-        let acc = ref [] in
-        for i = a to b - 1 do
-          let lrow = larr.(i) in
-          let k = lkey lrow in
-          match Hashtbl.find_opt tables.(part_of k) k with
-          | None -> ()
-          | Some matches ->
-            List.iter
-              (fun rrow -> acc := Array.append lrow rrow :: !acc)
-              (List.rev matches)
-        done;
-        List.rev !acc)
-      probe_ranges
-  in
-  List.concat outs
-
 let hash_join ?trace ~on left right =
   let lidx = List.map (fun (l, _) -> Schema.index left.schema l) on in
   let ridx = List.map (fun (_, r) -> Schema.index right.schema r) on in
@@ -200,40 +125,27 @@ let hash_join ?trace ~on left right =
         Some (name, Gb_obs.Obs.now (), Gb_obs.Profile.start ())
       | _ -> None
     in
-    let lanes = Gb_par.Pool.jobs () in
-    if lanes > 1 && not (Gb_par.Pool.in_parallel_region ()) then begin
-      let out =
-        hash_join_par ~lanes ~lkey:(key lidx) ~rkey:(key ridx) left.rows
-          right.rows
-      in
-      (match tr with
-      | Some (name, t0, gc) -> emit_op_span ~name ~t0 ~gc (List.length out)
-      | None -> ());
-      List.to_seq out ()
-    end
-    else begin
-      let table = build () in
-      let n = ref 0 in
-      let rec outer l () =
-        match l () with
-        | Seq.Nil ->
-          (match tr with
-          | Some (name, t0, gc) -> emit_op_span ~name ~t0 ~gc !n
-          | None -> ());
-          Seq.Nil
-        | Seq.Cons (lrow, lrest) -> (
-          match Hashtbl.find_opt table (key lidx lrow) with
-          | None -> outer lrest ()
-          | Some matches -> inner lrow (List.rev matches) lrest ())
-      and inner lrow ms lrest () =
-        match ms with
-        | [] -> outer lrest ()
-        | rrow :: tl ->
-          incr n;
-          Seq.Cons (Array.append lrow rrow, inner lrow tl lrest)
-      in
-      outer left.rows ()
-    end
+    let table = build () in
+    let n = ref 0 in
+    let rec outer l () =
+      match l () with
+      | Seq.Nil ->
+        (match tr with
+        | Some (name, t0, gc) -> emit_op_span ~name ~t0 ~gc !n
+        | None -> ());
+        Seq.Nil
+      | Seq.Cons (lrow, lrest) -> (
+        match Hashtbl.find_opt table (key lidx lrow) with
+        | None -> outer lrest ()
+        | Some matches -> inner lrow (List.rev matches) lrest ())
+    and inner lrow ms lrest () =
+      match ms with
+      | [] -> outer lrest ()
+      | rrow :: tl ->
+        incr n;
+        Seq.Cons (Array.append lrow rrow, inner lrow tl lrest)
+    in
+    outer left.rows ()
   in
   { schema = out_schema; rows }
 
@@ -331,12 +243,6 @@ let sort ~by r =
   { r with rows }
 
 let limit n r = { r with rows = Seq.take n r.rows }
-
-let column_floats r name =
-  let i = Schema.index r.schema name in
-  let out = ref [] in
-  Seq.iter (fun row -> out := Value.to_float row.(i) :: !out) r.rows;
-  Array.of_list (List.rev !out)
 
 let guard ?(interval = 4096) ?trace check r =
   match trace with
@@ -465,56 +371,5 @@ let interval_join ?trace ?(min_overlap = 1) ~left_span:(llo, llen)
     | Some (name, t0, gc) -> emit_op_span ~name ~t0 ~gc (List.length out)
     | None -> ());
     List.to_seq out ()
-  in
-  { schema = out_schema; rows }
-
-let merge_join ~on left right =
-  let lidx = List.map (fun (l, _) -> Schema.index left.schema l) on in
-  let ridx = List.map (fun (_, r) -> Schema.index right.schema r) on in
-  let key idx row = List.map (fun i -> row.(i)) idx in
-  let cmp_keys a b =
-    let rec go = function
-      | [], [] -> 0
-      | x :: xs, y :: ys ->
-        let c = Value.compare x y in
-        if c <> 0 then c else go (xs, ys)
-      | _ -> invalid_arg "merge_join: key arity"
-    in
-    go (a, b)
-  in
-  let out_schema = Schema.concat left.schema right.schema in
-  let rows () =
-    let larr = Array.of_seq left.rows and rarr = Array.of_seq right.rows in
-    let by idx a b = cmp_keys (key idx a) (key idx b) in
-    Array.sort (by lidx) larr;
-    Array.sort (by ridx) rarr;
-    let out = ref [] in
-    let i = ref 0 and j = ref 0 in
-    let nl = Array.length larr and nr = Array.length rarr in
-    while !i < nl && !j < nr do
-      let lk = key lidx larr.(!i) and rk = key ridx rarr.(!j) in
-      let c = cmp_keys lk rk in
-      if c < 0 then incr i
-      else if c > 0 then incr j
-      else begin
-        (* Find the extent of the matching group on each side. *)
-        let i1 = ref !i in
-        while !i1 < nl && cmp_keys (key lidx larr.(!i1)) lk = 0 do
-          incr i1
-        done;
-        let j1 = ref !j in
-        while !j1 < nr && cmp_keys (key ridx rarr.(!j1)) rk = 0 do
-          incr j1
-        done;
-        for a = !i to !i1 - 1 do
-          for b = !j to !j1 - 1 do
-            out := Array.append larr.(a) rarr.(b) :: !out
-          done
-        done;
-        i := !i1;
-        j := !j1
-      end
-    done;
-    List.to_seq (List.rev !out) ()
   in
   { schema = out_schema; rows }

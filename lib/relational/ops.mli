@@ -45,9 +45,6 @@ val aggregate : group_by:string list -> aggs:(string * agg) list -> rel -> rel
 val sort : by:(string * [ `Asc | `Desc ]) list -> rel -> rel
 val limit : int -> rel -> rel
 
-val column_floats : rel -> string -> float array
-(** Materialize one column as floats (consumes the stream). *)
-
 val guard : ?interval:int -> ?trace:string -> (unit -> unit) -> rel -> rel
 (** [guard check r] invokes [check] every [interval] (default 4096) rows
     pulled through — the hook the engines use for cooperative query
@@ -79,8 +76,3 @@ val interval_join :
     left-side chunks and stitched in order, so output is bitwise
     identical at any domain count. Bumps ["relops_overlap_pairs"];
     [?trace] as in {!filter}. *)
-
-val merge_join : on:(string * string) list -> rel -> rel -> rel
-(** Sort-merge equi-join: sorts both inputs on the key columns, then
-    merges, emitting the cross product of each matching key group. Output
-    schema and row multiset match {!hash_join}. *)

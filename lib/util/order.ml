@@ -9,16 +9,6 @@ let argsort ?(descending = false) a =
   Array.sort cmp idx;
   idx
 
-let argsort_by cmp a =
-  let n = Array.length a in
-  let idx = Array.init n Fun.id in
-  let c i j =
-    let r = cmp a.(i) a.(j) in
-    if r <> 0 then r else Int.compare i j
-  in
-  Array.sort c idx;
-  idx
-
 let top_k k a =
   let k = min k (Array.length a) in
   let idx = argsort ~descending:true a in

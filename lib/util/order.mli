@@ -4,9 +4,6 @@ val argsort : ?descending:bool -> float array -> int array
 (** [argsort a] is the permutation of indices that sorts [a] ascending
     (stable on ties). *)
 
-val argsort_by : ('a -> 'a -> int) -> 'a array -> int array
-(** Index permutation sorting by a comparison function (stable). *)
-
 val top_k : int -> float array -> int array
 (** [top_k k a] are the indices of the [k] largest values of [a], in
     descending value order. [k] is clamped to [Array.length a]. *)

@@ -104,54 +104,6 @@ let test_matrix_roundtrip () =
   let sub = Dataframe.to_matrix d ~cols:[ "V3"; "V0" ] in
   Alcotest.(check (float 0.)) "reordered" (Mat.get m 2 3) (Mat.get sub 2 0)
 
-(* --- Rvec --- *)
-
-let test_rvec_seq_rep () =
-  Alcotest.(check (array (float 1e-12))) "seq" [| 1.; 3.; 5. |]
-    (Rvec.seq 1. 5. ~by:2.);
-  Alcotest.(check (array (float 1e-12))) "descending" [| 5.; 4.; 3. |]
-    (Rvec.seq 5. 3. ~by:(-1.));
-  Alcotest.(check (array (float 0.))) "rep" [| 7.; 7.; 7. |] (Rvec.rep 7. ~times:3)
-
-let test_rvec_cumsum_diff () =
-  let a = [| 1.; 2.; 3.; 4. |] in
-  Alcotest.(check (array (float 1e-12))) "cumsum" [| 1.; 3.; 6.; 10. |]
-    (Rvec.cumsum a);
-  Alcotest.(check (array (float 1e-12))) "diff" [| 1.; 1.; 1. |] (Rvec.diff a);
-  Alcotest.(check (array (float 1e-12))) "diff cumsum inverse" (Array.sub a 1 3 |> Array.map (fun _ -> 1.))
-    (Rvec.diff (Rvec.cumsum [| 1.; 1.; 1.; 1. |]) |> Array.map (fun _ -> 1.))
-
-let test_rvec_order_rank () =
-  let a = [| 3.; 1.; 2. |] in
-  Alcotest.(check (array int)) "order" [| 1; 2; 0 |] (Rvec.order a);
-  Alcotest.(check (array (float 1e-12))) "rank" [| 3.; 1.; 2. |] (Rvec.rank a)
-
-let test_rvec_tabulate () =
-  Alcotest.(check (array int)) "tabulate" [| 2; 0; 1 |]
-    (Rvec.tabulate [| 0; 2; 0; 7; -1 |] ~nbins:3)
-
-let test_rvec_scale () =
-  let s = Rvec.scale [| 1.; 2.; 3.; 4.; 5. |] in
-  Alcotest.(check (float 1e-9)) "mean 0" 0. (Gb_stats.Descriptive.mean s);
-  Alcotest.(check (float 1e-9)) "sd 1" 1. (Gb_stats.Descriptive.std s)
-
-let test_rvec_pminmax_which () =
-  let a = [| 1.; 5. |] and b = [| 3.; 2. |] in
-  Alcotest.(check (array (float 0.))) "pmax" [| 3.; 5. |] (Rvec.pmax a b);
-  Alcotest.(check (array (float 0.))) "pmin" [| 1.; 2. |] (Rvec.pmin a b);
-  Alcotest.(check int) "which_max" 1 (Rvec.which_max a);
-  Alcotest.(check int) "which_min" 0 (Rvec.which_min a)
-
-let test_rvec_sample () =
-  let a = Array.init 50 float_of_int in
-  let s = Rvec.sample a 10 in
-  Alcotest.(check int) "size" 10 (Array.length s);
-  let sorted = Array.copy s in
-  Array.sort compare sorted;
-  for i = 1 to 9 do
-    Alcotest.(check bool) "distinct" (sorted.(i) <> sorted.(i - 1)) true
-  done
-
 let suite =
   [
     ("shape", `Quick, test_shape);
@@ -163,12 +115,5 @@ let suite =
     ("order by", `Quick, test_order_by);
     ("aggregate mean", `Quick, test_aggregate_mean);
     ("matrix roundtrip", `Quick, test_matrix_roundtrip);
-    ("rvec seq/rep", `Quick, test_rvec_seq_rep);
-    ("rvec cumsum/diff", `Quick, test_rvec_cumsum_diff);
-    ("rvec order/rank", `Quick, test_rvec_order_rank);
-    ("rvec tabulate", `Quick, test_rvec_tabulate);
-    ("rvec scale", `Quick, test_rvec_scale);
-    ("rvec pmax/which", `Quick, test_rvec_pminmax_which);
-    ("rvec sample", `Quick, test_rvec_sample);
   ]
 

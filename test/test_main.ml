@@ -16,8 +16,6 @@ let () =
       ("storage", Test_storage.suite);
       ("dataframe", Test_dataframe.suite);
       ("arraydb", Test_arraydb.suite);
-      ("array-ops", Test_array_ops.suite);
-      ("sparse", Test_sparse.suite);
       ("mapreduce", Test_mapreduce.suite);
       ("cluster", Test_cluster.suite);
       ("fault", Test_fault.suite);

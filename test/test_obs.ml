@@ -388,6 +388,32 @@ let test_bench_json_roundtrip () =
     check Alcotest.int "record count" 2 (List.length g.Bench_json.records);
     List.iter2 check_record_eq f.Bench_json.records g.Bench_json.records
 
+(* A number past the float range is malformed input, not infinity
+   (which Bench_json would write back as null): both JSON consumers
+   return a positioned Error. *)
+let test_json_rejects_overflow () =
+  List.iter
+    (fun lit ->
+      match Trace_export.parse (Printf.sprintf "{\"ts\":%s}" lit) with
+      | Ok _ -> Alcotest.failf "%s accepted" lit
+      | Error e ->
+        checkb (lit ^ " error carries an offset") true
+          (Astring_contains.contains e "offset"))
+    [ "1e400"; "-1e400"; "1E999" ];
+  checkb "finite extremes still parse" true
+    (Result.is_ok (Trace_export.parse "[1e308, -1.7e308, 0]"));
+  let file median =
+    Printf.sprintf
+      {|{"genbase_bench":1,"section":"t","git_rev":"x","quick":true,"records":[
+{"name":"k","engine":"","query":"","size":"","unit":"s","better":"lower","iterations":1,"mean":1.5,"median":%s,"p95":1.5,"min":1.5,"max":1.5}
+]}|}
+      median
+  in
+  checkb "finite median parses" true
+    (Result.is_ok (Bench_json.of_string (file "1.5")));
+  checkb "overflowing median rejected" true
+    (Result.is_error (Bench_json.of_string (file "1e400")))
+
 let test_bench_diff () =
   let time_rec v = Option.get (Bench_json.make ~name:"kernel" [ v ]) in
   let avail_rec v =
@@ -726,6 +752,8 @@ let suite =
     Alcotest.test_case "gc profiling double gate" `Quick test_gc_double_gate;
     Alcotest.test_case "bench JSON round-trip" `Quick
       test_bench_json_roundtrip;
+    Alcotest.test_case "JSON rejects overflowing numbers" `Quick
+      test_json_rejects_overflow;
     Alcotest.test_case "bench diff verdicts" `Quick test_bench_diff;
     Alcotest.test_case "telemetry labeled families" `Quick
       test_telemetry_families;

@@ -1,7 +1,8 @@
 (* Domain pool: jobs parsing, parallel_for coverage and equivalence to
-   the sequential loop, map_reduce determinism, fork-join, exception
-   propagation (and pool reuse afterwards), nested regions running
-   inline, the par_tasks counter, and the memory-budget gate.
+   the sequential loop, ordered maps, exception propagation (and pool
+   reuse afterwards), nested regions running inline, the par_tasks
+   counter, concurrent submitters, region release, and the memory-budget
+   gate.
 
    The container running CI may have a single core; nothing here asserts
    wall-clock speedup — only correctness and determinism contracts. *)
@@ -73,73 +74,12 @@ let test_parallel_for_matches_sequential () =
             true (reference = out)))
     [ 1; 2; 4 ]
 
-(* --- map_reduce: deterministic tree reduction --- *)
+(* --- ordered maps --- *)
 
-let test_map_reduce_sum () =
-  (* Integer sum is associative, so every domain count agrees exactly. *)
-  let n = 100_000 in
-  let expect = n * (n - 1) / 2 in
+let test_ordered_maps () =
   List.iter
     (fun jobs ->
       with_jobs jobs (fun () ->
-          let total =
-            Pool.map_reduce ~grain:1024 ~lo:0 ~hi:n
-              ~map:(fun lo hi ->
-                let s = ref 0 in
-                for i = lo to hi - 1 do
-                  s := !s + i
-                done;
-                !s)
-              ~combine:( + ) ()
-          in
-          check Alcotest.int
-            (Printf.sprintf "sum at %d domains" jobs)
-            expect total))
-    [ 1; 2; 4 ]
-
-let test_map_reduce_float_deterministic () =
-  (* Floats: the reduction tree is a pure function of (range, grain), so
-     repeated runs at the same domain count are bitwise identical even
-     though domains race for chunks. *)
-  let n = 50_000 in
-  let run () =
-    Pool.map_reduce ~grain:512 ~lo:0 ~hi:n
-      ~map:(fun lo hi ->
-        let s = ref 0. in
-        for i = lo to hi - 1 do
-          s := !s +. (1. /. float_of_int (i + 1))
-        done;
-        !s)
-      ~combine:( +. ) ()
-  in
-  List.iter
-    (fun jobs ->
-      with_jobs jobs (fun () ->
-          let a = run () and b = run () in
-          checkb
-            (Printf.sprintf "bitwise repeatable at %d domains" jobs)
-            true
-            (Int64.bits_of_float a = Int64.bits_of_float b)))
-    [ 1; 2; 4 ];
-  (* At 1 domain map_reduce collapses to [map lo hi]: bitwise the plain
-     sequential accumulation over the whole range. *)
-  with_jobs 1 (fun () ->
-      let seq = ref 0. in
-      for i = 0 to n - 1 do
-        seq := !seq +. (1. /. float_of_int (i + 1))
-      done;
-      checkb "1 domain is the sequential fold" true
-        (Int64.bits_of_float !seq = Int64.bits_of_float (run ())))
-
-(* --- fork-join --- *)
-
-let test_par2_and_maps () =
-  List.iter
-    (fun jobs ->
-      with_jobs jobs (fun () ->
-          let a, b = Pool.par2 (fun () -> 6 * 7) (fun () -> "ok") in
-          check Alcotest.int "par2 left" 42 a;
-          check Alcotest.string "par2 right" "ok" b;
           let arr = Pool.map_array (fun x -> x * x) [| 1; 2; 3; 4; 5 |] in
           checkb "map_array order" true (arr = [| 1; 4; 9; 16; 25 |]);
           let l = Pool.map_list (fun x -> -x) [ 3; 1; 2 ] in
@@ -158,17 +98,9 @@ let test_exception_propagates_and_pool_survives () =
       | exception Kaboom _ -> ());
       (* The region must have fully quiesced: the pool is immediately
          reusable and subsequent results are intact. *)
-      let total =
-        Pool.map_reduce ~lo:0 ~hi:100
-          ~map:(fun lo hi ->
-            let s = ref 0 in
-            for i = lo to hi - 1 do
-              s := !s + i
-            done;
-            !s)
-          ~combine:( + ) ()
-      in
-      check Alcotest.int "pool usable after exception" 4950 total)
+      let squares = Pool.map_array (fun i -> i * i) (Array.init 100 Fun.id) in
+      checkb "pool usable after exception" true
+        (squares = Array.init 100 (fun i -> i * i)))
 
 let test_nested_runs_inline () =
   with_jobs 4 (fun () ->
@@ -184,19 +116,102 @@ let test_nested_runs_inline () =
           end);
       checkb "nested region ran inline" true !saw_nested_region)
 
+(* The ["par_tasks"] delta across [f], with telemetry on. *)
+let tasks_during f =
+  Gb_obs.Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Gb_obs.Telemetry.set_enabled false)
+    (fun () ->
+      let before = Gb_obs.Telemetry.counter_snapshot () in
+      f ();
+      let d = Gb_obs.Telemetry.counter_delta before in
+      Option.value ~default:0. (List.assoc_opt "par_tasks" d))
+
+(* Chunks of grain 10 over 1,000 indices: ~4 per lane, pinning the
+   chunking rule. *)
+let chunks_at = [ (2, 8); (4, 16) ]
+
 let test_tasks_counter () =
+  List.iter
+    (fun (jobs, chunks) ->
+      with_jobs jobs (fun () ->
+          let n =
+            tasks_during (fun () ->
+                Pool.parallel_for ~grain:10 ~lo:0 ~hi:1000 (fun _ _ -> ()))
+          in
+          check (Alcotest.float 0.)
+            (Printf.sprintf "par_tasks counts every chunk at %d lanes" jobs)
+            (float_of_int chunks) n))
+    chunks_at
+
+(* --- concurrent submitters ---
+
+   Two non-pool domains submitting at once, as two Serve.Live lanes do
+   whenever the pool has more than one lane: regions serialize, every
+   output is exact, and every chunk of every region runs once. *)
+
+let test_concurrent_submitters () =
+  let regions = 200 and n = 1000 in
+  List.iter
+    (fun (jobs, chunks) ->
+      with_jobs jobs (fun () ->
+          let submitter id () =
+            let out = Array.make n 0 in
+            let exact = ref true in
+            for r = 1 to regions do
+              Pool.parallel_for ~grain:10 ~lo:0 ~hi:n (fun lo hi ->
+                  for i = lo to hi - 1 do
+                    out.(i) <- (i * r) + id
+                  done);
+              for i = 0 to n - 1 do
+                if out.(i) <> (i * r) + id then exact := false
+              done
+            done;
+            !exact
+          in
+          let results = ref [] in
+          let tasks =
+            tasks_during (fun () ->
+                let ds = List.map (fun id -> Domain.spawn (submitter id)) [ 1; 2 ] in
+                results := List.map Domain.join ds)
+          in
+          checkb
+            (Printf.sprintf "every region exact at %d lanes" jobs)
+            true
+            (List.for_all Fun.id !results);
+          check (Alcotest.float 0.)
+            (Printf.sprintf "every chunk ran once at %d lanes" jobs)
+            (float_of_int (2 * regions * chunks))
+            tasks))
+    chunks_at
+
+(* --- a finished region releases its closure --- *)
+
+let[@inline never] submit_capturing released =
+  let data = Array.make 1000 0 in
+  Gc.finalise (fun _ -> Atomic.set released true) data;
+  Pool.parallel_for ~grain:10 ~lo:0 ~hi:1000 (fun lo hi ->
+      for i = lo to hi - 1 do
+        data.(i) <- i
+      done)
+
+let test_no_retention () =
   with_jobs 2 (fun () ->
-      Gb_obs.Telemetry.set_enabled true;
-      Fun.protect
-        ~finally:(fun () -> Gb_obs.Telemetry.set_enabled false)
-        (fun () ->
-          let before = Gb_obs.Telemetry.counter_snapshot () in
-          Pool.parallel_for ~grain:10 ~lo:0 ~hi:1000 (fun _ _ -> ());
-          let d = Gb_obs.Telemetry.counter_delta before in
-          checkb "par_tasks counts spawned chunks" true
-            (match List.assoc_opt "par_tasks" d with
-            | Some v -> v > 0.
-            | None -> false)))
+      let released = Atomic.make false in
+      submit_capturing released;
+      (* A worker may still be stepping off the finished region's cursor
+         when the submitter returns; a pool that keeps the region never
+         lets go, however many collections run. *)
+      let rec collected tries =
+        Gc.full_major ();
+        Atomic.get released
+        || tries > 0
+           && begin
+                Unix.sleepf 0.01;
+                collected (tries - 1)
+              end
+      in
+      checkb "captured array collected after the region" true (collected 50))
 
 (* --- Q6: overlap join bitwise identical at 1 vs 4 domains ---
 
@@ -322,15 +337,16 @@ let suite =
       test_parallel_for_coverage;
     Alcotest.test_case "parallel_for bitwise vs sequential" `Quick
       test_parallel_for_matches_sequential;
-    Alcotest.test_case "map_reduce integer sum" `Quick test_map_reduce_sum;
-    Alcotest.test_case "map_reduce float determinism" `Quick
-      test_map_reduce_float_deterministic;
-    Alcotest.test_case "par2 and ordered maps" `Quick test_par2_and_maps;
+    Alcotest.test_case "ordered maps" `Quick test_ordered_maps;
     Alcotest.test_case "exception propagation + reuse" `Quick
       test_exception_propagates_and_pool_survives;
     Alcotest.test_case "nested regions run inline" `Quick
       test_nested_runs_inline;
     Alcotest.test_case "par.tasks counter" `Quick test_tasks_counter;
+    Alcotest.test_case "concurrent submitters" `Quick
+      test_concurrent_submitters;
+    Alcotest.test_case "finished region releases its closure" `Quick
+      test_no_retention;
     Alcotest.test_case "Q6 bitwise at 1 vs 4 domains" `Quick
       test_q6_bitwise_across_domains;
     Alcotest.test_case "memory budget gate" `Quick test_budget;

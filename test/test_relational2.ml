@@ -1,5 +1,5 @@
-(* B+-tree, secondary indexes, sort-merge join, zone maps, and the logical
-   planner. *)
+(* The sort-merge interval join as an equi-join, and the logical planner:
+   predicate pushdown, column pruning, aggregation and EXPLAIN. *)
 
 open Gb_relational
 
@@ -21,206 +21,41 @@ let sort_rows rows =
       compare (Array.map Value.to_string a) (Array.map Value.to_string b))
     rows
 
-(* --- B+-tree --- *)
+(* --- sort-merge join --- *)
 
-let test_btree_insert_find () =
-  let t = Btree.create () in
-  for i = 0 to 999 do
-    Btree.insert t ((i * 7) mod 1000) i
-  done;
-  Alcotest.(check int) "size" 1000 (Btree.length t);
-  for k = 0 to 999 do
-    match Btree.find t k with
-    | [ v ] -> Alcotest.(check int) "value" k ((v * 7) mod 1000)
-    | other -> Alcotest.failf "key %d: %d values" k (List.length other)
-  done;
-  Alcotest.(check bool) "mem" (Btree.mem t 500) true;
-  Alcotest.(check bool) "not mem" (not (Btree.mem t 1000)) true
+(* Over unit-length spans [k, k+1) two rows overlap exactly when their
+   keys are equal, so the sort-merge interval sweep is an equi-join on k. *)
+let keyed = Schema.make [ ("k", Value.TInt); ("len", Value.TInt); ("v", Value.TFloat) ]
 
-let test_btree_duplicates () =
-  let t = Btree.create () in
-  List.iter (fun v -> Btree.insert t 5 v) [ "a"; "b"; "c" ];
-  Btree.insert t 4 "x";
-  Alcotest.(check (list string)) "insertion order" [ "a"; "b"; "c" ]
-    (Btree.find t 5)
+let unit_span_join left right =
+  Ops.interval_join ~left_span:("k", "len") ~right_span:("k", "len")
+    (Ops.of_list keyed left) (Ops.of_list keyed right)
 
-let test_btree_range () =
-  let t = Btree.create () in
-  for i = 0 to 99 do
-    Btree.insert t (i * 2) i
-  done;
-  let r = Btree.range t ~lo:10 ~hi:20 in
-  Alcotest.(check (list (pair int int))) "inclusive range"
-    [ (10, 5); (12, 6); (14, 7); (16, 8); (18, 9); (20, 10) ]
-    r;
-  Alcotest.(check (list (pair int int))) "empty range" []
-    (Btree.range t ~lo:201 ~hi:300)
-
-let test_btree_iter_sorted () =
-  let g = Gb_util.Prng.create 77L in
-  let t = Btree.create () in
-  for _ = 1 to 5000 do
-    Btree.insert t (Gb_util.Prng.int g 100000) ()
-  done;
-  let last = ref min_int and count = ref 0 and ok = ref true in
-  Btree.iter t (fun k () ->
-      if k < !last then ok := false;
-      last := k;
-      incr count);
-  Alcotest.(check bool) "sorted" !ok true;
-  Alcotest.(check int) "all visited" 5000 !count;
-  Alcotest.(check bool) "balanced height"
-    (Btree.height t <= 4)
-    true
-
-let test_btree_min_max () =
-  let t = Btree.create () in
-  Alcotest.(check (option int)) "empty min" None (Btree.min_key t);
-  List.iter (fun k -> Btree.insert t k ()) [ 42; 7; 99; 13 ];
-  Alcotest.(check (option int)) "min" (Some 7) (Btree.min_key t);
-  Alcotest.(check (option int)) "max" (Some 99) (Btree.max_key t)
-
-let prop_btree_matches_assoc =
-  QCheck.Test.make ~name:"btree find = assoc on random inserts" ~count:50
-    QCheck.(list_of_size (QCheck.Gen.int_range 0 400) (int_range 0 50))
-    (fun keys ->
-      let t = Btree.create () in
-      List.iteri (fun i k -> Btree.insert t k i) keys;
-      List.for_all
-        (fun probe ->
-          let expected =
-            List.filteri (fun _ k -> k = probe) keys
-            |> List.mapi (fun _ _ -> ())
-            |> List.length
-          in
-          List.length (Btree.find t probe) = expected)
-        [ 0; 10; 25; 50 ])
-
-(* --- Index --- *)
-
-let people_schema =
-  Schema.make
-    [ ("id", Value.TInt); ("grp", Value.TInt); ("score", Value.TFloat) ]
-
-let people_rows =
-  List.init 200 (fun i ->
-      [| Value.Int i; Value.Int (i mod 10); Value.Float (float_of_int i) |])
-
-let test_index_lookup () =
-  let rs = Row_store.of_rows people_schema people_rows in
-  let idx = Index.build_row_store rs ~on:"grp" in
-  Alcotest.(check int) "entries" 200 (Index.entry_count idx);
-  let hits = Ops.to_list (Index.lookup idx 3) in
-  Alcotest.(check int) "20 members of group 3" 20 (List.length hits);
-  List.iter
-    (fun row -> Alcotest.(check int) "group" 3 (Value.to_int row.(1)))
-    hits
-
-let test_index_range () =
-  let rs = Row_store.of_rows people_schema people_rows in
-  let idx = Index.build_row_store rs ~on:"id" in
-  let hits = Ops.to_list (Index.range_scan idx ~lo:10 ~hi:14) in
-  Alcotest.(check int) "five rows" 5 (List.length hits)
-
-let test_index_join_matches_hash_join () =
-  let rs = Row_store.of_rows people_schema people_rows in
-  let idx = Index.build_row_store rs ~on:"grp" in
-  let outer_schema = Schema.make [ ("grp", Value.TInt); ("tag", Value.TStr) ] in
-  let outer_rows =
-    [ [| Value.Int 1; Value.Str "one" |]; [| Value.Int 9; Value.Str "nine" |] ]
-  in
-  let via_index =
-    Ops.to_list
-      (Index.index_join (Ops.of_list outer_schema outer_rows) ~key:"grp" idx)
-  in
-  let via_hash =
-    Ops.to_list
-      (Ops.hash_join
-         ~on:[ ("grp", "grp") ]
-         (Ops.of_list outer_schema outer_rows)
-         (Ops.scan_row_store rs))
-  in
-  Alcotest.check rows_eq "same result" (sort_rows via_hash)
-    (sort_rows via_index)
-
-let test_index_col_store () =
-  let cs = Col_store.of_rows people_schema people_rows in
-  let idx = Index.build_col_store cs ~on:"grp" ~cols:[ "grp"; "score" ] in
-  let hits = Ops.to_list (Index.lookup idx 0) in
-  Alcotest.(check int) "members" 20 (List.length hits);
-  Alcotest.(check int) "narrow schema" 2 (Schema.arity (Index.schema idx))
-
-(* --- merge join --- *)
-
-let test_merge_join_matches_hash_join () =
+let test_sweep_join_matches_hash_join () =
   let g = Gb_util.Prng.create 5L in
-  let schema = Schema.make [ ("k", Value.TInt); ("v", Value.TFloat) ] in
   let mk n =
     List.init n (fun i ->
-        [| Value.Int (Gb_util.Prng.int g 20); Value.Float (float_of_int i) |])
+        [| Value.Int (Gb_util.Prng.int g 20); Value.Int 1; Value.Float (float_of_int i) |])
   in
   let left = mk 150 and right = mk 60 in
   let h =
     Ops.to_list
-      (Ops.hash_join ~on:[ ("k", "k") ] (Ops.of_list schema left)
-         (Ops.of_list schema right))
+      (Ops.hash_join ~on:[ ("k", "k") ] (Ops.of_list keyed left)
+         (Ops.of_list keyed right))
   in
-  let m =
-    Ops.to_list
-      (Ops.merge_join ~on:[ ("k", "k") ] (Ops.of_list schema left)
-         (Ops.of_list schema right))
-  in
-  Alcotest.check rows_eq "same multiset" (sort_rows h) (sort_rows m)
-
-let test_merge_join_empty_sides () =
-  let schema = Schema.make [ ("k", Value.TInt) ] in
-  let some = Ops.of_list schema [ [| Value.Int 1 |] ] in
-  let none = Ops.of_list schema [] in
-  Alcotest.(check int) "left empty" 0
-    (Ops.count (Ops.merge_join ~on:[ ("k", "k") ] none some));
-  let some2 = Ops.of_list schema [ [| Value.Int 1 |] ] in
-  let none2 = Ops.of_list schema [] in
-  Alcotest.(check int) "right empty" 0
-    (Ops.count (Ops.merge_join ~on:[ ("k", "k") ] some2 none2))
-
-(* --- zone maps --- *)
-
-let test_zone_map_range_scan () =
-  (* Sorted data: most blocks are skippable for a narrow range. *)
-  let n = 20_000 in
-  let schema = Schema.make [ ("k", Value.TInt); ("v", Value.TFloat) ] in
-  let rows =
-    List.init n (fun i -> [| Value.Int i; Value.Float (float_of_int (i * 2)) |])
-  in
-  let cs = Col_store.of_rows schema rows in
-  let seq, skipped =
-    Col_store.scan_range cs [ "k"; "v" ] ~on:"k" ~lo:100. ~hi:199.
-  in
-  let hits = List.of_seq seq in
-  Alcotest.(check int) "100 rows" 100 (List.length hits);
-  Alcotest.(check bool) "blocks skipped" (skipped >= 3) true;
+  let m = Ops.to_list (unit_span_join left right) in
+  Alcotest.(check bool) "keys collide" true (List.length h > 150);
   List.iter
-    (fun row ->
-      let k = Value.to_int row.(0) in
-      Alcotest.(check bool) "in range" (k >= 100 && k <= 199) true)
-    hits
+    (fun row -> Alcotest.(check int) "overlap_len" 1 (Value.to_int row.(6)))
+    m;
+  Alcotest.check rows_eq "same multiset" (sort_rows h)
+    (sort_rows (List.map (fun row -> Array.sub row 0 6) m))
 
-let test_zone_map_matches_filter () =
-  let g = Gb_util.Prng.create 6L in
-  let schema = Schema.make [ ("x", Value.TFloat) ] in
-  let rows =
-    List.init 5_000 (fun _ -> [| Value.Float (Gb_util.Prng.normal g) |])
-  in
-  let cs = Col_store.of_rows schema rows in
-  let seq, _ = Col_store.scan_range cs [ "x" ] ~on:"x" ~lo:0.5 ~hi:1.0 in
-  let via_zones = List.of_seq seq in
-  let via_filter =
-    Ops.to_list
-      (Ops.filter
-         Expr.(col "x" >=% float 0.5 &&% (col "x" <=% float 1.0))
-         (Ops.scan_col_store cs [ "x" ]))
-  in
-  Alcotest.check rows_eq "same rows" via_filter via_zones
+let test_sweep_join_empty_sides () =
+  let some = [ [| Value.Int 1; Value.Int 1; Value.Float 0. |] ] in
+  Alcotest.(check int) "left empty" 0 (Ops.count (unit_span_join [] some));
+  Alcotest.(check int) "right empty" 0 (Ops.count (unit_span_join some []));
+  Alcotest.(check int) "neither empty" 1 (Ops.count (unit_span_join some some))
 
 (* --- planner --- *)
 
@@ -336,20 +171,8 @@ let test_planner_explain () =
 
 let suite =
   [
-    ("btree insert/find", `Quick, test_btree_insert_find);
-    ("btree duplicates", `Quick, test_btree_duplicates);
-    ("btree range", `Quick, test_btree_range);
-    ("btree iter sorted + balanced", `Quick, test_btree_iter_sorted);
-    ("btree min/max", `Quick, test_btree_min_max);
-    QCheck_alcotest.to_alcotest prop_btree_matches_assoc;
-    ("index lookup", `Quick, test_index_lookup);
-    ("index range", `Quick, test_index_range);
-    ("index join = hash join", `Quick, test_index_join_matches_hash_join);
-    ("index over col store", `Quick, test_index_col_store);
-    ("merge join = hash join", `Quick, test_merge_join_matches_hash_join);
-    ("merge join empty sides", `Quick, test_merge_join_empty_sides);
-    ("zone map range scan", `Quick, test_zone_map_range_scan);
-    ("zone map matches filter", `Quick, test_zone_map_matches_filter);
+    ("merge join = hash join", `Quick, test_sweep_join_matches_hash_join);
+    ("merge join empty sides", `Quick, test_sweep_join_empty_sides);
     ("planner preserves semantics", `Quick, test_planner_semantics_preserved);
     ("planner pushes predicates", `Quick, test_planner_pushes_predicate);
     ("planner prunes columns", `Quick, test_planner_prunes_columns);

@@ -1,5 +1,4 @@
-(* Buffer pool, disk-spilling paged store, bitmaps, and the heap/top-k
-   utility. *)
+(* Buffer pool, disk-spilling paged store, and the heap/top-k utility. *)
 
 open Gb_relational
 
@@ -95,59 +94,6 @@ let test_paged_matches_row_store () =
     true;
   Paged_store.close ps
 
-(* --- bitmaps --- *)
-
-let test_bitmap_basics () =
-  let b = Bitmap.create 200 in
-  Bitmap.set b 0;
-  Bitmap.set b 63;
-  Bitmap.set b 199;
-  Alcotest.(check int) "cardinality" 3 (Bitmap.cardinality b);
-  Alcotest.(check bool) "get" (Bitmap.get b 63) true;
-  Bitmap.clear b 63;
-  Alcotest.(check bool) "cleared" (not (Bitmap.get b 63)) true;
-  Alcotest.(check (list int)) "to_list" [ 0; 199 ] (Bitmap.to_list b);
-  Alcotest.check_raises "bounds" (Invalid_argument "Bitmap: index out of range")
-    (fun () -> Bitmap.set b 200)
-
-let test_bitmap_ops () =
-  let a = Bitmap.of_list 100 [ 1; 5; 50; 99 ] in
-  let b = Bitmap.of_list 100 [ 5; 50; 80 ] in
-  Alcotest.(check (list int)) "and" [ 5; 50 ] (Bitmap.to_list (Bitmap.band a b));
-  Alcotest.(check (list int)) "or" [ 1; 5; 50; 80; 99 ]
-    (Bitmap.to_list (Bitmap.bor a b));
-  Alcotest.(check (list int)) "xor" [ 1; 80; 99 ]
-    (Bitmap.to_list (Bitmap.bxor a b));
-  Alcotest.(check int) "inter count" 2 (Bitmap.inter_count a b);
-  let n = Bitmap.bnot a in
-  Alcotest.(check int) "not cardinality" 96 (Bitmap.cardinality n);
-  Alcotest.(check bool) "not flips" (Bitmap.get n 0) true
-
-let test_bitmap_go_membership () =
-  (* The GO matrix use case: genes per term as bitmaps; intersecting two
-     terms counts co-annotated genes. *)
-  let ds = Genbase.Dataset.generate (Gb_datagen.Spec.custom ~genes:80 ~patients:30) in
-  let terms = ds.Gb_datagen.Generate.spec.Gb_datagen.Spec.go_terms in
-  let maps = Array.init terms (fun _ -> Bitmap.create 80) in
-  Array.iter
-    (fun (g, t) -> Bitmap.set maps.(t) g)
-    ds.Gb_datagen.Generate.go;
-  let total =
-    Array.fold_left (fun acc m -> acc + Bitmap.cardinality m) 0 maps
-  in
-  Alcotest.(check int) "pairs preserved"
-    (Array.length ds.Gb_datagen.Generate.go)
-    total
-
-let prop_bitmap_demorgan =
-  QCheck.Test.make ~name:"de morgan on bitmaps" ~count:50
-    QCheck.(pair (list_of_size (QCheck.Gen.int_range 0 50) (int_range 0 99))
-              (list_of_size (QCheck.Gen.int_range 0 50) (int_range 0 99)))
-    (fun (xs, ys) ->
-      let a = Bitmap.of_list 100 xs and b = Bitmap.of_list 100 ys in
-      Bitmap.to_list (Bitmap.bnot (Bitmap.band a b))
-      = Bitmap.to_list (Bitmap.bor (Bitmap.bnot a) (Bitmap.bnot b)))
-
 (* --- heap --- *)
 
 let test_heap_sorts () =
@@ -182,10 +128,6 @@ let suite =
     ("paged store scan", `Quick, test_paged_store_scan);
     ("paged store spills to disk", `Quick, test_paged_store_spills);
     ("paged store = row store", `Quick, test_paged_matches_row_store);
-    ("bitmap basics", `Quick, test_bitmap_basics);
-    ("bitmap ops", `Quick, test_bitmap_ops);
-    ("bitmap GO membership", `Quick, test_bitmap_go_membership);
-    QCheck_alcotest.to_alcotest prop_bitmap_demorgan;
     ("heap sorts", `Quick, test_heap_sorts);
     ("heap top-k", `Quick, test_heap_top_k);
     QCheck_alcotest.to_alcotest prop_top_k_matches_sort;
