@@ -6,24 +6,14 @@
 module H = Genbase.Harness
 
 (* The streaming executor joins the availability table as a single-node
-   row: its fault plan crashes the ingest loop mid-stream, so the cells
-   exercise checkpoint restore + batch replay rather than BSP recovery.
-   Same chaos seed discipline as the grid engines. *)
+   row, on the largest configured size. *)
 let stream_cells config =
-  let sizes = config.H.sizes in
-  let size = List.nth sizes (List.length sizes - 1) in
+  let size = List.nth config.H.sizes (List.length config.H.sizes - 1) in
   let ds =
     Genbase.Dataset.generate ~seed:config.H.seed
       (Gb_datagen.Spec.of_size size)
   in
-  let fault = H.chaos_plan H.default_chaos ~engine:"Streaming IVM" ~nodes:1 in
-  (* 64 batches spans the plan's full superstep range, so the configured
-     crash probability actually lands mid-stream. *)
-  let profile = Gb_stream.Ingest.profile ~batches:64 () in
-  let engine = Gb_stream.Exec.engine ~fault ~profile () in
-  List.map
-    (fun q -> H.run_cell engine ds q ~timeout_s:config.H.timeout_s)
-    Genbase.Query.all
+  Gb_stream.Exec.chaos_cells H.default_chaos ds ~timeout_s:config.H.timeout_s
 
 let run config =
   let cells = H.chaos_cells config @ stream_cells config in

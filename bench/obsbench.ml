@@ -61,7 +61,7 @@ let estimate test =
   (name, est)
 
 (* Interleaved enabled/disabled measurement of one full cell, mirroring
-   `genbase trace --overhead-check`: median ratio over several
+   `genbase run --overhead-check`: median ratio over several
    best-of-n interleaved rounds, so one noisy round cannot dominate. *)
 let cell_overhead () =
   let ds =

@@ -4,6 +4,10 @@
 open Cmdliner
 module Spec = Gb_datagen.Spec
 
+(* A conv over a library parser that reports errors as strings. *)
+let conv_of parse print =
+  Arg.conv ((fun s -> Result.map_error (fun m -> `Msg m) (parse s)), print)
+
 let size_conv =
   let parse = function
     | "small" -> Ok Spec.Small
@@ -53,16 +57,13 @@ let size_arg =
     & info [ "size" ] ~docv:"SIZE"
         ~doc:"Data set size: small, medium, large or xlarge.")
 
+let timeout_arg ?(doc = "Benchmark cut-off window.") default =
+  Arg.(value & opt float default & info [ "timeout" ] ~docv:"SECONDS" ~doc)
+
 (* Domain-pool sizing. The conv rejects 0, negatives and non-numeric
    input with a usage error; attaching the GENBASE_DOMAINS env var to
    the flag means env values get the same validation for free. *)
-let jobs_conv =
-  let parse s =
-    match Gb_par.Pool.parse_jobs s with
-    | Ok n -> Ok n
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, Format.pp_print_int)
+let jobs_conv = conv_of Gb_par.Pool.parse_jobs Format.pp_print_int
 
 let jobs_arg =
   Arg.(
@@ -80,6 +81,39 @@ let jobs_arg =
 (* Evaluated before each command body: turns the validated count into
    the process-wide pool size. *)
 let jobs_term = Term.(const Gb_par.Pool.set_jobs $ jobs_arg)
+
+(* Queries by number or name; anything else is a usage error. *)
+let query_conv =
+  conv_of
+    (fun s ->
+      Option.to_result ~none:(Printf.sprintf "unknown query %S" s)
+        (Genbase.Query.of_name s))
+    (fun fmt q -> Format.pp_print_string fmt (Genbase.Query.name q))
+
+(* Engine lookup for every subcommand that names engines; [sql] is an
+   alias for the column store with in-database UDFs. *)
+let find_engine nodes key =
+  let alias = if key = "sql" then "colstore-udf" else key in
+  match List.assoc_opt alias (engine_table nodes) with
+  | Some e -> e
+  | None ->
+    Printf.eprintf "unknown engine %s (try `genbase list`)\n" key;
+    exit 2
+
+let write_file file text =
+  Out_channel.with_open_text file (fun oc -> output_string oc text)
+
+(* Write a Chrome trace and read it back through the strict importer:
+   an export that does not read back is a bug worth failing the run
+   over. *)
+let write_trace file events =
+  let json = Gb_obs.Trace_export.chrome_json events in
+  write_file file json;
+  match Gb_obs.Trace_export.validate_chrome json with
+  | Ok n -> Printf.printf "wrote %s: %d events, valid Chrome trace\n" file n
+  | Error msg ->
+    Printf.eprintf "exported trace failed validation: %s\n" msg;
+    exit 1
 
 (* --- generate --- *)
 
@@ -141,22 +175,108 @@ let describe_payload = function
         if i < 5 then Printf.printf "  variant %d ~ gene %d: %d bp\n" v g len)
       o.pairs
 
+let overhead_budget_pct = 5.0
+
+(* The overhead check compares two measurements of the same cell taken
+   moments apart, so it interleaves the disabled and enabled runs and
+   keeps each side's best of several repetitions — otherwise transient
+   machine load drowns the few-percent effect it is after (same trick as
+   the harness's Phi comparison). One such round is still a single
+   sample of a ~10ms cell, so the check takes the median ratio over
+   several independent rounds: a round polluted by a scheduler hiccup
+   gets voted out instead of failing CI. *)
+let check_overhead e ds q ~timeout_s =
+  let module Obs = Gb_obs.Obs in
+  let module Tele = Gb_obs.Telemetry in
+  let one enabled =
+    Obs.set_enabled enabled;
+    Tele.set_enabled enabled;
+    Obs.reset ();
+    Tele.reset ();
+    match Genbase.Engine.run e ds q ~timeout_s () with
+    | Genbase.Engine.Completed (t, _) | Genbase.Engine.Degraded (t, _, _) ->
+      Genbase.Engine.total t
+    | o ->
+      Printf.eprintf "engine did not complete: %s\n"
+        (Format.asprintf "%a" Genbase.Engine.pp_outcome o);
+      exit 1
+  in
+  let round () =
+    let off = ref infinity and on_ = ref infinity in
+    for _ = 1 to 6 do
+      off := Float.min !off (one false);
+      on_ := Float.min !on_ (one true)
+    done;
+    (!off, !on_)
+  in
+  let rounds = List.init 5 (fun _ -> round ()) in
+  Obs.set_enabled false;
+  Tele.set_enabled false;
+  let pct (off, on) = 100. *. ((on /. off) -. 1.) in
+  List.iteri
+    (fun i (off, on) ->
+      Printf.printf
+        "round %d: disabled best %.6fs  enabled best %.6fs  %+.2f%%\n" i off
+        on
+        (pct (off, on)))
+    rounds;
+  let pcts = List.sort compare (List.map pct rounds) in
+  let median = List.nth pcts (List.length pcts / 2) in
+  Printf.printf "median overhead: %+.2f%% (budget %.2f%%)\n" median
+    overhead_budget_pct;
+  if median > overhead_budget_pct then begin
+    Printf.eprintf "tracing overhead exceeds budget\n";
+    exit 1
+  end
+
+(* The traced cell's report: the validated export, the flame tree, the
+   span summary, the cell's counters, and its root span against the
+   harness total (equal by construction: the root span's duration is
+   the kept attempt's engine total). *)
+let report_trace file (cell : Genbase.Harness.cell) =
+  let module Obs = Gb_obs.Obs in
+  let module Tx = Gb_obs.Trace_export in
+  let events = Obs.events () in
+  write_trace file events;
+  print_newline ();
+  print_endline (Tx.flame events);
+  print_endline (Tx.summary ~exclude_cat:"cell" events);
+  (match cell.Genbase.Harness.counters with
+  | [] -> ()
+  | counters ->
+    print_endline "counters:";
+    List.iter (fun (name, v) -> Printf.printf "  %-28s %.6g\n" name v) counters);
+  let root =
+    List.find_map
+      (function
+        | Obs.Span_ev s when s.Obs.cat = "cell" -> Some s.Obs.dur | _ -> None)
+      events
+  in
+  match (root, Genbase.Harness.total_seconds cell) with
+  | Some dur, Some total when Float.is_finite total ->
+    Printf.printf "\nroot span %.6fs vs harness total %.6fs (%+.3f%%)\n" dur
+      total
+      (if total > 0. then 100. *. ((dur /. total) -. 1.) else 0.)
+  | _ -> ()
+
 let run_cmd =
   let query =
     Arg.(
       required
-      & opt (some string) None
+      & opt (some query_conv) None
       & info [ "query" ] ~docv:"QUERY"
           ~doc:
-            "One of regression, covariance, biclustering, svd, statistics, \
-             overlap.")
+            "Query: 1-6, or one of regression, covariance, biclustering, \
+             svd, statistics, overlap.")
   in
   let engine =
     Arg.(
       value
       & opt string "scidb"
       & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Engine name; see $(b,genbase list).")
+          ~doc:
+            "Engine name (see $(b,genbase list)); $(b,sql) is an alias for \
+             the column store with in-database UDFs.")
   in
   let nodes =
     Arg.(
@@ -164,113 +284,90 @@ let run_cmd =
       & opt int 1
       & info [ "nodes" ] ~docv:"N" ~doc:"Node count for multi-node engines.")
   in
-  let timeout =
+  let trace =
     Arg.(
       value
-      & opt float 120.
-      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Benchmark cut-off window.")
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Run the cell with tracing and GC profiling on, write a \
+             Perfetto-loadable Chrome trace to FILE, and print the flame \
+             tree, the span summary and the telemetry counters.")
   in
-  let run () size seed query engine nodes timeout =
-    match Genbase.Query.of_name query with
-    | None ->
-      Printf.eprintf "unknown query %s\n" query;
-      exit 2
-    | Some q -> (
-      match List.assoc_opt engine (engine_table nodes) with
-      | None ->
-        Printf.eprintf "unknown engine %s (try `genbase list`)\n" engine;
-        exit 2
-      | Some e ->
-        let ds = Gb_datagen.Generate.generate ~seed (Spec.of_size size) in
-        (match Genbase.Engine.run e ds q ~timeout_s:timeout () with
-        | Genbase.Engine.Completed (t, payload) ->
-          Printf.printf "%s / %s / %s: dm=%.3fs analytics=%.3fs total=%.3fs\n"
-            e.Genbase.Engine.name (Genbase.Query.name q) (Spec.label size)
-            t.Genbase.Engine.dm t.Genbase.Engine.analytics
-            (Genbase.Engine.total t);
-          describe_payload payload
-        | o ->
-          Printf.printf "%s / %s / %s: %s\n" e.Genbase.Engine.name
-            (Genbase.Query.name q) (Spec.label size)
-            (Format.asprintf "%a" Genbase.Engine.pp_outcome o)))
+  let overhead_check =
+    Arg.(
+      value & flag
+      & info [ "overhead-check" ]
+          ~doc:
+            "Instead of reporting the cell, measure it with tracing \
+             disabled and enabled and exit 1 if the enabled run is more \
+             than 5% slower.")
+  in
+  let run () size seed q engine nodes timeout trace overhead_check =
+    let e = find_engine nodes engine in
+    let ds = Gb_datagen.Generate.generate ~seed (Spec.of_size size) in
+    if overhead_check then check_overhead e ds q ~timeout_s:timeout
+    else begin
+      (* Tracing turns telemetry on for the cell (run_cell), so its
+         counters fill; it also profiles the GC, so spans and counters
+         carry allocation deltas. The overhead check leaves profiling
+         off, matching the default-off contract it bounds. *)
+      if trace <> None then begin
+        Gb_obs.Obs.set_enabled true;
+        Gb_obs.Profile.set_enabled true;
+        Gb_obs.Obs.reset ()
+      end;
+      let cell = Genbase.Harness.run_cell e ds q ~timeout_s:timeout in
+      Gb_obs.Obs.set_enabled false;
+      Gb_obs.Profile.set_enabled false;
+      (match cell.Genbase.Harness.outcome with
+      | Genbase.Engine.Completed (t, payload) ->
+        Printf.printf "%s / %s / %s: dm=%.3fs analytics=%.3fs total=%.3fs\n"
+          e.Genbase.Engine.name (Genbase.Query.name q) (Spec.label size)
+          t.Genbase.Engine.dm t.Genbase.Engine.analytics
+          (Genbase.Engine.total t);
+        describe_payload payload
+      | o ->
+        Printf.printf "%s / %s / %s: %s\n" e.Genbase.Engine.name
+          (Genbase.Query.name q) (Spec.label size)
+          (Format.asprintf "%a" Genbase.Engine.pp_outcome o));
+      Option.iter (fun file -> report_trace file cell) trace
+    end
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one benchmark query on one engine.")
+    (Cmd.info "run"
+       ~doc:
+         "Run one benchmark query on one engine (best of 5 for sub-second \
+          cells), optionally traced to a Chrome trace or checked against \
+          the tracing overhead budget.")
     Term.(
       const run $ jobs_term $ size_arg $ seed_arg $ query $ engine $ nodes
-      $ timeout)
+      $ timeout_arg 120. $ trace $ overhead_check)
 
 (* --- explain --- *)
 
 let explain_cmd =
   let run () size seed =
     let ds = Gb_datagen.Generate.generate ~seed (Spec.of_size size) in
-    let db = Genbase.Dataset.load_col_stores ds in
-    let open Gb_relational in
-    let table = function
-      | "microarray" -> db.Genbase.Dataset.microarray_c
-      | "patients" -> db.Genbase.Dataset.patients_c
-      | "genes" -> db.Genbase.Dataset.genes_c
-      | "go" -> db.Genbase.Dataset.go_c
-      | "variants" -> db.Genbase.Dataset.variants_c
-      | t -> invalid_arg t
-    in
     let cat =
-      {
-        Plan.scan =
-          (fun t cols ->
-            Ops.traced ~name:("scan:" ^ t) (Ops.scan_col_store (table t) cols));
-        schema_of = (fun t -> Col_store.schema (table t));
-        row_count = (fun t -> Col_store.row_count (table t));
-      }
-    in
-    let join left right on = Plan.Join { left; right; on } in
-    let plans =
-      [
-        ( "Q1/Q4 data management (genes by function x microarray)",
-          Plan.Project
-            ( [ "patient_id"; "gene_id"; "value" ],
-              Plan.Filter
-                ( Expr.(col "func" <% int 250),
-                  join
-                    (Plan.Scan ("microarray", []))
-                    (Plan.Scan ("genes", []))
-                    [ ("gene_id", "gene_id") ] ) ) );
-        ( "Q2 data management (patients by disease x microarray)",
-          Plan.Project
-            ( [ "patient_id"; "gene_id"; "value" ],
-              Plan.Filter
-                ( Expr.(col "disease_id" =% int 1),
-                  join
-                    (Plan.Scan ("microarray", []))
-                    (Plan.Scan ("patients", []))
-                    [ ("patient_id", "patient_id") ] ) ) );
-        ( "Q5 data management (sampled patients, mean per gene)",
-          Plan.Aggregate
-            {
-              group_by = [ "gene_id" ];
-              aggs = [ ("score", Ops.Avg "value") ];
-              input =
-                Plan.Filter
-                  ( Expr.(col "patient_id" <% int 10),
-                    Plan.Scan ("microarray", []) );
-            } );
-        ( "Q6 overlap join (variants x gene coordinates)",
-          Genbase.Relops.q6_plan Genbase.Query.default_params );
-      ]
+      Genbase.Relops.catalog
+        (Genbase.Engine_sql.make_db Genbase.Engine_sql.Col_backend ds
+           ~check:ignore)
     in
     List.iter
       (fun (title, p) ->
-        Printf.printf "=== %s ===\n%s" title (Plan.explain cat p);
-        Printf.printf "EXPLAIN ANALYZE:\n%s\n" (Plan.explain_analyze cat p))
-      plans
+        Printf.printf "=== %s ===\n%s" title (Gb_relational.Plan.explain cat p);
+        Printf.printf "EXPLAIN ANALYZE:\n%s\n"
+          (Gb_relational.Plan.explain_analyze cat p))
+      (Genbase.Relops.plans Genbase.Query.default_params
+         ~n_patients:(Array.length ds.Gb_datagen.Generate.patients))
   in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
-         "Show optimized query plans for the benchmark's DM phases, then \
-          execute each and report estimated vs actual per-operator row \
-          counts (EXPLAIN ANALYZE).")
+         "Show the optimized plans the SQL engines execute for the \
+          benchmark's DM phases, then execute each and report estimated \
+          vs actual per-operator row counts (EXPLAIN ANALYZE).")
     Term.(const run $ jobs_term $ size_arg $ seed_arg)
 
 (* --- seqgen --- *)
@@ -313,12 +410,6 @@ let suite_cmd =
       & opt string "results.csv"
       & info [ "out" ] ~docv:"FILE" ~doc:"CSV file for the raw cell grid.")
   in
-  let timeout =
-    Arg.(
-      value
-      & opt float 60.
-      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Benchmark cut-off window.")
-  in
   let sizes =
     Arg.(
       value
@@ -336,16 +427,14 @@ let suite_cmd =
       }
     in
     let cells = Genbase.Harness.single_node_cells config in
-    let oc = open_out out in
-    output_string oc (Genbase.Harness.to_csv cells);
-    close_out oc;
+    write_file out (Genbase.Harness.to_csv cells);
     Printf.printf "wrote %d cells to %s\n" (List.length cells) out;
     List.iter print_endline (Genbase.Harness.fig1 cells)
   in
   Cmd.v
     (Cmd.info "suite"
        ~doc:"Run the full single-node grid and dump raw results as CSV.")
-    Term.(const run $ jobs_term $ seed_arg $ out $ timeout $ sizes)
+    Term.(const run $ jobs_term $ seed_arg $ out $ timeout_arg 60. $ sizes)
 
 (* --- chaos --- *)
 
@@ -355,12 +444,6 @@ let chaos_cmd =
       value
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE" ~doc:"Optional CSV file for the raw cells.")
-  in
-  let timeout =
-    Arg.(
-      value
-      & opt float 60.
-      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Benchmark cut-off window.")
   in
   let d = Genbase.Harness.default_chaos in
   let prob name ~doc default =
@@ -414,27 +497,16 @@ let chaos_cmd =
         progress = Some (fun s -> Printf.eprintf "%s\n%!" s);
       }
     in
-    let stream_cells =
-      (* The streaming executor joins the table as a single-node row:
-         its plan crashes the ingest loop, exercising checkpoint
-         restore + replay. 64 batches spans the plan's superstep range. *)
-      let ds = Genbase.Dataset.generate ~seed (Spec.of_size size) in
-      let fault =
-        Genbase.Harness.chaos_plan chaos ~engine:"Streaming IVM" ~nodes:1
-      in
-      let profile = Gb_stream.Ingest.profile ~batches:64 () in
-      let engine = Gb_stream.Exec.engine ~fault ~profile () in
-      List.map
-        (fun q -> Genbase.Harness.run_cell engine ds q ~timeout_s:timeout)
-        Genbase.Query.all
+    let cells =
+      Genbase.Harness.chaos_cells ~chaos config
+      @ Gb_stream.Exec.chaos_cells chaos
+          (Genbase.Dataset.generate ~seed (Spec.of_size size))
+          ~timeout_s:timeout
     in
-    let cells = Genbase.Harness.chaos_cells ~chaos config @ stream_cells in
     (match out with
     | None -> ()
     | Some file ->
-      let oc = open_out file in
-      output_string oc (Genbase.Harness.to_csv cells);
-      close_out oc;
+      write_file file (Genbase.Harness.to_csv cells);
       Printf.printf "wrote %d cells to %s\n" (List.length cells) file);
     print_endline (Genbase.Harness.availability cells)
   in
@@ -444,7 +516,7 @@ let chaos_cmd =
          "Run the multi-node grid under deterministic fault injection and \
           report per-engine availability.")
     Term.(
-      const run $ jobs_term $ size_arg $ seed_arg $ out $ timeout $ fault_seed
+      const run $ jobs_term $ size_arg $ seed_arg $ out $ timeout_arg 60. $ fault_seed
       $ crash $ straggler $ oom $ drop $ task_fail)
 
 (* --- conformance --- *)
@@ -466,32 +538,12 @@ let conformance_cmd =
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Number of data-set seeds (derived from --seed).")
   in
-  let timeout =
-    Arg.(
-      value
-      & opt float 60.
-      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-cell cut-off window.")
-  in
   let out =
     Arg.(
       value
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:"CSV file for the raw conformance cells (the CI artifact).")
-  in
-  let no_fuzz =
-    Arg.(
-      value & flag
-      & info [ "no-fuzz" ]
-          ~doc:"Run the paper's default query parameters on every seed.")
-  in
-  let no_chaos =
-    Arg.(
-      value & flag
-      & info [ "no-chaos" ]
-          ~doc:
-            "Skip the fault-injection conformance grid (degraded runs \
-             checked against fault-free ones).")
   in
   let nodes =
     Arg.(
@@ -500,30 +552,25 @@ let conformance_cmd =
       & info [ "nodes" ] ~docv:"NODES"
           ~doc:"Node counts for the chaos conformance grid.")
   in
-  let run () size seed quick seeds timeout out no_fuzz no_chaos nodes =
+  let run () size seed quick seeds timeout out nodes =
     let timeout = if quick then 30. else timeout in
     let config =
       {
         M.spec = Spec.of_size (if quick then Spec.Small else size);
         seeds = M.seeds_from ~base:seed (max 1 seeds);
         timeout_s = timeout;
-        fuzz = not no_fuzz;
+        fuzz = true;
         progress = Some (fun s -> Printf.eprintf "%s\n%!" s);
       }
     in
     let cells = M.differential config in
-    let chaos_cells =
-      if no_chaos then [] else M.chaos_conformance ~node_counts:nodes config
-    in
-    let all = cells @ chaos_cells in
+    let all = cells @ M.chaos_conformance ~node_counts:nodes config in
     print_endline (M.render all);
     print_string (M.summary all);
     (match out with
     | None -> ()
     | Some file ->
-      let oc = open_out file in
-      output_string oc (M.to_csv all);
-      close_out oc;
+      write_file file (M.to_csv all);
       Printf.printf "wrote %d cells to %s\n" (List.length all) file);
     if not (M.conforming all) then exit 1
   in
@@ -533,210 +580,9 @@ let conformance_cmd =
          "Check every engine's answers against the Vanilla R reference \
           (differential + fault-injected grids); exit 1 on any mismatch.")
     Term.(
-      const run $ jobs_term $ size_arg $ seed_arg $ quick $ seeds $ timeout
-      $ out $ no_fuzz $ no_chaos $ nodes)
-
-(* --- trace --- *)
-
-let trace_cmd =
-  let module Obs = Gb_obs.Obs in
-  let module Tele = Gb_obs.Telemetry in
-  let module Tx = Gb_obs.Trace_export in
-  let module H = Genbase.Harness in
-  let query =
-    Arg.(
-      value
-      & opt string "1"
-      & info [ "query" ] ~docv:"QUERY"
-          ~doc:"Query: 1-5, or regression, covariance, biclustering, svd, \
-                statistics.")
-  in
-  let engine =
-    Arg.(
-      value
-      & opt string "sql"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Engine name (see $(b,genbase list)); $(b,sql) is an alias for \
-             the column store with in-database UDFs.")
-  in
-  let nodes =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "nodes" ] ~docv:"N" ~doc:"Node count for multi-node engines.")
-  in
-  let timeout =
-    Arg.(
-      value
-      & opt float 120.
-      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Benchmark cut-off window.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "trace.json"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Output file for the Chrome trace_event JSON.")
-  in
-  let overhead_check =
-    Arg.(
-      value & flag
-      & info [ "overhead-check" ]
-          ~doc:
-            "Instead of exporting a trace, measure the cell with tracing \
-             disabled and enabled and exit 1 if the enabled run is more \
-             than the budget slower.")
-  in
-  let overhead_budget =
-    Arg.(
-      value
-      & opt float 5.0
-      & info [ "overhead-budget" ] ~docv:"PERCENT"
-          ~doc:"Allowed tracing overhead for --overhead-check.")
-  in
-  let resolve_query s =
-    match s with
-    | "1" -> Some Genbase.Query.Q1_regression
-    | "2" -> Some Genbase.Query.Q2_covariance
-    | "3" -> Some Genbase.Query.Q3_biclustering
-    | "4" -> Some Genbase.Query.Q4_svd
-    | "5" -> Some Genbase.Query.Q5_statistics
-    | "6" -> Some Genbase.Query.Q6_overlap
-    | s -> Genbase.Query.of_name s
-  in
-  let resolve_engine nodes name =
-    let key = if name = "sql" then "colstore-udf" else name in
-    List.assoc_opt key (engine_table nodes)
-  in
-  (* The check compares two measurements of the same cell taken moments
-     apart, so it interleaves the disabled and enabled runs and keeps each
-     side's best of several repetitions — otherwise transient machine load
-     drowns the few-percent effect it is after (same trick as the
-     harness's Phi comparison). One such round is still a single sample of
-     a ~10ms cell, so the check takes the median ratio over several
-     independent rounds: a round polluted by a scheduler hiccup gets
-     voted out instead of failing CI. *)
-  let overhead_pct e ds q ~timeout_s =
-    let one enabled =
-      Obs.set_enabled enabled;
-      Tele.set_enabled enabled;
-      Obs.reset ();
-      Tele.reset ();
-      match Genbase.Engine.run e ds q ~timeout_s () with
-      | Genbase.Engine.Completed (t, _) | Genbase.Engine.Degraded (t, _, _) ->
-        Genbase.Engine.total t
-      | o ->
-        Printf.eprintf "engine did not complete: %s\n"
-          (Format.asprintf "%a" Genbase.Engine.pp_outcome o);
-        exit 1
-    in
-    let round () =
-      let off = ref infinity and on_ = ref infinity in
-      for _ = 1 to 6 do
-        off := Float.min !off (one false);
-        on_ := Float.min !on_ (one true)
-      done;
-      (!off, !on_)
-    in
-    let rounds = List.init 5 (fun _ -> round ()) in
-    Obs.set_enabled false;
-    Tele.set_enabled false;
-    let pcts =
-      List.sort compare
-        (List.map (fun (off, on) -> 100. *. ((on /. off) -. 1.)) rounds)
-    in
-    let median = List.nth pcts (List.length pcts / 2) in
-    (rounds, median)
-  in
-  let run () size seed query engine nodes timeout out overhead_check budget =
-    match (resolve_query query, resolve_engine nodes engine) with
-    | None, _ ->
-      Printf.eprintf "unknown query %s\n" query;
-      exit 2
-    | _, None ->
-      Printf.eprintf "unknown engine %s (try `genbase list`)\n" engine;
-      exit 2
-    | Some q, Some e ->
-      let ds = Gb_datagen.Generate.generate ~seed (Spec.of_size size) in
-      if overhead_check then begin
-        let rounds, median = overhead_pct e ds q ~timeout_s:timeout in
-        List.iteri
-          (fun i (off, on) ->
-            Printf.printf
-              "round %d: disabled best %.6fs  enabled best %.6fs  %+.2f%%\n" i
-              off on
-              (100. *. ((on /. off) -. 1.)))
-          rounds;
-        Printf.printf "median overhead: %+.2f%% (budget %.2f%%)\n" median
-          budget;
-        if median > budget then begin
-          Printf.eprintf "tracing overhead exceeds budget\n";
-          exit 1
-        end
-      end
-      else begin
-        (* Tracing turns telemetry on for the cell (run_cell), so its
-           counters fill. Export mode also profiles the GC, so cell
-           spans and counters carry allocation deltas; the overhead check
-           above leaves profiling off, matching the default-off contract
-           it bounds. *)
-        Obs.set_enabled true;
-        Gb_obs.Profile.set_enabled true;
-        Obs.reset ();
-        let cell = H.run_cell e ds q ~timeout_s:timeout in
-        Obs.set_enabled false;
-        Gb_obs.Profile.set_enabled false;
-        let events = Obs.events () in
-        let json = Tx.chrome_json events in
-        let oc = open_out out in
-        output_string oc json;
-        close_out oc;
-        (match Tx.validate_chrome json with
-        | Ok n ->
-          Printf.printf
-            "wrote %s: %d events, valid Chrome trace JSON (load in \
-             chrome://tracing or ui.perfetto.dev)\n"
-            out n
-        | Error msg ->
-          Printf.eprintf "exported trace failed validation: %s\n" msg;
-          exit 1);
-        print_newline ();
-        print_endline (Tx.flame events);
-        print_endline (Tx.summary ~exclude_cat:"cell" events);
-        (match cell.H.counters with
-        | [] -> ()
-        | counters ->
-          print_endline "counters:";
-          List.iter
-            (fun (name, v) -> Printf.printf "  %-28s %.6g\n" name v)
-            counters);
-        let root =
-          List.find_map
-            (function
-              | Obs.Span_ev s when s.Obs.cat = "cell" -> Some s.Obs.dur
-              | _ -> None)
-            events
-        in
-        match (root, H.total_seconds cell) with
-        | Some dur, Some total when Float.is_finite total ->
-          Printf.printf "\nroot span %.6fs vs harness total %.6fs (%+.3f%%)\n"
-            dur total
-            (if total > 0. then 100. *. ((dur /. total) -. 1.) else 0.)
-        | _ ->
-          Printf.printf "\ncell outcome: %s\n"
-            (Format.asprintf "%a" Genbase.Engine.pp_outcome cell.H.outcome)
-      end
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run one cell with tracing enabled and export a \
-          Perfetto-loadable Chrome trace, or check the tracing overhead \
-          budget with --overhead-check.")
-    Term.(
-      const run $ jobs_term $ size_arg $ seed_arg $ query $ engine $ nodes
-      $ timeout $ out $ overhead_check $ overhead_budget)
+      const run $ jobs_term $ size_arg $ seed_arg $ quick $ seeds
+      $ timeout_arg ~doc:"Per-cell cut-off window." 60.
+      $ out $ nodes)
 
 (* --- bench-diff --- *)
 
@@ -795,15 +641,8 @@ let bench_diff_cmd =
    and the accepted set is derived from Admission.policies, so the flag's
    doc can never drift from the implementation. *)
 let policy_conv =
-  let parse s =
-    match Gb_serve.Admission.policy_of_string s with
-    | Ok p -> Ok p
-    | Error msg -> Error (`Msg msg)
-  in
-  let print fmt p =
-    Format.pp_print_string fmt (Gb_serve.Admission.policy_to_string p)
-  in
-  Arg.conv (parse, print)
+  conv_of Gb_serve.Admission.policy_of_string (fun fmt p ->
+      Format.pp_print_string fmt (Gb_serve.Admission.policy_to_string p))
 
 let policy_arg =
   Arg.(
@@ -820,12 +659,12 @@ let policy_arg =
 (* Deadline flag: non-numeric, zero and negative values are usage
    errors, not runtime surprises. *)
 let pos_float_conv what =
-  let parse s =
-    match float_of_string_opt (String.trim s) with
-    | Some f when f > 0. && Float.is_finite f -> Ok f
-    | _ -> Error (`Msg (Printf.sprintf "%s must be a positive number, got %S" what s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
+  conv_of
+    (fun s ->
+      match float_of_string_opt (String.trim s) with
+      | Some f when f > 0. && Float.is_finite f -> Ok f
+      | _ -> Error (Printf.sprintf "%s must be a positive number, got %S" what s))
+    Format.pp_print_float
 
 let lanes_arg =
   Arg.(
@@ -841,17 +680,11 @@ let queue_depth_arg =
 
 (* Scenario names and the usage text both come from Loadgen.scenarios,
    the same single-source pattern the bench driver uses for its section
-   list. Shared by `load` and `metrics`. *)
+   list. *)
 let scenario_conv =
-  let parse s =
-    match Gb_serve.Loadgen.find_scenario s with
-    | Ok sc -> Ok sc
-    | Error msg -> Error (`Msg msg)
-  in
-  let print fmt (sc : Gb_serve.Loadgen.scenario) =
-    Format.pp_print_string fmt sc.Gb_serve.Loadgen.sc_name
-  in
-  Arg.conv (parse, print)
+  conv_of Gb_serve.Loadgen.find_scenario
+    (fun fmt (sc : Gb_serve.Loadgen.scenario) ->
+      Format.pp_print_string fmt sc.Gb_serve.Loadgen.sc_name)
 
 let scenario_arg =
   Arg.(
@@ -888,7 +721,10 @@ let g_build_info =
     ~help:"Build identity; constant 1, labels carry revision and toolchain"
     "genbase_build_info"
 
-let set_build_info () =
+(* Telemetry on, from a clean registry stamped with the build identity. *)
+let start_telemetry () =
+  Gb_obs.Telemetry.set_enabled true;
+  Gb_obs.Telemetry.reset ();
   Gb_obs.Telemetry.set g_build_info
     [
       ("ocaml", Sys.ocaml_version);
@@ -901,9 +737,7 @@ let set_build_info () =
    the same bytes is a bug worth failing the run over. *)
 let write_exposition file =
   let text = Gb_obs.Expo.render (Gb_obs.Telemetry.snapshot ()) in
-  let oc = open_out file in
-  output_string oc text;
-  close_out oc;
+  write_file file text;
   match Gb_obs.Expo.validate text with
   | Ok n ->
     Printf.printf "wrote %s: %d metric families, exposition round-trips\n"
@@ -912,7 +746,7 @@ let write_exposition file =
     Printf.eprintf "exposition failed round-trip validation: %s\n" msg;
     exit 1
 
-let print_slo_report ?(oc = stdout) (i : Gb_serve.Loadgen.instrumented) =
+let print_slo_report (i : Gb_serve.Loadgen.instrumented) =
   let module Slo = Gb_obs.Slo in
   let summary = i.Gb_serve.Loadgen.i_summary in
   let window = i.Gb_serve.Loadgen.i_window in
@@ -925,12 +759,12 @@ let print_slo_report ?(oc = stdout) (i : Gb_serve.Loadgen.instrumented) =
     | Some v -> Printf.sprintf "%.6fs" v
     | None -> "-"
   in
-  Printf.fprintf oc
+  Printf.printf
     "live window (trailing %.1fs at t=%.3fs): p50 %s  p99 %s  p999 %s\n"
     horizon_s now (fmt_q p50) (fmt_q p99) (fmt_q p999);
   (* Ring churn: recycled slots are normal, dropped observations mean
      the live quantiles above have silent gaps. *)
-  Printf.fprintf oc
+  Printf.printf
     "live window churn: %d sub-window slots recycled, %d stale \
      observations dropped%s\n"
     (Gb_obs.Telemetry.Window.advanced window)
@@ -938,24 +772,23 @@ let print_slo_report ?(oc = stdout) (i : Gb_serve.Loadgen.instrumented) =
     (if Gb_obs.Telemetry.Window.dropped window > 0 then " (GAPS)" else "");
   List.iter
     (fun (name, burn_long, burn_short, events, firing) ->
-      Printf.fprintf oc
+      Printf.printf
         "slo %-28s burn_long %6.2f  burn_short %6.2f  events %6d  %s\n" name
         burn_long burn_short events
         (if firing then "FIRING" else "ok"))
     (Slo.summary i.Gb_serve.Loadgen.i_monitor);
   (match Slo.alerts i.Gb_serve.Loadgen.i_monitor with
-  | [] -> Printf.fprintf oc "slo alerts: none\n"
+  | [] -> Printf.printf "slo alerts: none\n"
   | alerts ->
-    Printf.fprintf oc "slo alerts (%d):\n" (List.length alerts);
+    Printf.printf "slo alerts (%d):\n" (List.length alerts);
     List.iter
       (fun (a : Slo.alert) ->
-        Printf.fprintf oc
+        Printf.printf
           "  %9.3fs %-8s %-28s burn_long %6.2f burn_short %6.2f\n"
           a.Slo.a_at
           (if a.Slo.a_firing then "fire" else "resolve")
           a.Slo.a_slo a.Slo.a_burn_long a.Slo.a_burn_short)
-      alerts);
-  flush oc
+      alerts)
 
 let serve_cmd =
   let module Serve = Gb_serve in
@@ -986,23 +819,9 @@ let serve_cmd =
              exposition to FILE (round-trip validated).")
   in
   let run () size seed lanes queue_depth policy deadline engines metrics_out =
-    let table = engine_table 1 in
-    let resolved =
-      List.map
-        (fun key ->
-          match List.assoc_opt key table with
-          | Some e -> e
-          | None ->
-            Printf.eprintf "unknown engine %s (try `genbase list`)\n" key;
-            exit 2)
-        engines
-    in
+    let resolved = List.map (find_engine 1) engines in
     let ds = Gb_datagen.Generate.generate ~seed (Spec.of_size size) in
-    if metrics_out <> None then begin
-      Gb_obs.Telemetry.set_enabled true;
-      Gb_obs.Telemetry.reset ();
-      set_build_info ()
-    end;
+    if metrics_out <> None then start_telemetry ();
     let config =
       {
         Serve.Live.lanes;
@@ -1117,7 +936,6 @@ let load_cmd =
       deadline_factor csv_out metrics_out trace_out record_out =
     let module Tele = Gb_obs.Telemetry in
     let module Obs = Gb_obs.Obs in
-    let module Tx = Gb_obs.Trace_export in
     let module Rec = Gb_obs.Recorder in
     let cfg =
       {
@@ -1131,11 +949,7 @@ let load_cmd =
         deadline_factor;
       }
     in
-    if metrics_out <> None then begin
-      Tele.set_enabled true;
-      Tele.reset ();
-      set_build_info ()
-    end;
+    if metrics_out <> None then start_telemetry ();
     if trace_out <> None then begin
       Obs.set_enabled true;
       Obs.reset ()
@@ -1189,18 +1003,7 @@ let load_cmd =
              bucket width\n";
           exit 1
         end));
-    (match trace_out with
-    | None -> ()
-    | Some file ->
-      let json = Tx.chrome_json (Obs.events ()) in
-      let oc = open_out file in
-      output_string oc json;
-      close_out oc;
-      (match Tx.validate_chrome json with
-      | Ok n -> Printf.printf "wrote %s: %d events, valid Chrome trace\n" file n
-      | Error msg ->
-        Printf.eprintf "exported trace failed validation: %s\n" msg;
-        exit 1));
+    Option.iter (fun file -> write_trace file (Obs.events ())) trace_out;
     (match record_out with
     | None -> ()
     | Some dir ->
@@ -1217,17 +1020,13 @@ let load_cmd =
       List.iter
         (fun (d : Rec.dump) ->
           let json = Rec.chrome_of_dump d in
-          (match Tx.validate_chrome json with
-          | Ok _ -> ()
+          (* Every dump must read back through the strict trace importer
+             and satisfy the analyzer's blame-sum identity — a dump we
+             cannot attribute is a bug. *)
+          (match Gb_obs.Critpath.of_chrome json with
           | Error msg ->
             Printf.eprintf "dump %d failed trace validation: %s\n" d.Rec.d_seq
               msg;
-            exit 1);
-          (* Every dump must also satisfy the analyzer's blame-sum
-             identity — a dump we cannot attribute is a bug. *)
-          (match Gb_obs.Critpath.of_chrome json with
-          | Error msg ->
-            Printf.eprintf "dump %d unparseable: %s\n" d.Rec.d_seq msg;
             exit 1
           | Ok reqs -> (
             match Gb_obs.Critpath.check reqs with
@@ -1240,9 +1039,7 @@ let load_cmd =
               (Printf.sprintf "dump-%02d-%s.json" d.Rec.d_seq
                  (Rec.reason_label d.Rec.d_reason))
           in
-          let oc = open_out file in
-          output_string oc json;
-          close_out oc;
+          write_file file json;
           Printf.printf
             "wrote %s: %s at t=%.3fs, %d events, %d kept traces\n" file
             (Rec.reason_label d.Rec.d_reason)
@@ -1253,9 +1050,7 @@ let load_cmd =
     match csv_out with
     | None -> ()
     | Some file ->
-      let oc = open_out file in
-      output_string oc (Serve.Loadgen.csv_of_responses responses);
-      close_out oc;
+      write_file file (Serve.Loadgen.csv_of_responses responses);
       Printf.printf "wrote %s (%d responses)\n" file (List.length responses)
   in
   Cmd.v
@@ -1368,72 +1163,6 @@ let trace_diff_cmd =
           in both captures, sorted by movement.")
     Term.(const run $ base $ cand)
 
-(* --- metrics --- *)
-
-let metrics_cmd =
-  let module Serve = Gb_serve in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the exposition to FILE; by default it goes to stdout \
-             and the SLO/quantile report to stderr.")
-  in
-  let run scenario size seed duration lanes queue_depth policy
-      deadline_factor out =
-    let module Tele = Gb_obs.Telemetry in
-    let cfg =
-      {
-        (Serve.Loadgen.default_config scenario) with
-        Serve.Loadgen.seed;
-        size;
-        duration;
-        lanes;
-        queue_depth;
-        policy;
-        deadline_factor;
-      }
-    in
-    Tele.set_enabled true;
-    Tele.reset ();
-    set_build_info ();
-    let i = Serve.Loadgen.run_instrumented cfg in
-    Tele.set_enabled false;
-    let text = Gb_obs.Expo.render (Tele.snapshot ()) in
-    (match Gb_obs.Expo.validate text with
-    | Ok _ -> ()
-    | Error msg ->
-      Printf.eprintf "exposition failed round-trip validation: %s\n" msg;
-      exit 1);
-    match out with
-    | Some file ->
-      let oc = open_out file in
-      output_string oc text;
-      close_out oc;
-      Printf.printf "wrote %s\n" file;
-      print_slo_report i
-    | None ->
-      (* Keep stdout scrape-clean: the exposition alone goes there, so
-         `genbase metrics > metrics.prom` yields a valid page; the
-         human-facing report rides on stderr. *)
-      print_string text;
-      flush stdout;
-      print_slo_report ~oc:stderr i
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Run a load scenario with telemetry enabled and print the \
-          Prometheus text exposition (round-trip validated by the \
-          built-in strict parser), plus live window percentiles and the \
-          SLO burn-rate report.")
-    Term.(
-      const run $ scenario_arg $ size_arg $ seed_arg $ duration_arg
-      $ lanes_arg $ queue_depth_arg $ policy_arg $ deadline_factor_arg
-      $ out)
-
 (* --- stream --- *)
 
 let stream_cmd =
@@ -1474,10 +1203,7 @@ let stream_cmd =
              round-trip validated) to FILE.")
   in
   let run () size seed batches crash_at checkpoint_every metrics_out =
-    let module Tele = Gb_obs.Telemetry in
-    Tele.set_enabled true;
-    Tele.reset ();
-    set_build_info ();
+    start_telemetry ();
     let spec = Spec.of_size size in
     let ds = Gb_datagen.Generate.generate ~seed spec in
     let log = Ingest.generate ~profile:(Ingest.profile ~batches ()) ds in
@@ -1539,7 +1265,7 @@ let stream_cmd =
           (1e3 *. p50) recompute stale
           (Gb_conformance.Oracle.describe cls))
       Genbase.Query.all;
-    Tele.set_enabled false;
+    Gb_obs.Telemetry.set_enabled false;
     Option.iter write_exposition metrics_out
   in
   Cmd.v
@@ -1588,7 +1314,6 @@ let () =
        (Cmd.group info
           [
             generate_cmd; run_cmd; suite_cmd; chaos_cmd; conformance_cmd;
-            explain_cmd; seqgen_cmd; trace_cmd; bench_diff_cmd; analyze_cmd;
-            trace_diff_cmd; serve_cmd; load_cmd; metrics_cmd; stream_cmd;
-            list_cmd;
+            explain_cmd; seqgen_cmd; bench_diff_cmd; analyze_cmd;
+            trace_diff_cmd; serve_cmd; load_cmd; stream_cmd; list_cmd;
           ]))

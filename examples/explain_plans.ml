@@ -1,64 +1,24 @@
-(* Query planning: express the benchmark's data-management phases as
-   logical plans and show what the optimizer does to them — predicate
-   pushdown below the join, column pruning into the (columnar) scans, and
-   hash-join build-side selection.
+(* Query planning: the logical plans the SQL engines execute for the
+   benchmark's data-management phases, shown after the optimizer's
+   predicate pushdown, column pruning into the (columnar) scans and
+   hash-join build-side selection, then run with estimated vs actual
+   row counts per operator.
 
    dune exec examples/explain_plans.exe *)
 
 open Gb_relational
 
 let () =
-  let ds = Genbase.Dataset.generate (Gb_datagen.Spec.custom ~genes:150 ~patients:300) in
-  let db = Genbase.Dataset.load_col_stores ds in
-  let table = function
-    | "microarray" -> db.Genbase.Dataset.microarray_c
-    | "patients" -> db.Genbase.Dataset.patients_c
-    | "genes" -> db.Genbase.Dataset.genes_c
-    | "go" -> db.Genbase.Dataset.go_c
-    | t -> invalid_arg t
+  let ds =
+    Genbase.Dataset.generate (Gb_datagen.Spec.custom ~genes:150 ~patients:300)
   in
   let cat =
-    {
-      Plan.scan = (fun t cols -> Ops.scan_col_store (table t) cols);
-      schema_of = (fun t -> Col_store.schema (table t));
-      row_count = (fun t -> Col_store.row_count (table t));
-    }
+    Genbase.Relops.catalog
+      (Genbase.Engine_sql.make_db Col_backend ds ~check:ignore)
   in
-  let q1_dm =
-    (* Q1's data management: genes filtered by function joined with the
-       microarray, projected for the pivot. *)
-    Plan.Project
-      ( [ "patient_id"; "gene_id"; "value" ],
-        Plan.Filter
-          ( Expr.(col "func" <% int 250),
-            Plan.Join
-              {
-                left = Plan.Scan ("microarray", []);
-                right = Plan.Scan ("genes", []);
-                on = [ ("gene_id", "gene_id") ];
-              } ) )
-  in
-  print_endline "=== Q1 data management, unoptimized shape ===";
-  print_endline "Project <- Filter(func<250) <- Join(microarray, genes)";
-  print_endline "\n=== After optimization ===";
-  print_string (Plan.explain cat q1_dm);
-
-  let q2_dm =
-    Plan.Project
-      ( [ "patient_id"; "gene_id"; "value" ],
-        Plan.Filter
-          ( Expr.(col "disease_id" =% int 1),
-            Plan.Join
-              {
-                left = Plan.Scan ("microarray", []);
-                right = Plan.Scan ("patients", []);
-                on = [ ("patient_id", "patient_id") ];
-              } ) )
-  in
-  print_endline "\n=== Q2 data management, after optimization ===";
-  print_string (Plan.explain cat q2_dm);
-
-  (* And the plans actually run: *)
-  let n1 = Ops.count (Plan.execute cat q1_dm) in
-  let n2 = Ops.count (Plan.execute cat q2_dm) in
-  Printf.printf "\nQ1 DM result: %d triples; Q2 DM result: %d triples\n" n1 n2
+  List.iter
+    (fun (title, plan) ->
+      Printf.printf "=== %s ===\n%s" title (Plan.explain cat plan);
+      Printf.printf "%s\n" (Plan.explain_analyze cat plan))
+    (Genbase.Relops.plans Genbase.Query.default_params
+       ~n_patients:(Array.length ds.Gb_datagen.Generate.patients))

@@ -58,4 +58,10 @@ let title = function
   | Q6_overlap -> "Overlap Join"
 
 let of_name s =
-  List.find_opt (fun q -> name q = String.lowercase_ascii s) all
+  let s = String.lowercase_ascii s in
+  let rec find i = function
+    | [] -> None
+    | q :: rest ->
+      if name q = s || string_of_int i = s then Some q else find (i + 1) rest
+  in
+  find 1 all

@@ -30,3 +30,5 @@ val title : t -> string
 (** Figure title, e.g. ["Linear Regression"]. *)
 
 val of_name : string -> t option
+(** A query by its short name (case-insensitive) or its number, ["1"]
+    to ["6"]. *)

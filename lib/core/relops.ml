@@ -27,32 +27,50 @@ let catalog db =
 let guarded db table cols =
   Ops.guard ~trace:("scan:" ^ table) db.check (db.scan table cols)
 
-(* Join selected genes (small) against the microarray, keeping
+(* Join the selected rows of a small table ([genes] on gene_id or
+   [patients] on patient_id) against the microarray, keeping
    (patient_id, gene_id, value); expressed as a logical plan so the
    optimizer's pushdown / pruning / build-side choice applies. *)
-let micro_join_genes db pred =
-  Plan.execute (catalog db)
-    (Plan.Project
-       ( [ "patient_id"; "gene_id"; "value" ],
-         Plan.Filter
-           ( pred,
-             Plan.Join
-               {
-                 left = Plan.Scan ("microarray", []);
-                 right = Plan.Scan ("genes", []);
-                 on = [ ("gene_id", "gene_id") ];
-               } ) ))
+let micro_join table key pred =
+  Plan.Project
+    ( [ "patient_id"; "gene_id"; "value" ],
+      Plan.Filter
+        ( pred,
+          Plan.Join
+            {
+              left = Plan.Scan ("microarray", []);
+              right = Plan.Scan (table, []);
+              on = [ (key, key) ];
+            } ) )
+
+let genes_plan (params : Query.params) =
+  micro_join "genes" "gene_id" Expr.(col "func" <% int params.func_threshold)
+
+let q2_plan (params : Query.params) =
+  micro_join "patients" "patient_id"
+    Expr.(col "disease_id" =% int params.disease_id)
+
+let q3_plan (params : Query.params) =
+  micro_join "patients" "patient_id"
+    Expr.(
+      col "age" <% int params.max_age &&% (col "gender" =% int params.gender))
+
+(* Q5 samples the first k patient ids, k a fraction of the cohort. *)
+let q5_plan (params : Query.params) ~n_patients =
+  let k =
+    max 2
+      (int_of_float
+         (Float.round (params.sample_fraction *. float_of_int n_patients)))
+  in
+  micro_join "patients" "patient_id" Expr.(col "patient_id" <% int k)
 
 let pivot_triples rel =
   Gb_obs.Profile.with_ ~cat:"op" ~name:"pivot" (fun () ->
       Pivot.of_triples ~row_col:"patient_id" ~col_col:"gene_id"
         ~value_col:"value" rel)
 
-let q1_dm db (params : Query.params) =
-  let joined =
-    micro_join_genes db Expr.(col "func" <% int params.func_threshold)
-  in
-  let piv = pivot_triples joined in
+let q1_dm db params =
+  let piv = pivot_triples (Plan.execute (catalog db) (genes_plan params)) in
   (* Project the drug response and align it with the pivot's row order. *)
   let resp = Hashtbl.create 1024 in
   let patients =
@@ -70,26 +88,8 @@ let q1_dm db (params : Query.params) =
   in
   (piv.Pivot.matrix, y, piv.Pivot.col_ids)
 
-let micro_join_patients db pred _cols_needed =
-  Plan.execute (catalog db)
-    (Plan.Project
-       ( [ "patient_id"; "gene_id"; "value" ],
-         Plan.Filter
-           ( pred,
-             Plan.Join
-               {
-                 left = Plan.Scan ("microarray", []);
-                 right = Plan.Scan ("patients", []);
-                 on = [ ("patient_id", "patient_id") ];
-               } ) ))
-
-let q2_dm db (params : Query.params) =
-  let joined =
-    micro_join_patients db
-      Expr.(col "disease_id" =% int params.disease_id)
-      [ "patient_id"; "disease_id" ]
-  in
-  let piv = pivot_triples joined in
+let q2_dm db params =
+  let piv = pivot_triples (Plan.execute (catalog db) (q2_plan params)) in
   (piv.Pivot.matrix, piv.Pivot.col_ids)
 
 let q2_join_metadata db pairs =
@@ -109,20 +109,11 @@ let q2_join_metadata db pairs =
   let joined = Ops.hash_join ~on:[ ("g1", "gene_id") ] pair_rel genes in
   Ops.count (Ops.guard db.check joined)
 
-let q3_dm db (params : Query.params) =
-  let joined =
-    micro_join_patients db
-      Expr.(
-        col "age" <% int params.max_age &&% (col "gender" =% int params.gender))
-      [ "patient_id"; "age"; "gender" ]
-  in
-  (pivot_triples joined).Pivot.matrix
+let q3_dm db params =
+  (pivot_triples (Plan.execute (catalog db) (q3_plan params))).Pivot.matrix
 
-let q4_dm db (params : Query.params) =
-  let joined =
-    micro_join_genes db Expr.(col "func" <% int params.func_threshold)
-  in
-  let piv = pivot_triples joined in
+let q4_dm db params =
+  let piv = pivot_triples (Plan.execute (catalog db) (genes_plan params)) in
   (piv.Pivot.matrix, piv.Pivot.col_ids)
 
 (* Q6: overlap-join variant intervals against gene intervals through the
@@ -154,17 +145,8 @@ let q6_dm db (params : Query.params) =
     rel.Ops.rows;
   List.rev !pairs
 
-let q5_dm db (params : Query.params) ~n_patients =
-  let k =
-    max 2
-      (int_of_float
-         (Float.round (params.sample_fraction *. float_of_int n_patients)))
-  in
-  let joined =
-    micro_join_patients db
-      Expr.(col "patient_id" <% int k)
-      [ "patient_id" ]
-  in
+let q5_dm db params ~n_patients =
+  let joined = Plan.execute (catalog db) (q5_plan params ~n_patients) in
   let means =
     Ops.traced ~name:"aggregate"
       (Ops.aggregate ~group_by:[ "gene_id" ]
@@ -192,3 +174,14 @@ let q5_dm db (params : Query.params) ~n_patients =
       go_pairs := (Value.to_int row.(ggi), Value.to_int row.(tti)) :: !go_pairs)
     go.Ops.rows;
   (scores, Array.of_list (List.rev !go_pairs))
+
+let plans params ~n_patients =
+  [
+    ("Q1/Q4 data management (genes by function x microarray)", genes_plan params);
+    ("Q2 data management (patients by disease x microarray)", q2_plan params);
+    ( "Q3 data management (patients by age and gender x microarray)",
+      q3_plan params );
+    ( "Q5 data management (sampled patients x microarray)",
+      q5_plan params ~n_patients );
+    ("Q6 overlap join (variants x gene coordinates)", q6_plan params);
+  ]

@@ -41,10 +41,12 @@ val q5_dm : db -> Query.params -> n_patients:int -> float array * (int * int) ar
     gene (the ranking input), and scan the GO table: (per-gene scores,
     go pairs). *)
 
-val q6_plan : Query.params -> Plan.t
-(** The logical overlap-join plan (variants x genes through
-    {!Plan.Interval_join}) — also what [genbase explain] renders. *)
-
 val q6_dm : db -> Query.params -> (int * int * int) list
-(** Execute the Q6 plan: canonical ascending (variant_id, gene_id,
+(** Execute the Q6 overlap-join plan (variants x genes through
+    {!Plan.Interval_join}): canonical ascending (variant_id, gene_id,
     overlap_len) pairs. *)
+
+val plans : Query.params -> n_patients:int -> (string * Plan.t) list
+(** The titled logical plans the [qN_dm] functions above execute (Q1
+    and Q4 share one), built by the same constructors — what
+    [genbase explain] renders. [n_patients] sizes Q5's sample. *)

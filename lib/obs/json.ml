@@ -1,8 +1,8 @@
 (* Minimal JSON: a value type, a recursive-descent parser, and a
-   serializer. Shared by the Chrome trace exporter (round-trip validation
-   of its own output) and the bench-baseline pipeline (BENCH_*.json files
-   that must be both emitted and re-read). ASCII-oriented: good enough for
-   everything this repo writes, with no external dependency. *)
+   serializer. Shared by the Chrome trace importer and the bench-baseline
+   pipeline (BENCH_*.json files that must be both emitted and re-read),
+   with no external dependency. Strings are bytes: the serializer passes
+   non-ASCII through, and the parser decodes \u escapes to UTF-8. *)
 
 type t =
   | Null
@@ -34,12 +34,17 @@ let escape s =
 
 (* Integers print as integers; other floats keep 12 significant digits —
    enough to round-trip benchmark timings while staying diff-readable.
-   Non-finite numbers have no JSON encoding and degrade to null. *)
+   A float whose 12 digits read back as an integer prints as that
+   integer, so render∘parse is a fixed point. Non-finite numbers have
+   no JSON encoding and degrade to null. *)
 let number_to_string f =
+  let integral g = Float.is_integer g && Float.abs g < 1e15 in
   if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
+  else if integral f then Printf.sprintf "%.0f" f
+  else
+    let s = Printf.sprintf "%.12g" f in
+    let g = float_of_string s in
+    if integral g then Printf.sprintf "%.0f" g else s
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
@@ -97,6 +102,15 @@ let parse (s : string) : (t, string) result =
     end
     else fail ("bad literal " ^ lit)
   in
+  (* Exactly four hex digits after the 'u' at [!pos]; leaves [!pos] on
+     the last of them. *)
+  let hex4 () =
+    let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+    if !pos + 4 >= n || not (String.for_all is_hex (String.sub s (!pos + 1) 4))
+    then fail "bad \\u escape";
+    pos := !pos + 4;
+    int_of_string ("0x" ^ String.sub s (!pos - 3) 4)
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -117,14 +131,23 @@ let parse (s : string) : (t, string) result =
         | 'b' -> Buffer.add_char buf '\b'
         | 'f' -> Buffer.add_char buf '\012'
         | 'u' ->
-          if !pos + 4 >= n then fail "bad \\u escape";
-          let hex = String.sub s (!pos + 1) 4 in
+          (* A high surrogate must pair with a low one; either half alone
+             names no character. *)
+          let code = hex4 () in
           let code =
-            try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
+            if code land 0xFC00 = 0xD800 && !pos + 2 < n
+               && String.sub s (!pos + 1) 2 = "\\u"
+            then begin
+              pos := !pos + 2;
+              let lo = hex4 () in
+              if lo land 0xFC00 <> 0xDC00 then fail "lone surrogate in \\u escape";
+              0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00)
+            end
+            else if code land 0xF800 = 0xD800 then
+              fail "lone surrogate in \\u escape"
+            else code
           in
-          (* ASCII only — enough for our own output *)
-          Buffer.add_char buf (Char.chr (code land 0x7f));
-          pos := !pos + 4
+          Buffer.add_utf_8_uchar buf (Uchar.of_int code)
         | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
         advance ();
         go ()

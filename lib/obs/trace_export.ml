@@ -1,15 +1,24 @@
 (* Sinks for the collected trace: a Chrome trace_event JSON exporter
-   (loadable in chrome://tracing and Perfetto) validated against the
-   shared minimal JSON parser ({!Json}), and a text flame/summary
-   renderer for the CLI. *)
+   (loadable in chrome://tracing and Perfetto) with its strict importer,
+   and a text flame/summary renderer for the CLI. *)
 
 let escape = Json.escape
+
+(* The importer reads an integral number in this range back as an Int
+   arg, everything else as a Float. *)
+let int_valued x = Float.is_integer x && Float.abs x <= 2. ** 52.
 
 let json_of_value = function
   | Obs.Str s -> Printf.sprintf "\"%s\"" (escape s)
   | Obs.Int i -> string_of_int i
   | Obs.Float f ->
-    if Float.is_finite f then Printf.sprintf "%.9g" f
+    if Float.is_finite f then
+      (* 9 significant digits; digits that read back as an integer are
+         written the way the importer's Int comes back out, so export
+         ∘ import is a fixed point. *)
+      let s = Printf.sprintf "%.9g" f in
+      let g = float_of_string s in
+      if int_valued g then Printf.sprintf "%.0f" g else s
     else Printf.sprintf "\"%s\"" (Float.to_string f)
   | Obs.Bool b -> string_of_bool b
 
@@ -79,183 +88,123 @@ let chrome_json events =
   Buffer.add_string buf "\n]}";
   Buffer.contents buf
 
-(* --- minimal JSON parser, factored into {!Json} (the bench-baseline
-   pipeline reuses it); re-exported here so trace consumers keep one
-   import. --- *)
-
-type json = Json.t =
-  | Null
-  | JBool of bool
-  | Num of float
-  | JStr of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let parse = Json.parse
-
-(* Validate a serialized trace against the trace_event schema essentials:
-   top-level object with a traceEvents array; every event an object with
-   string "ph"/"name" and numeric "pid"/"tid"/"ts" (metadata "M" events
-   are exempt from "ts"); complete ("X") events carry a non-negative
-   numeric "dur". Returns the number of non-metadata events. *)
-let validate_chrome serialized =
-  match parse serialized with
-  | Error e -> Error ("trace is not valid JSON: " ^ e)
-  | Ok (Obj fields) -> (
-    match List.assoc_opt "traceEvents" fields with
-    | Some (Arr evs) -> (
-      let check i = function
-        | Obj f -> (
-          let str k = match List.assoc_opt k f with Some (JStr s) -> Some s | _ -> None in
-          let num k = match List.assoc_opt k f with Some (Num x) -> Some x | _ -> None in
-          match str "ph", str "name" with
-          | None, _ -> Error (Printf.sprintf "event %d: missing ph" i)
-          | _, None -> Error (Printf.sprintf "event %d: missing name" i)
-          | Some ph, Some _ ->
-            if num "pid" = None || num "tid" = None then
-              Error (Printf.sprintf "event %d: missing pid/tid" i)
-            else if ph = "M" then Ok 0
-            else if num "ts" = None then
-              Error (Printf.sprintf "event %d: missing ts" i)
-            else if
-              ph = "X"
-              && match num "dur" with Some d -> d < 0. | None -> true
-            then Error (Printf.sprintf "event %d: X event needs dur >= 0" i)
-            else Ok 1)
-        | _ -> Error (Printf.sprintf "event %d: not an object" i)
-      in
-      let rec go i count = function
-        | [] -> Ok count
-        | ev :: tl -> (
-          match check i ev with
-          | Error e -> Error e
-          | Ok k -> go (i + 1) (count + k) tl)
-      in
-      go 0 0 evs)
-    | _ -> Error "missing traceEvents array")
-  | Ok _ -> Error "top level is not an object"
-
 (* --- Chrome JSON import ---
 
    Inverse of [chrome_json], for analyzing exported dumps offline. The
    exporter stashes the span id and parent link in "args", so the
    original linked structure comes back exactly; traces produced by
-   other tools (no "id" arg) get fresh synthetic ids. Strict by design:
-   truncated or malformed input and duplicate span ids are rejected with
-   a positioned error rather than mis-linking spans. *)
+   other tools (no "span_id" arg) get fresh synthetic ids. Strict by
+   design, and the one reader of the format: the document is parsed
+   once, every event must carry the trace_event essentials (string
+   "ph"/"name", numeric "pid"/"tid", a numeric "ts" unless it is "M"
+   metadata, and a non-negative "dur" on "X" events), and unknown
+   phases or pids, truncated or malformed input and duplicate span ids
+   are rejected with a positioned error rather than mis-linking spans. *)
+
+(* Integral numeric args come back as Int so trace ids, attempts and
+   counters keep their exported type. *)
+let value_of = function
+  | Json.JStr s -> Obs.Str s
+  | Json.JBool b -> Obs.Bool b
+  | Json.Num x -> if int_valued x then Obs.Int (int_of_float x) else Obs.Float x
+  | Json.Null -> Obs.Str "null"
+  | (Json.Arr _ | Json.Obj _) as j -> Obs.Str (Json.to_string j)
 
 let events_of_chrome serialized =
   let ( let* ) = Result.bind in
-  let* () =
-    match validate_chrome serialized with
-    | Ok _ -> Ok ()
-    | Error e -> Error e
+  let* evs =
+    match Json.parse serialized with
+    | Error e -> Error ("trace is not valid JSON: " ^ e)
+    | Ok (Json.Obj fields) -> (
+      match List.assoc_opt "traceEvents" fields with
+      | Some (Json.Arr evs) -> Ok evs
+      | _ -> Error "missing traceEvents array")
+    | Ok _ -> Error "top level is not an object"
   in
-  match parse serialized with
-  | Error e -> Error e
-  | Ok json -> (
-    let evs =
-      match json with
-      | Obj fields -> (
-        match List.assoc_opt "traceEvents" fields with
-        | Some (Arr evs) -> evs
-        | _ -> [])
-      | _ -> []
-    in
-    (* Numeric args that are integral come back as Int so trace ids,
-       attempts and counters keep their exported type; everything else
-       stays Float. *)
-    let value_of = function
-      | JStr s -> Obs.Str s
-      | JBool b -> Obs.Bool b
-      | Num x ->
-        if Float.is_integer x && Float.abs x <= 2. ** 52. then
-          Obs.Int (int_of_float x)
-        else Obs.Float x
-      | Null -> Obs.Str "null"
-      | (Arr _ | Obj _) as j -> Obs.Str (Json.to_string j)
-    in
-    let seen_ids = Hashtbl.create 64 in
-    let synth = ref (-2) in
-    let out = ref [] in
-    let err = ref None in
-    let fail i msg =
-      if !err = None then err := Some (Printf.sprintf "event %d: %s" i msg)
-    in
-    List.iteri
-      (fun i ev ->
-        if !err = None then
-          match ev with
-          | Obj f -> (
-            let str k =
-              match List.assoc_opt k f with Some (JStr s) -> Some s | _ -> None
+  let seen_ids = Hashtbl.create 64 in
+  let synth = ref (-2) in
+  (* [Ok None] for metadata, which carries no event. *)
+  let event i ev =
+    let fail msg = Error (Printf.sprintf "event %d: %s" i msg) in
+    match ev with
+    | Json.Obj f -> (
+      let str k = Option.bind (List.assoc_opt k f) Json.to_str in
+      let num k = Option.bind (List.assoc_opt k f) Json.to_num in
+      match (str "ph", str "name", num "pid", num "tid") with
+      | None, _, _, _ -> fail "missing ph"
+      | _, None, _, _ -> fail "missing name"
+      | _, _, None, _ | _, _, _, None -> fail "missing pid/tid"
+      | Some "M", _, _, _ -> Ok None
+      | Some ph, Some name, Some pid, Some tid -> (
+        let* track =
+          match pid with
+          | 1. -> Ok Obs.Wall
+          | 2. -> Ok Obs.Sim
+          | p -> fail (Printf.sprintf "unknown pid %g" p)
+        in
+        let* ts =
+          match num "ts" with Some ts -> Ok (ts /. 1e6) | None -> fail "missing ts"
+        in
+        let tid = int_of_float tid in
+        let args =
+          match List.assoc_opt "args" f with
+          | Some (Json.Obj kvs) -> List.map (fun (k, v) -> (k, value_of v)) kvs
+          | _ -> []
+        in
+        match ph with
+        | "X" -> (
+          match num "dur" with
+          | Some dur when dur >= 0. ->
+            let id =
+              match List.assoc_opt "span_id" args with
+              | Some (Obs.Int id) -> id
+              | _ ->
+                decr synth;
+                !synth + 1
             in
-            let num k =
-              match List.assoc_opt k f with Some (Num x) -> Some x | _ -> None
+            let parent =
+              match List.assoc_opt "parent" args with
+              | Some (Obs.Int p) -> p
+              | _ -> -1
             in
-            let args =
-              match List.assoc_opt "args" f with
-              | Some (Obj kvs) -> List.map (fun (k, v) -> (k, value_of v)) kvs
-              | _ -> []
+            let attrs =
+              List.filter (fun (k, _) -> k <> "span_id" && k <> "parent") args
             in
-            let track_of_pid () =
-              match num "pid" with
-              | Some 1. -> Ok Obs.Wall
-              | Some 2. -> Ok Obs.Sim
-              | Some p -> Error (Printf.sprintf "unknown pid %g" p)
-              | None -> Error "missing pid"
-            in
-            let tid = match num "tid" with Some t -> int_of_float t | None -> 0 in
-            match str "ph" with
-            | Some "M" -> ()
-            | Some "X" -> (
-              match track_of_pid () with
-              | Error e -> fail i e
-              | Ok track -> (
-                let name = Option.value ~default:"" (str "name") in
-                let cat = Option.value ~default:"span" (str "cat") in
-                let ts = Option.value ~default:0. (num "ts") /. 1e6 in
-                let dur = Option.value ~default:0. (num "dur") /. 1e6 in
-                let id, parent, attrs =
-                  let id =
-                    match List.assoc_opt "span_id" args with
-                    | Some (Obs.Int id) -> id
-                    | _ ->
-                      decr synth;
-                      !synth + 1
-                  in
-                  let parent =
-                    match List.assoc_opt "parent" args with
-                    | Some (Obs.Int p) -> p
-                    | _ -> -1
-                  in
-                  ( id,
-                    parent,
-                    List.filter
-                      (fun (k, _) -> k <> "span_id" && k <> "parent")
-                      args )
-                in
-                if Hashtbl.mem seen_ids id then
-                  fail i (Printf.sprintf "duplicate span id %d" id)
-                else begin
-                  Hashtbl.add seen_ids id ();
-                  out :=
-                    Obs.Span_ev
-                      { id; parent; name; cat; track; tid; t0 = ts; dur; attrs }
-                    :: !out
-                end))
-            | Some "i" -> (
-              match track_of_pid () with
-              | Error e -> fail i e
-              | Ok track ->
-                let name = Option.value ~default:"" (str "name") in
-                let ts = Option.value ~default:0. (num "ts") /. 1e6 in
-                out := Obs.Instant_ev { name; track; tid; ts; attrs = args } :: !out)
-            | Some ph -> fail i (Printf.sprintf "unsupported ph %S" ph)
-            | None -> fail i "missing ph")
-          | _ -> fail i "not an object")
-      evs;
-    match !err with Some e -> Error e | None -> Ok (List.rev !out))
+            if Hashtbl.mem seen_ids id then
+              fail (Printf.sprintf "duplicate span id %d" id)
+            else begin
+              Hashtbl.add seen_ids id ();
+              let cat = Option.value ~default:"span" (str "cat") in
+              Ok
+                (Some
+                   (Obs.Span_ev
+                      {
+                        id;
+                        parent;
+                        name;
+                        cat;
+                        track;
+                        tid;
+                        t0 = ts;
+                        dur = dur /. 1e6;
+                        attrs;
+                      }))
+            end
+          | _ -> fail "X event needs dur >= 0")
+        | "i" -> Ok (Some (Obs.Instant_ev { name; track; tid; ts; attrs = args }))
+        | ph -> fail (Printf.sprintf "unsupported ph %S" ph)))
+    | _ -> fail "not an object"
+  in
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | ev :: rest ->
+      let* e = event i ev in
+      go (i + 1) (match e with Some e -> e :: acc | None -> acc) rest
+  in
+  go 0 [] evs
+
+let validate_chrome serialized =
+  Result.map List.length (events_of_chrome serialized)
 
 (* --- tree reconstruction ---
 

@@ -1,5 +1,5 @@
-(** Trace sinks: Chrome [trace_event] JSON export, a minimal JSON parser
-    to validate the export, and text flame/summary renderers. *)
+(** Trace sinks: Chrome [trace_event] JSON export and its strict
+    importer, and text flame/summary renderers. *)
 
 val chrome_json : Obs.event list -> string
 (** Serialize events in the Chrome trace_event JSON-object format,
@@ -8,33 +8,21 @@ val chrome_json : Obs.event list -> string
     clock"); cluster node ids become thread tracks. Timestamps are
     microseconds; spans use "X" complete events, instants use "i". *)
 
-type json = Json.t =
-  | Null
-  | JBool of bool
-  | Num of float
-  | JStr of string
-  | Arr of json list
-  | Obj of (string * json) list
-(** Re-export of {!Json.t} so trace consumers keep one import. *)
-
-val parse : string -> (json, string) result
-(** {!Json.parse}: minimal JSON parser (ASCII escapes only) — enough to
-    round-trip what {!chrome_json} emits. *)
-
-val validate_chrome : string -> (int, string) result
-(** Parse a serialized trace and check the trace_event essentials: a
-    [traceEvents] array whose members carry [ph]/[name]/[pid]/[tid], a
-    numeric [ts] on non-metadata events, and a non-negative [dur] on "X"
-    events. [Ok n] gives the number of non-metadata events. *)
-
 val events_of_chrome : string -> (Obs.event list, string) result
 (** Inverse of {!chrome_json}: reconstruct events from a serialized
-    trace, in file order. Span ids and parent links come back from the
-    exported ["span_id"]/["parent"] args (spans lacking a ["span_id"]
-    get fresh synthetic ids); integral numeric args parse as [Int], the
-    rest as [Float]. Strict: truncated or malformed JSON, schema
-    violations, unknown [ph]/[pid], and duplicate span ids are rejected
-    with a positioned error — never a crash or a mis-linked tree. *)
+    trace, in file order, parsing the document once. Span ids and parent
+    links come back from the exported ["span_id"]/["parent"] args (spans
+    lacking a ["span_id"] get fresh synthetic ids); integral numeric
+    args parse as [Int], the rest as [Float]. Strict: every event needs
+    string [ph]/[name] and numeric [pid]/[tid], a numeric [ts] unless it
+    is ["M"] metadata (which is skipped), and a non-negative [dur] on
+    ["X"] events. Truncated or malformed JSON, schema violations,
+    unknown [ph]/[pid], and duplicate span ids are rejected with a
+    positioned error — never a crash or a mis-linked tree. *)
+
+val validate_chrome : string -> (int, string) result
+(** {!events_of_chrome}'s verdict on a serialized trace: [Ok n] gives
+    the number of non-metadata events. *)
 
 type agg = { name : string; calls : int; total : float; self : float }
 

@@ -70,18 +70,26 @@ let dm_cells ~genes ~patients q =
     15. *. float_of_int genes
   | _ -> float_of_int patients *. float_of_int genes
 
-(* Engines differ by a coarse speed class (the shape Figure 1 sweeps);
-   unknown engines serve at the reference rate. *)
-let engine_factor = function
-  | "Vanilla R" -> 1.0
-  | "Postgres + R" -> 1.6
-  | "Postgres + MADlib" -> 1.3
-  | "Column store + R" -> 0.9
-  | "Column store + UDFs" -> 0.7
-  | "SciDB" -> 0.8
-  | "SciDB + Xeon Phi" -> 0.5
-  | "Hadoop" -> 2.5
-  | _ -> 1.0
+(* Engines differ by a coarse speed class (the shape Figure 1 sweeps),
+   keyed on the engine records' own names so that renaming an engine
+   cannot silently drop its class; unknown engines serve at the
+   reference rate. *)
+let speed_classes =
+  List.map
+    (fun ((e : Genbase.Engine.t), factor) -> (e.Genbase.Engine.name, factor))
+    [
+      (Genbase.Engine_r.engine, 1.0);
+      (Genbase.Engine_sql.postgres_r, 1.6);
+      (Genbase.Engine_madlib.engine, 1.3);
+      (Genbase.Engine_sql.colstore_r, 0.9);
+      (Genbase.Engine_sql.colstore_udf, 0.7);
+      (Genbase.Engine_scidb.engine, 0.8);
+      (Genbase.Engine_phi.engine, 0.5);
+      (Genbase.Engine_hadoop.engine, 2.5);
+    ]
+
+let engine_factor name =
+  Option.value ~default:1.0 (List.assoc_opt name speed_classes)
 
 let service_s ?(engine = "") ~genes ~patients q =
   let flops = analytics_flops ~genes ~patients q in

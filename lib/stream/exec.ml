@@ -211,3 +211,17 @@ let engine ?fault ?profile ?staleness_limit ?(checkpoint_every = 4) () =
     supports = (fun _ -> true);
     prepare;
   }
+
+(* The executor joins the chaos availability table as a single-node
+   row: its fault plan crashes the ingest loop mid-stream, so the cells
+   exercise checkpoint restore + batch replay rather than BSP recovery.
+   64 batches span the plan's full superstep range, so the configured
+   crash probability actually lands mid-stream. *)
+let chaos_cells chaos ds ~timeout_s =
+  let fault =
+    Genbase.Harness.chaos_plan chaos ~engine:"Streaming IVM" ~nodes:1
+  in
+  let engine = engine ~fault ~profile:(Ingest.profile ~batches:64 ()) () in
+  List.map
+    (fun q -> Genbase.Harness.run_cell engine ds q ~timeout_s)
+    Query.all

@@ -83,3 +83,12 @@ val engine :
     the final refresh (forced, so the fallback queries answer on the
     final data). Completes [Degraded] with the replay counts as recovery
     metadata when a crash was absorbed. *)
+
+val chaos_cells :
+  Genbase.Harness.chaos ->
+  Genbase.Dataset.t ->
+  timeout_s:float ->
+  Genbase.Harness.cell list
+(** The streaming row of the chaos grid: {!engine} armed with the chaos
+    config's plan for ("Streaming IVM", 1 node) over 64 ingest batches,
+    one harness cell per query. *)

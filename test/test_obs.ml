@@ -213,19 +213,19 @@ let test_chrome_roundtrip () =
       (match Trace_export.validate_chrome json with
       | Ok n -> check Alcotest.int "non-metadata event count" 3 n
       | Error e -> Alcotest.failf "invalid chrome trace: %s" e);
-      match Trace_export.parse json with
+      match Json.parse json with
       | Error e -> Alcotest.failf "parse failed: %s" e
-      | Ok (Trace_export.Obj fields) -> (
+      | Ok (Json.Obj fields) -> (
         match List.assoc_opt "traceEvents" fields with
-        | Some (Trace_export.Arr evs) ->
+        | Some (Json.Arr evs) ->
           let pids =
             List.filter_map
               (function
-                | Trace_export.Obj f -> (
+                | Json.Obj f -> (
                   match
                     (List.assoc_opt "ph" f, List.assoc_opt "pid" f)
                   with
-                  | Some (Trace_export.JStr ph), Some (Trace_export.Num pid)
+                  | Some (Json.JStr ph), Some (Json.Num pid)
                     when ph <> "M" ->
                     Some (int_of_float pid)
                   | _ -> None)
@@ -237,9 +237,9 @@ let test_chrome_roundtrip () =
           checkb "sim tid preserved" true
             (List.exists
                (function
-                 | Trace_export.Obj f ->
-                   List.assoc_opt "tid" f = Some (Trace_export.Num 2.)
-                   && List.assoc_opt "pid" f = Some (Trace_export.Num 2.)
+                 | Json.Obj f ->
+                   List.assoc_opt "tid" f = Some (Json.Num 2.)
+                   && List.assoc_opt "pid" f = Some (Json.Num 2.)
                  | _ -> false)
                evs)
         | _ -> Alcotest.fail "traceEvents array missing")
@@ -394,14 +394,14 @@ let test_bench_json_roundtrip () =
 let test_json_rejects_overflow () =
   List.iter
     (fun lit ->
-      match Trace_export.parse (Printf.sprintf "{\"ts\":%s}" lit) with
+      match Json.parse (Printf.sprintf "{\"ts\":%s}" lit) with
       | Ok _ -> Alcotest.failf "%s accepted" lit
       | Error e ->
         checkb (lit ^ " error carries an offset") true
           (Astring_contains.contains e "offset"))
     [ "1e400"; "-1e400"; "1E999" ];
   checkb "finite extremes still parse" true
-    (Result.is_ok (Trace_export.parse "[1e308, -1.7e308, 0]"));
+    (Result.is_ok (Json.parse "[1e308, -1.7e308, 0]"));
   let file median =
     Printf.sprintf
       {|{"genbase_bench":1,"section":"t","git_rev":"x","quick":true,"records":[
@@ -413,6 +413,37 @@ let test_json_rejects_overflow () =
     (Result.is_ok (Bench_json.of_string (file "1.5")));
   checkb "overflowing median rejected" true
     (Result.is_error (Bench_json.of_string (file "1e400")))
+
+(* \u escapes decode exactly four hex digits to UTF-8, a surrogate
+   pair to one character; a lone surrogate or a non-hex digit is a
+   positioned Error, not a silently wrong byte. *)
+let test_json_unicode_escapes () =
+  let str lit =
+    match Json.parse lit with Ok (Json.JStr v) -> Some v | _ -> None
+  in
+  check Alcotest.(option string) "U+00E9" (Some "\xc3\xa9") (str {|"\u00e9"|});
+  check Alcotest.(option string) "U+20AC" (Some "\xe2\x82\xac")
+    (str {|"\u20ac"|});
+  check Alcotest.(option string) "surrogate pair" (Some "\xf0\x9f\x98\x80")
+    (str {|"\ud83d\ude00"|});
+  List.iter
+    (fun lit ->
+      match Json.parse lit with
+      | Ok _ -> Alcotest.failf "%s accepted" lit
+      | Error e ->
+        checkb (lit ^ " error carries an offset") true
+          (Astring_contains.contains e "offset"))
+    [ {|"\ud83d"|}; {|"\ude00"|}; {|"\ud83dA"|}; {|"\u1_2_"|} ]
+
+(* Duplicate keys are kept, in document order; member returns the
+   first. *)
+let test_json_duplicate_keys () =
+  match Json.parse {|{"a":1,"b":2,"a":3}|} with
+  | Ok (Json.Obj fields as v) ->
+    check Alcotest.(list string) "keys in document order" [ "a"; "b"; "a" ]
+      (List.map fst fields);
+    checkb "member returns the first" true (Json.member "a" v = Some (Json.Num 1.))
+  | _ -> Alcotest.fail "object expected"
 
 let test_bench_diff () =
   let time_rec v = Option.get (Bench_json.make ~name:"kernel" [ v ]) in
@@ -666,6 +697,280 @@ let prop_expo_fixed_point =
           | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e
           | Ok snaps -> String.equal (Expo.render snaps) text))
 
+(* --- one fuzz harness over every parser of outside input ---
+
+   Generated documents of each format the repository reads back must
+   round-trip: render∘parse is a fixed point of the rendered text.
+   Mutated documents — truncated, a byte flipped, an overflowing or
+   non-finite number spliced in, a key duplicated, 10,000 levels of
+   nesting — go through every parser entry point, each of which must
+   return Ok or Error and never raise. *)
+
+let gen_string =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (oneof
+           [
+             oneofl [ '"'; '\\'; '\n'; '\t'; '\x00'; '\x1f'; '\x7f'; '/' ];
+             char_range 'a' 'z';
+             char;
+           ])
+      (0 -- 12))
+
+(* Finite floats of every magnitude, integral ones included. *)
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [
+        float_bound_inclusive 1e6;
+        map (fun x -> Float.round x) (float_bound_inclusive 1e16);
+        map2 (fun m e -> Float.ldexp m e) (float_bound_inclusive 1.) (-60 -- 60);
+        map Float.neg (float_bound_inclusive 1e14);
+      ])
+
+let gen_json =
+  QCheck.Gen.(
+    sized_size (0 -- 4)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.JBool b) bool;
+                 map (fun f -> Json.Num f) gen_float;
+                 map (fun s -> Json.JStr s) gen_string;
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (0 -- 4) (pair gen_string (self (n - 1)))) );
+               ]))
+
+let prop_json_fixed_point =
+  QCheck.Test.make ~name:"JSON render/parse fixed point" ~count:300
+    (QCheck.make ~print:Json.to_string gen_json) (fun v ->
+      let text = Json.to_string v in
+      match Json.parse text with
+      | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e
+      | Ok back -> String.equal (Json.to_string back) text)
+
+let gen_value =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> Obs.Str s) gen_string;
+        (* JSON numbers are floats: integers are exact up to 2^52. *)
+        map (fun i -> Obs.Int i) (oneof [ -1000 -- 1000; -(1 lsl 52) -- (1 lsl 52) ]);
+        map (fun f -> Obs.Float f) gen_float;
+        map (fun b -> Obs.Bool b) bool;
+      ])
+
+(* Spans with distinct ids and parent links, and instants, on both
+   clock tracks and a few node tids, within a day of the trace epoch
+   (export times are microseconds with three decimals). *)
+let gen_events =
+  QCheck.Gen.(
+    let attrs =
+      list_size (0 -- 3) (pair (oneofl [ "k"; "rows"; "trace"; "x y" ]) gen_value)
+    in
+    let event i =
+      let* track = oneofl [ Obs.Wall; Obs.Sim ] in
+      let* tid = 0 -- 3 in
+      let* name = gen_string in
+      let* t0 = float_bound_inclusive 86_400. in
+      let* attrs = attrs in
+      let* span = bool in
+      if span then
+        let* dur = float_bound_inclusive 100. in
+        let* cat = oneofl [ "span"; "cell"; "phase" ] in
+        let* parent = oneof [ return (-1); 0 -- max 0 (i - 1) ] in
+        return
+          (Obs.Span_ev
+             { Obs.id = i; parent; name; cat; track; tid; t0; dur; attrs })
+      else return (Obs.Instant_ev { name; track; tid; ts = t0; attrs })
+    in
+    let* n = 0 -- 12 in
+    flatten_l (List.init n event))
+
+let prop_chrome_fixed_point =
+  QCheck.Test.make ~name:"Chrome trace export/import fixed point" ~count:200
+    (QCheck.make ~print:Trace_export.chrome_json gen_events) (fun events ->
+      let text = Trace_export.chrome_json events in
+      match Trace_export.events_of_chrome text with
+      | Error e -> QCheck.Test.fail_reportf "import failed: %s" e
+      | Ok back -> String.equal (Trace_export.chrome_json back) text)
+
+let parser_entry_points =
+  [
+    ("Json.parse", fun s -> ignore (Json.parse s));
+    ("Trace_export.events_of_chrome", fun s -> ignore (Trace_export.events_of_chrome s));
+    ("Trace_export.validate_chrome", fun s -> ignore (Trace_export.validate_chrome s));
+    ("Critpath.of_chrome", fun s -> ignore (Critpath.of_chrome s));
+    ("Expo.parse", fun s -> ignore (Expo.parse s));
+    ("Bench_json.of_string", fun s -> ignore (Bench_json.of_string s));
+  ]
+
+(* Real artifacts to mutate, each with its renderer's fixed point: a
+   serve-layer Chrome trace (the analyzer's input), a Prometheus
+   exposition and a bench baseline. *)
+let fuzz_seeds =
+  lazy
+    (let trace =
+       with_tracing (fun () ->
+           (match Gb_serve.Loadgen.find_scenario "chaos" with
+           | Ok sc ->
+             ignore
+               (Gb_serve.Loadgen.run
+                  { (Gb_serve.Loadgen.default_config sc) with duration = 3. })
+           | Error e -> failwith e);
+           Trace_export.chrome_json (Obs.events ()))
+     in
+     let expo =
+       with_tracing (fun () ->
+           let h = Telemetry.hist_family ~buckets:[| 0.1; 1. |] "fuzz_h" in
+           Telemetry.observe h [ ("q", "a\"b") ] 0.5;
+           Expo.render (Telemetry.snapshot ()))
+     in
+     let bench =
+       Bench_json.to_string
+         {
+           Bench_json.section = "fuzz";
+           git_rev = "0";
+           quick = true;
+           records =
+             List.filter_map Fun.id
+               [
+                 Bench_json.make ~name:"a" ~engine:"sql" ~counters:[ ("rows", 12.) ]
+                   [ 0.5; 1.25 ];
+                 Bench_json.make ~name:"b" ~unit_:"pct" ~better:Bench_json.Higher
+                   [ 99.5 ];
+               ];
+         }
+     in
+     let fixed parse render s =
+       match parse s with Ok v -> String.equal (render v) s | Error _ -> false
+     in
+     [
+       ( "trace",
+         trace,
+         fixed Trace_export.events_of_chrome Trace_export.chrome_json );
+       ("exposition", expo, fixed Expo.parse Expo.render);
+       ("bench", bench, fixed Bench_json.of_string Bench_json.to_string);
+     ])
+
+type mutation =
+  | Unmutated
+  | Truncate of int
+  | Flip of int * int
+  | Splice_number of int * string
+  | Duplicate_key of int
+  | Nest of int
+
+let show_mutation = function
+  | Unmutated -> "unmutated"
+  | Truncate k -> Printf.sprintf "truncate %d" k
+  | Flip (k, b) -> Printf.sprintf "flip %d ^ %d" k b
+  | Splice_number (k, lit) -> Printf.sprintf "splice %s at %d" lit k
+  | Duplicate_key k -> Printf.sprintf "duplicate key %d" k
+  | Nest k -> Printf.sprintf "nest at %d" k
+
+let depth = 10_000
+
+(* The first occurrence of [p] at or after [k], wrapping around. *)
+let find_from s k p =
+  let n = String.length s in
+  let rec go i steps =
+    if steps >= n then None
+    else if p s.[i mod n] then Some (i mod n)
+    else go (i + 1) (steps + 1)
+  in
+  if n = 0 then None else go (k mod n) 0
+
+let mutate doc = function
+  | Unmutated -> doc
+  | Truncate k -> String.sub doc 0 (k mod (String.length doc + 1))
+  | Flip (k, b) ->
+    let by = Bytes.of_string doc in
+    let i = k mod String.length doc in
+    Bytes.set by i (Char.chr (Char.code doc.[i] lxor (1 + (b mod 255))));
+    Bytes.to_string by
+  | Splice_number (k, lit) -> (
+    (* Replace the number token at or after [k]. *)
+    let is_num c =
+      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+    in
+    match find_from doc k (fun c -> c >= '0' && c <= '9') with
+    | None -> doc ^ lit
+    | Some i ->
+      let j = ref i in
+      while !j < String.length doc && is_num doc.[!j] do incr j done;
+      String.sub doc 0 i ^ lit ^ String.sub doc !j (String.length doc - !j))
+  | Duplicate_key k -> (
+    (* Repeat the member (or exposition line) that starts at the first
+       '"' or newline at or after [k], up to the next ',', '}' or
+       newline: [{"a":1,...}] becomes [{"a":1,"a":1,...}]. *)
+    match find_from doc k (fun c -> c = '"' || c = '\n') with
+    | None -> doc
+    | Some i ->
+      let stop =
+        match find_from doc (i + 1) (fun c -> c = ',' || c = '}' || c = '\n') with
+        | Some j when j > i -> j
+        | _ -> String.length doc
+      in
+      let member = String.sub doc i (stop - i) in
+      let sep = if doc.[i] = '\n' then "" else "," in
+      String.sub doc 0 stop ^ sep ^ member
+      ^ String.sub doc stop (String.length doc - stop))
+  | Nest k ->
+    let i = k mod (String.length doc + 1) in
+    String.sub doc 0 i
+    ^ String.make depth '['
+    ^ "0"
+    ^ String.make depth ']'
+    ^ String.sub doc i (String.length doc - i)
+
+let gen_mutation =
+  QCheck.Gen.(
+    let off = 0 -- 1_000_000 in
+    frequency
+      [
+        (1, return Unmutated);
+        (3, map (fun k -> Truncate k) off);
+        (3, map2 (fun k b -> Flip (k, b)) off (0 -- 254));
+        ( 3,
+          map2
+            (fun k lit -> Splice_number (k, lit))
+            off
+            (oneofl [ "1e400"; "-1e400"; "NaN"; "nan"; "Infinity"; "1E999" ]) );
+        (3, map (fun k -> Duplicate_key k) off);
+        (1, map (fun k -> Nest k) off);
+      ])
+
+let prop_parsers_never_raise =
+  QCheck.Test.make ~name:"parsers of outside input never raise" ~count:150
+    (QCheck.make
+       ~print:(fun (i, m) -> Printf.sprintf "seed %d, %s" i (show_mutation m))
+       QCheck.Gen.(pair (0 -- 2) gen_mutation))
+    (fun (i, m) ->
+      let kind, doc, fixed_point = List.nth (Lazy.force fuzz_seeds) i in
+      let input = mutate doc m in
+      List.iter
+        (fun (entry, parse) ->
+          try parse input
+          with exn ->
+            QCheck.Test.fail_reportf "%s raised %s on %s seed (%s)" entry
+              (Printexc.to_string exn) kind (show_mutation m))
+        parser_entry_points;
+      m <> Unmutated || fixed_point input)
+
 (* --- SLO monitor --- *)
 
 let test_slo_burn_rate_alerts () =
@@ -754,6 +1059,8 @@ let suite =
       test_bench_json_roundtrip;
     Alcotest.test_case "JSON rejects overflowing numbers" `Quick
       test_json_rejects_overflow;
+    Alcotest.test_case "JSON unicode escapes" `Quick test_json_unicode_escapes;
+    Alcotest.test_case "JSON duplicate keys" `Quick test_json_duplicate_keys;
     Alcotest.test_case "bench diff verdicts" `Quick test_bench_diff;
     Alcotest.test_case "telemetry labeled families" `Quick
       test_telemetry_families;
@@ -765,6 +1072,9 @@ let suite =
     Alcotest.test_case "exposition rejects corruption" `Quick
       test_expo_rejects_corruption;
     QCheck_alcotest.to_alcotest prop_expo_fixed_point;
+    QCheck_alcotest.to_alcotest prop_json_fixed_point;
+    QCheck_alcotest.to_alcotest prop_chrome_fixed_point;
+    QCheck_alcotest.to_alcotest prop_parsers_never_raise;
     Alcotest.test_case "slo burn-rate alerts" `Quick
       test_slo_burn_rate_alerts;
   ]

@@ -425,6 +425,25 @@ let test_estimate_sanity () =
         Query.Q1_regression)
     true
 
+(* Every single-node engine, and the Phi engine, gets its speed class
+   under the name its record carries: SJF ranking and the retry-after
+   backlog hint both estimate through this factor. *)
+let test_engine_speed_classes () =
+  List.iter
+    (fun ((e : Engine.t), factor) ->
+      Alcotest.(check (float 0.)) e.Engine.name factor
+        (Estimate.engine_factor e.Engine.name))
+    [
+      (Engine_r.engine, 1.0);
+      (Engine_sql.postgres_r, 1.6);
+      (Engine_madlib.engine, 1.3);
+      (Engine_sql.colstore_r, 0.9);
+      (Engine_sql.colstore_udf, 0.7);
+      (Engine_scidb.engine, 0.8);
+      (Engine_phi.engine, 0.5);
+      (Engine_hadoop.engine, 2.5);
+    ]
+
 (* --- load generator --- *)
 
 let quick_cfg name =
@@ -1080,6 +1099,7 @@ let suite =
     ("client backoff schedule", `Quick, test_client_next_delay);
     ("client retry loop", `Quick, test_client_call);
     ("cost model sanity", `Quick, test_estimate_sanity);
+    ("engine speed classes", `Quick, test_engine_speed_classes);
     ("loadgen deterministic", `Quick, test_loadgen_deterministic);
     ("overload bounded with goodput", `Quick, test_overload_bounded_goodput);
     ("steady scenario is clean", `Quick, test_loadgen_steady_clean);
