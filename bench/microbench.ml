@@ -71,6 +71,12 @@ let tests () =
            ignore
              (Gb_relational.Ops.count
                 (Gb_relational.Ops.scan_row_store row_store))));
+    Test.make ~name:"col store scan 19200 tuples"
+      (Staged.stage (fun () ->
+           ignore
+             (Gb_relational.Ops.count
+                (Gb_relational.Ops.scan_col_store col_store
+                   [ "gene_id"; "patient_id"; "value" ]))));
     Test.make ~name:"col store scan (1 column)"
       (Staged.stage (fun () ->
            ignore

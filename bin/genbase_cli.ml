@@ -1100,7 +1100,8 @@ let analyze_cmd =
           ~doc:
             "Only verify the blame-sum identity (every request's \
              critical-path segments sum exactly to its end-to-end \
-             latency) and exit non-zero on any violation.")
+             latency) and exit non-zero on any violation. A trace with \
+             no serve requests fails too.")
   in
   let limit =
     Arg.(
@@ -1110,6 +1111,10 @@ let analyze_cmd =
   in
   let run file check_only limit =
     let reqs = requests_of_trace_file file in
+    if reqs = [] then begin
+      Printf.eprintf "no serve requests in %s\n" file;
+      exit 1
+    end;
     match Cp.check reqs with
     | Error msg ->
       Printf.eprintf "blame-sum identity violated: %s\n" msg;

@@ -26,10 +26,7 @@ let patients_by_age_gender (ds : Dataset.t) ~max_age ~gender =
     (fun (p : G.patient) -> p.patient_id)
 
 let sampled_patients (ds : Dataset.t) frac =
-  let n = Array.length ds.patients in
-  let k = max 2 (int_of_float (Float.round (frac *. float_of_int n))) in
-  let k = min k n in
-  Array.init k Fun.id
+  Array.init (Query.sample_size frac (Array.length ds.patients)) Fun.id
 
 let regression_of x y =
   let m = Gb_linalg.Linreg.fit x y in

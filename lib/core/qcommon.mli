@@ -7,8 +7,9 @@ val genes_with_func_below : Dataset.t -> int -> int array
 val patients_with_disease : Dataset.t -> int -> int array
 val patients_by_age_gender : Dataset.t -> max_age:int -> gender:int -> int array
 val sampled_patients : Dataset.t -> float -> int array
-(** Deterministic sample: the first [max 2 (frac * patients)] patient ids
-    (a plain range predicate, so every engine selects identically). *)
+(** Deterministic sample: the first [min patients (max 2 (frac * patients))]
+    patient ids ({!Query.sample_size}; a plain range predicate, so every
+    engine selects identically). *)
 
 val regression_of : Gb_linalg.Mat.t -> float array -> Engine.payload
 val covariance_of :

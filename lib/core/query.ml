@@ -31,6 +31,9 @@ let default_params =
     min_overlap_bp = 1;
   }
 
+let sample_size frac n =
+  min n (max 2 (int_of_float (Float.round (frac *. float_of_int n))))
+
 let all =
   [
     Q1_regression;

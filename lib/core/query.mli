@@ -22,6 +22,11 @@ type params = {
 }
 
 val default_params : params
+
+val sample_size : float -> int -> int
+(** [sample_size frac n] is [k = min n (max 2 (round (frac * n)))], Q5's
+    sample bound over [n] patients: the sample is patient ids [0 .. k-1]. *)
+
 val all : t list
 val name : t -> string
 (** Short name, e.g. ["regression"]. *)

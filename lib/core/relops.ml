@@ -57,11 +57,7 @@ let q3_plan (params : Query.params) =
 
 (* Q5 samples the first k patient ids, k a fraction of the cohort. *)
 let q5_plan (params : Query.params) ~n_patients =
-  let k =
-    max 2
-      (int_of_float
-         (Float.round (params.sample_fraction *. float_of_int n_patients)))
-  in
+  let k = Query.sample_size params.sample_fraction n_patients in
   micro_join "patients" "patient_id" Expr.(col "patient_id" <% int k)
 
 let pivot_triples rel =

@@ -34,43 +34,33 @@ let schema t = t.schema
 let row_count t = t.nrows
 let column t i = t.columns.(i)
 
-let iter_cols t names f =
-  let idx = List.map (Schema.index t.schema) names in
-  let mats = List.map (fun i -> Column.to_values t.columns.(i)) idx in
-  let mats = Array.of_list mats in
-  let width = Array.length mats in
-  for r = 0 to t.nrows - 1 do
-    let row = Array.make width (Value.Int 0) in
-    for c = 0 to width - 1 do
-      row.(c) <- mats.(c).(r)
-    done;
-    f row
-  done
-
-let iter t f =
-  iter_cols t (List.map fst (Schema.columns t.schema)) f
-
 let rows_scanned = Gb_obs.Telemetry.counter ~help:"row" "storage_rows_scanned"
 let values_decoded = Gb_obs.Telemetry.counter ~help:"value" "storage_values_decoded"
 
 let to_seq t names =
-  let idx = List.map (Schema.index t.schema) names in
-  Gb_obs.Telemetry.add rows_scanned t.nrows;
-  Gb_obs.Telemetry.add values_decoded (t.nrows * List.length idx);
-  (* Decoding is per-column independent — one task per column. *)
-  let mats =
+  let cols =
     Array.of_list
-      (Gb_par.Pool.map_list (fun i -> Column.to_values t.columns.(i)) idx)
+      (List.map (fun n -> t.columns.(Schema.index t.schema n)) names)
   in
-  let width = Array.length mats in
-  let rec go r () =
-    if r >= t.nrows then Seq.Nil
-    else begin
-      let row = Array.init width (fun c -> mats.(c).(r)) in
-      Seq.Cons (row, go (r + 1))
-    end
-  in
-  go 0
+  let width = Array.length cols in
+  Gb_obs.Telemetry.add rows_scanned t.nrows;
+  Gb_obs.Telemetry.add values_decoded (t.nrows * width);
+  (* Late materialization, one row at a time: a cell is decoded and
+     boxed only when its row is yielded, so a scan never holds a decoded
+     copy of a column. Every traversal starts with fresh readers. *)
+  fun () ->
+    let read = Array.map Column.reader cols in
+    let rec go r () =
+      if r >= t.nrows then Seq.Nil
+      else begin
+        let row = Array.make width (Value.Int 0) in
+        for c = 0 to width - 1 do
+          row.(c) <- read.(c) r
+        done;
+        Seq.Cons (row, go (r + 1))
+      end
+    in
+    go 0 ()
 
 let compression_report t =
   List.mapi

@@ -17,15 +17,10 @@ val schema : t -> Schema.t
 val row_count : t -> int
 val column : t -> int -> Column.t
 
-val iter_cols : t -> string list -> (Value.t array -> unit) -> unit
-(** [iter_cols t names f] scans only the named columns; [f] receives the
-    values in the order of [names]. *)
-
-val iter : t -> (Value.t array -> unit) -> unit
-(** Full-width scan (materializes every column). *)
-
 val to_seq : t -> string list -> Value.t array Seq.t
-(** Lazy late-materialization scan over the named columns only. *)
+(** Lazy late-materialization scan over the named columns only, in the
+    order of [names] (a name may repeat). Each cell is decoded when its
+    row is yielded; no decoded copy of a column is built. *)
 
 val compression_report : t -> (string * string * int) list
 (** [(column, encoding, bytes)] per column. *)

@@ -131,23 +131,22 @@ let get t i =
   | Float_plain a -> Value.Float a.(i)
   | Str_dict d -> Value.Str d.dict.(d.codes.(i))
 
-let iter f = function
-  | Int_plain a -> Array.iteri (fun i v -> f i (Value.Int v)) a
+let reader = function
+  | Int_plain a -> fun i -> Value.Int a.(i)
   | Int_rle r ->
-    let nruns = Array.length r.run_values in
-    for k = 0 to nruns - 1 do
-      let stop = if k + 1 < nruns then r.run_starts.(k + 1) else r.len in
-      let v = Value.Int r.run_values.(k) in
-      for i = r.run_starts.(k) to stop - 1 do
-        f i v
-      done
-    done
-  | Int_for fr ->
-    for i = 0 to fr.len - 1 do
-      f i (Value.Int (unpack_int ~base:fr.base ~width:fr.width fr.packed i))
-    done
-  | Float_plain a -> Array.iteri (fun i v -> f i (Value.Float v)) a
-  | Str_dict d -> Array.iteri (fun i c -> f i (Value.Str d.dict.(c))) d.codes
+    let nruns = Array.length r.run_starts in
+    let k = ref 0 and v = ref (Value.Int 0) in
+    let stop = ref 0 in
+    fun i ->
+      if i >= !stop || i < r.run_starts.(!k) then begin
+        k := rle_find r.run_starts i;
+        stop := if !k + 1 < nruns then r.run_starts.(!k + 1) else r.len;
+        v := Value.Int r.run_values.(!k)
+      end;
+      !v
+  | Int_for f -> fun i -> Value.Int (unpack_int ~base:f.base ~width:f.width f.packed i)
+  | Float_plain a -> fun i -> Value.Float a.(i)
+  | Str_dict d -> fun i -> Value.Str d.dict.(d.codes.(i))
 
 let encoding_name = function
   | Int_plain _ -> "int-plain"
@@ -164,8 +163,3 @@ let byte_size = function
   | Str_dict d ->
     (4 * Array.length d.codes)
     + Array.fold_left (fun acc s -> acc + String.length s + 8) 0 d.dict
-
-let to_values t =
-  let out = Array.make (length t) (Value.Int 0) in
-  iter (fun i v -> out.(i) <- v) t;
-  out

@@ -24,11 +24,14 @@ val of_ints : int array -> t
 val length : t -> int
 val get : t -> int -> Value.t
 
-val iter : (int -> Value.t -> unit) -> t -> unit
-(** Sequential decompressing scan; much faster than repeated [get]. *)
+val reader : t -> int -> Value.t
+(** [reader t] decodes one cell at a time, like {!get} without its bounds
+    check ([0 <= i < length t] is the caller's). A run-length reader
+    remembers the run it last decoded, so an ascending scan steps
+    through runs instead of searching; any other order still decodes
+    correctly, through a binary search. Each [reader t] has its own
+    cursor: make one per traversal. *)
 
 val encoding_name : t -> string
 val byte_size : t -> int
 (** Approximate in-memory footprint, for compression-ratio reporting. *)
-
-val to_values : t -> Value.t array

@@ -100,20 +100,36 @@ let map_column name e r =
     rows = Seq.map (fun row -> Array.append row [| f row |]) r.rows;
   }
 
+(* Right-side rows by key, each key's rows in arrival order. The
+   polymorphic table hashes with [Hashtbl.hash] and equates with
+   [compare a b = 0], so a [Value.t] key and the one-element list of it
+   match the same rows: [Int 1] and [Float 1.] stay distinct, NaN
+   matches NaN and -0. matches 0. *)
+let index key rows =
+  let table = Hashtbl.create 1024 in
+  Seq.iter
+    (fun row ->
+      let k = key row in
+      let existing = try Hashtbl.find table k with Not_found -> [] in
+      Hashtbl.replace table k (row :: existing))
+    rows;
+  Hashtbl.filter_map_inplace (fun _ rows -> Some (List.rev rows)) table;
+  table
+
 let hash_join ?trace ~on left right =
   let lidx = List.map (fun (l, _) -> Schema.index left.schema l) on in
   let ridx = List.map (fun (_, r) -> Schema.index right.schema r) on in
-  let key idx row = List.map (fun i -> row.(i)) idx in
   let out_schema = Schema.concat left.schema right.schema in
+  (* A one-column join keys on the value itself: no list per probe. *)
   let build () =
-    let table = Hashtbl.create 1024 in
-    Seq.iter
-      (fun row ->
-        let k = key ridx row in
-        let existing = try Hashtbl.find table k with Not_found -> [] in
-        Hashtbl.replace table k (row :: existing))
-      right.rows;
-    table
+    match (lidx, ridx) with
+    | [ li ], [ ri ] ->
+      let table = index (fun row -> row.(ri)) right.rows in
+      fun lrow -> Hashtbl.find_opt table lrow.(li)
+    | _ ->
+      let key idx row = List.map (fun i -> row.(i)) idx in
+      let table = index (key ridx) right.rows in
+      fun lrow -> Hashtbl.find_opt table (key lidx lrow)
   in
   (* Direct probe loop (cheaper than [Seq.concat_map] over per-match
      sub-sequences). [?trace] adds an int increment per output row and a
@@ -125,7 +141,7 @@ let hash_join ?trace ~on left right =
         Some (name, Gb_obs.Obs.now (), Gb_obs.Profile.start ())
       | _ -> None
     in
-    let table = build () in
+    let probe = build () in
     let n = ref 0 in
     let rec outer l () =
       match l () with
@@ -135,9 +151,9 @@ let hash_join ?trace ~on left right =
         | None -> ());
         Seq.Nil
       | Seq.Cons (lrow, lrest) -> (
-        match Hashtbl.find_opt table (key lidx lrow) with
+        match probe lrow with
         | None -> outer lrest ()
-        | Some matches -> inner lrow (List.rev matches) lrest ())
+        | Some matches -> inner lrow matches lrest ())
     and inner lrow ms lrest () =
       match ms with
       | [] -> outer lrest ()

@@ -143,7 +143,7 @@ let apply_batch t (b : Ingest.batch) =
         t.counters.variants_appended <- t.counters.variants_appended + 1)
     b.Ingest.events;
   Maintain.on_variants t.maintain t.live (List.rev !variants);
-  Maintain.flush t.maintain t.live
+  Maintain.flush t.maintain
 
 let step ?fault t =
   let next = t.watermark + 1 in

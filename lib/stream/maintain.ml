@@ -5,13 +5,6 @@ module Ranges = Gb_util.Ranges
 module Query = Genbase.Query
 module Engine = Genbase.Engine
 module Qcommon = Genbase.Qcommon
-module Dataset = Genbase.Dataset
-module Relops = Genbase.Relops
-module Ops = Gb_relational.Ops
-module Plan = Gb_relational.Plan
-module Expr = Gb_relational.Expr
-module Value = Gb_relational.Value
-module Delta = Gb_relational.Delta
 
 type config = { params : Query.params; staleness_limit : int }
 
@@ -20,8 +13,7 @@ let default_config = { params = Query.default_params; staleness_limit = 256 }
 (* --- per-family state --------------------------------------------------- *)
 
 (* Q1: joint sketch over (selected genes ++ drug response); appends are
-   buffered per batch and folded in through the relational delta-join at
-   [flush]. *)
+   buffered per batch and folded in at [flush]. *)
 type q1 = {
   sel : int array; (* ascending gene ids with func < threshold *)
   slot : int array; (* gene_id -> index in [sel], or -1 *)
@@ -54,7 +46,6 @@ type fallback = { mutable payload : Engine.payload; mutable stale : int }
 type t = {
   config : config;
   genes : int;
-  catalog : Plan.catalog; (* genes table + empty microarray, for deltas *)
   mutable q1 : q1 option;
   mutable q2 : q2 option;
   mutable q3 : fallback option;
@@ -63,46 +54,6 @@ type t = {
   mutable q6 : q6 option;
   mutable recomputes : int;
 }
-
-(* --- relational scaffolding --------------------------------------------- *)
-
-let base_catalog (ds : Genbase.Dataset.t) =
-  let genes_rows = Dataset.genes_rows ds in
-  let n_genes = List.length genes_rows in
-  let scan name cols =
-    match name with
-    | "genes" -> (
-      let r = Ops.of_list Dataset.genes_schema genes_rows in
-      match cols with [] -> r | _ -> Ops.project cols r)
-    | "microarray" -> Ops.of_list Dataset.microarray_schema []
-    | other -> invalid_arg ("Stream.Maintain: unknown table " ^ other)
-  in
-  {
-    Plan.scan;
-    schema_of = Relops.table_schema;
-    row_count = (fun name -> if String.equal name "genes" then n_genes else 0);
-  }
-
-(* Microarray triples (gene_id, patient_id, value) for one full row,
-   gene-ascending — patient-major concatenation keeps per-column delta
-   application in ascending patient order. *)
-let row_triples ~patient_id row =
-  List.init (Array.length row) (fun j ->
-      [| Value.Int j; Value.Int patient_id; Value.Float row.(j) |])
-
-let q1_delta_plan thr =
-  Plan.Project
-    ( [ "gene_id"; "patient_id"; "value" ],
-      Plan.Filter
-        ( Expr.(col "func" <% int thr),
-          Plan.Join
-            {
-              left = Plan.Scan ("microarray", []);
-              right = Plan.Scan ("genes", []);
-              on = [ ("gene_id", "gene_id") ];
-            } ) )
-
-let q5_delta_plan k = Plan.Filter (Expr.(col "patient_id" <% int k), Plan.Scan ("microarray", []))
 
 (* --- selection predicates over the live view (mirror the reference
    engine's id-ascending subsets) ----------------------------------------- *)
@@ -114,24 +65,16 @@ let live_patients_where live pred =
   done;
   Array.of_list !acc
 
-let selected_genes (ds : Genbase.Dataset.t) thr =
-  Array.to_list ds.G.genes
-  |> List.filter_map (fun (g : G.gene) ->
-         if g.G.func < thr then Some g.G.gene_id else None)
-  |> Array.of_list
-
 let live_sub_rows live ids =
   Mat.init (Array.length ids) (Live.n_genes live) (fun i j ->
       Live.cell live ~patient_id:ids.(i) ~gene_id:j)
 
 (* --- init --------------------------------------------------------------- *)
 
-let sample_size frac n =
-  min (max 2 (int_of_float (Float.round (frac *. float_of_int n)))) n
-
 let init_q1 live (params : Query.params) =
-  let ds = Live.base live in
-  let sel = selected_genes ds params.Query.func_threshold in
+  let sel =
+    Qcommon.genes_with_func_below (Live.base live) params.Query.func_threshold
+  in
   let d = Array.length sel in
   let slot = Array.make (Live.n_genes live) (-1) in
   Array.iteri (fun s gid -> slot.(gid) <- s) sel;
@@ -153,7 +96,9 @@ let init_q2 live (params : Query.params) =
   { cohort; sketch = Moments.of_matrix (live_sub_rows live ids) }
 
 let init_q5 live (params : Query.params) =
-  let k = sample_size params.Query.sample_fraction (Live.n_patients live) in
+  let k =
+    Query.sample_size params.Query.sample_fraction (Live.n_patients live)
+  in
   let g = Live.n_genes live in
   let sums = Array.make g 0.0 in
   for i = 0 to k - 1 do
@@ -183,8 +128,9 @@ let recompute_q3 t live =
 
 let recompute_q4 t live =
   let params = t.config.params in
-  let ds = Live.base live in
-  let sel = selected_genes ds params.Query.func_threshold in
+  let sel =
+    Qcommon.genes_with_func_below (Live.base live) params.Query.func_threshold
+  in
   let m =
     Mat.init (Live.n_patients live) (Array.length sel) (fun i j ->
         Live.cell live ~patient_id:i ~gene_id:sel.(j))
@@ -198,7 +144,6 @@ let create ?(config = default_config) ~queries live =
     {
       config;
       genes = Live.n_genes live;
-      catalog = base_catalog (Live.base live);
       q1 = None;
       q2 = None;
       q3 = None;
@@ -246,32 +191,18 @@ let touch_fallback t =
   bump t.q3;
   bump t.q4
 
-(* Q5 sample growth: fold the filter-surviving delta triples into the
-   per-gene sums (patient-major order — see the .mli exactness note). *)
+(* Q5 sample growth: fold the newly sampled rows into the per-gene sums,
+   patients ascending (the .mli exactness note). *)
 let q5_grow t live (s : q5) =
-  let n = Live.n_patients live in
-  let k' = sample_size t.config.params.Query.sample_fraction n in
-  if k' > s.k then begin
-    let triples = ref [] in
-    for i = k' - 1 downto s.k do
-      triples := row_triples ~patient_id:i (Live.row live i) :: !triples
-    done;
-    let delta =
-      Ops.of_list Dataset.microarray_schema (List.concat !triples)
-    in
-    let rows =
-      Delta.delta_rows ~base:t.catalog ~table:"microarray" ~delta
-        (q5_delta_plan k')
-    in
-    Seq.iter
-      (fun row ->
-        match row with
-        | [| Value.Int gene_id; Value.Int _; Value.Float v |] ->
-          s.sums.(gene_id) <- s.sums.(gene_id) +. v
-        | _ -> invalid_arg "Stream.Maintain: bad Q5 delta row")
-      rows.Ops.rows;
-    s.k <- k'
-  end
+  let k' =
+    Query.sample_size t.config.params.Query.sample_fraction
+      (Live.n_patients live)
+  in
+  for i = s.k to k' - 1 do
+    let row = Live.row live i in
+    Array.iteri (fun j v -> s.sums.(j) <- s.sums.(j) +. v) row
+  done;
+  s.k <- max s.k k'
 
 let on_append t live (p : G.patient) row =
   Option.iter
@@ -351,48 +282,16 @@ let on_variants t _live vs =
       end)
     t.q6
 
-(* Q1 batch boundary: run the buffered appends through the delta-join
-   (microarray delta x genes, func < threshold) and rank-1-update the
-   joint sketch with each resulting patient vector. *)
-let flush t _live =
+(* Q1 batch boundary: rank-1-update the joint sketch with each buffered
+   append, in arrival order. *)
+let flush t =
   Option.iter
     (fun (s : q1) ->
-      match s.pending with
-      | [] -> ()
-      | pending ->
-        let pending = List.rev pending in
-        let delta_rows_list =
-          List.concat_map
-            (fun ((p : G.patient), row) ->
-              row_triples ~patient_id:p.G.patient_id row)
-            pending
-        in
-        let delta = Ops.of_list Dataset.microarray_schema delta_rows_list in
-        let out =
-          Delta.delta_rows ~base:t.catalog ~table:"microarray" ~delta
-            (q1_delta_plan t.config.params.Query.func_threshold)
-        in
-        let d = Array.length s.sel in
-        let bufs = Hashtbl.create (List.length pending) in
-        List.iter
-          (fun ((p : G.patient), _) ->
-            Hashtbl.replace bufs p.G.patient_id (Array.make (d + 1) 0.0))
-          pending;
-        Seq.iter
-          (fun row ->
-            match row with
-            | [| Value.Int gene_id; Value.Int pid; Value.Float v |] ->
-              let buf = Hashtbl.find bufs pid in
-              buf.(s.slot.(gene_id)) <- v
-            | _ -> invalid_arg "Stream.Maintain: bad Q1 delta row")
-          out.Ops.rows;
-        List.iter
-          (fun ((p : G.patient), _) ->
-            let buf = Hashtbl.find bufs p.G.patient_id in
-            buf.(d) <- p.G.drug_response;
-            Moments.add_row s.sketch buf)
-          pending;
-        s.pending <- [])
+      List.iter
+        (fun ((p : G.patient), row) ->
+          Moments.add_row s.sketch (joint_of_row s row p.G.drug_response))
+        (List.rev s.pending);
+      s.pending <- [])
     t.q1
 
 (* --- answers ------------------------------------------------------------ *)
@@ -446,7 +345,7 @@ let refresh ?(force = false) t live q =
   in
   match q with
   | Query.Q1_regression -> (
-    flush t live;
+    flush t;
     match t.q1 with Some s -> q1_payload s | None -> missing q)
   | Query.Q2_covariance -> (
     match t.q2 with Some s -> q2_payload t s | None -> missing q)

@@ -5,11 +5,11 @@
 
     - {b Q1 regression} — a joint mergeable-moment sketch
       ({!Gb_linalg.Moments}) over (selected genes, drug response).
-      Appends flow through a relational {e delta-join}: the batch's new
-      microarray triples are joined against the gene table's
-      [func < threshold] selection by running the ordinary Q1 plan over
-      a {!Gb_relational.Delta} catalog, and the resulting joint rows
-      rank-1-update the sketch. Refresh solves the centered normal
+      Appends are buffered until the batch boundary; {!flush} then
+      rank-1-updates the sketch with each appended patient's joint row
+      (the [func < threshold] genes ascending, then the drug response),
+      in arrival order. Cell updates remove and re-add the patient's
+      joint row as they arrive. Refresh solves the centered normal
       equations — numerically equivalent (tolerance-profile) to the
       reference QR fit.
     - {b Q2 covariance} — a moment sketch over the disease cohort's full
@@ -20,13 +20,13 @@
       payload is served until the staleness bound (rows applied since
       the last recompute) is exceeded, then recomputed from the live
       snapshot with the shared reference kernels.
-    - {b Q5 statistics} — delta-filter IVM: the sample predicate is
-      [patient_id < k], so sample growth is a relational filter over the
-      delta triples; per-gene sums are maintained in exact row order
-      (appends in ascending id order, updates recompute the affected
-      column's fold), reproducing [Mat.col_means]'s summation order
-      bit-for-bit — the enrichment payload is {e bitwise} equal to a
-      full recompute.
+    - {b Q5 statistics} — the sample is [patient_id < k] with [k] from
+      {!Genbase.Query.sample_size}, so when an append grows [k] the
+      newly sampled live rows are added to per-gene sums. The sums are
+      kept in exact row order (patients ascending, updates recompute
+      the affected column's fold), reproducing [Mat.col_means]'s
+      summation order bit-for-bit — the enrichment payload is
+      {e bitwise} equal to a full recompute.
     - {b Q6 overlap} — delta interval sweep: each batch's new variants
       sweep against the (static) gene intervals via
       {!Gb_util.Ranges.sweep_join}; new pairs append in canonical order,
@@ -34,7 +34,7 @@
 
     Event hooks must be called {e after} the event is applied to the
     {!Live} view, in event order; {!flush} runs once per batch boundary
-    (it drains the buffered delta-join work). *)
+    (it drains the buffered Q1 appends). *)
 
 type config = {
   params : Genbase.Query.params;
@@ -65,9 +65,13 @@ val on_update :
 val on_variants : t -> Live.t -> Gb_datagen.Generate.variant list -> unit
 (** New variants of one batch, ascending id order. *)
 
-val flush : t -> Live.t -> unit
-(** Batch boundary: runs the buffered Q1 delta-join and folds the
-    resulting joint rows into the regression sketch. *)
+val flush : t -> unit
+(** Batch boundary: folds each buffered append's joint row into the Q1
+    regression sketch, in arrival order. Appends wait for the boundary
+    because a cell update later in the same batch may touch an appended
+    patient: the update's remove/add pair goes into the sketch first,
+    and moving the append ahead of it would change the sketch's
+    floating-point sums. *)
 
 val refresh : ?force:bool -> t -> Live.t -> Genbase.Query.t -> Genbase.Engine.payload
 (** Current answer. Incremental queries (Q1/Q2/Q5/Q6) always reflect

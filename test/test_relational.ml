@@ -116,15 +116,24 @@ let test_column_dict () =
   in
   let c = Column.compress Value.TStr vals in
   Alcotest.(check string) "dict" "str-dict" (Column.encoding_name c);
-  Alcotest.(check bool) "roundtrip" (Column.to_values c = vals) true
+  Alcotest.(check bool) "roundtrip"
+    (Array.init (Column.length c) (Column.get c) = vals)
+    true
 
-let test_column_iter_matches_get () =
+(* A reader asked out of order, as a re-forced scan suffix asks it. *)
+let test_column_reader_matches_get () =
   let g = Gb_util.Prng.create 8L in
-  let vals = Array.init 300 (fun _ -> Value.Float (Gb_util.Prng.normal g)) in
-  let c = Column.compress Value.TFloat vals in
-  Column.iter
-    (fun i v -> Alcotest.(check bool) "same" (Value.equal v (Column.get c i)) true)
-    c
+  let floats = Array.init 300 (fun _ -> Value.Float (Gb_util.Prng.normal g)) in
+  let runs = Array.init 300 (fun i -> Value.Int (i / 25)) in
+  List.iter
+    (fun (ty, vals) ->
+      let c = Column.compress ty vals in
+      let read = Column.reader c in
+      for _ = 1 to 600 do
+        let i = Gb_util.Prng.int g 300 in
+        Alcotest.(check bool) "same" (Value.equal (read i) (Column.get c i)) true
+      done)
+    [ (Value.TFloat, floats); (Value.TInt, runs) ]
 
 (* --- Col store --- *)
 
@@ -145,6 +154,105 @@ let test_col_store_late_materialization () =
   let cs = Col_store.of_rows people_schema rows in
   let only_ids = List.of_seq (Col_store.to_seq cs [ "id" ]) in
   Alcotest.(check int) "width 1" 1 (Array.length (List.hd only_ids))
+
+(* Cells equal bit for bit: NaN equals NaN, -0. differs from 0. *)
+let same_value a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let same_rows a b =
+  List.length a = List.length b && List.for_all2 (Array.for_all2 same_value) a b
+
+(* Every encoding, forced: wide ints stay plain, long runs go run-length,
+   a narrow range goes frame-of-reference. *)
+let every_encoding_store g n =
+  let pick = Gb_util.Prng.int g in
+  let wide = Array.init n (fun i -> (i * 7919 mod 13) lsl 40 + pick 1000) in
+  let runs = Array.init n (fun i -> (i / 9) - 3) in
+  let narrow = Array.init n (fun _ -> 500 + pick 300) in
+  let words = [| "a"; "bb"; ""; "ccc" |] in
+  let strs = Array.init n (fun _ -> Value.Str words.(pick 4)) in
+  let special = [| Float.nan; -0.; 0.; Float.infinity; -1.5 |] in
+  let floats =
+    Array.init n (fun i ->
+        if i mod 3 = 0 then special.(pick 5) else Gb_util.Prng.normal g)
+  in
+  let schema =
+    Schema.make
+      [ ("plain", Value.TInt); ("rle", Value.TInt); ("for", Value.TInt);
+        ("dict", Value.TStr); ("float", Value.TFloat) ]
+  in
+  let columns =
+    [| Column.of_ints wide; Column.of_ints runs; Column.of_ints narrow;
+       Column.compress Value.TStr strs; Column.Float_plain floats |]
+  in
+  (schema, columns, Col_store.of_compressed schema columns)
+
+let test_col_store_scan_matches_get () =
+  let g = Gb_util.Prng.create 0x5CA7L in
+  let names = [| "plain"; "rle"; "for"; "dict"; "float" |] in
+  List.iter
+    (fun n ->
+      let schema, columns, cs = every_encoding_store g n in
+      if n >= 40 then
+        Alcotest.(check (list string))
+          "every encoding"
+          [ "int-plain"; "int-rle"; "int-for"; "str-dict"; "float-plain" ]
+          (Array.to_list (Array.map Column.encoding_name columns));
+      for _ = 1 to 6 do
+        (* Reordered, repeated, possibly empty projections. *)
+        let proj =
+          List.init (Gb_util.Prng.int g 8) (fun _ -> names.(Gb_util.Prng.int g 5))
+        in
+        let expected =
+          List.init n (fun r ->
+              Array.of_list
+                (List.map
+                   (fun name -> Column.get columns.(Schema.index schema name) r)
+                   proj))
+        in
+        let seq = Col_store.to_seq cs proj in
+        let label = Printf.sprintf "n=%d [%s]" n (String.concat "," proj) in
+        Alcotest.(check bool) (label ^ " first pass") true
+          (same_rows expected (List.of_seq seq));
+        Alcotest.(check bool) (label ^ " second pass") true
+          (same_rows expected (List.of_seq seq));
+        (* Force every suffix again, last first: a reader's cursor must
+           not depend on the order it is asked in. *)
+        let rec suffixes acc s =
+          match s () with
+          | Seq.Nil -> acc
+          | Seq.Cons (_, tl) -> suffixes (s :: acc) tl
+        in
+        let heads =
+          List.map
+            (fun s -> match s () with Seq.Cons (row, _) -> row | Seq.Nil -> [||])
+            (suffixes [] seq)
+        in
+        Alcotest.(check bool) (label ^ " suffixes forced backwards") true
+          (same_rows (List.rev expected) heads)
+      done)
+    [ 0; 1; 40; 257 ]
+
+(* The scan counters tick when the scan is set up, once per row and once
+   per cell of the projection. *)
+let test_col_store_scan_counters () =
+  let module Tele = Gb_obs.Telemetry in
+  let _, _, cs = every_encoding_store (Gb_util.Prng.create 3L) 50 in
+  Tele.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Tele.set_enabled false)
+    (fun () ->
+      let before = Tele.counter_snapshot () in
+      let seq = Col_store.to_seq cs [ "rle"; "float"; "rle" ] in
+      let moved = Tele.counter_delta before in
+      Alcotest.(check (list (pair string (float 0.))))
+        "rows and values"
+        [ ("storage_rows_scanned", 50.); ("storage_values_decoded", 150.) ]
+        moved;
+      ignore (List.of_seq seq))
 
 (* --- Expr / Ops --- *)
 
@@ -207,6 +315,60 @@ let test_hash_join_vs_nested_loop () =
   in
   Alcotest.check rows_eq "join equals nested loop" (sort expected)
     (sort (Ops.to_list joined))
+
+(* The reference for rows and their order: a hash join keyed on the
+   list of the key cells, whose hash and equality a one-column join on
+   the bare value must keep. *)
+let list_key_join ~on (left : Ops.rel) (right : Ops.rel) =
+  let lidx = List.map (fun (l, _) -> Schema.index left.Ops.schema l) on in
+  let ridx = List.map (fun (_, r) -> Schema.index right.Ops.schema r) on in
+  let key idx row = List.map (fun i -> row.(i)) idx in
+  let table = Hashtbl.create 16 in
+  Seq.iter
+    (fun row ->
+      let k = key ridx row in
+      let existing = try Hashtbl.find table k with Not_found -> [] in
+      Hashtbl.replace table k (row :: existing))
+    right.Ops.rows;
+  List.concat_map
+    (fun lrow ->
+      match Hashtbl.find_opt table (key lidx lrow) with
+      | None -> []
+      | Some ms -> List.map (fun rrow -> Array.append lrow rrow) (List.rev ms))
+    (Ops.to_list left)
+
+let test_hash_join_matches_list_key () =
+  let g = Gb_util.Prng.create 0x101L in
+  let ints = [| Value.Int 0; Value.Int 1; Value.Int (-7); Value.Int max_int |] in
+  let floats =
+    [| Value.Float 1.; Value.Float 0.; Value.Float (-0.); Value.Float Float.nan;
+       Value.Float 2.5 |]
+  in
+  let strs = [| Value.Str ""; Value.Str "1"; Value.Str "a"; Value.Str "bb" |] in
+  (* [Int 1] against [Float 1.], NaN and -0. against 0., across types. *)
+  let mixed = Array.concat [ ints; floats; strs ] in
+  let schema =
+    Schema.make [ ("k", Value.TFloat); ("k2", Value.TInt); ("tag", Value.TInt) ]
+  in
+  List.iter
+    (fun (pool_name, pool) ->
+      let rows n base =
+        List.init n (fun i ->
+            [| pool.(Gb_util.Prng.int g (Array.length pool));
+               Value.Int (Gb_util.Prng.int g 2); Value.Int (base + i) |])
+      in
+      let left = rows 120 0 and right = rows 30 1000 in
+      List.iter
+        (fun on ->
+          let rel rs = Ops.of_list schema rs in
+          let expected = list_key_join ~on (rel left) (rel right) in
+          let got = Ops.to_list (Ops.hash_join ~on (rel left) (rel right)) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s keys on %d column(s): %d rows, same order"
+               pool_name (List.length on) (List.length expected))
+            true (same_rows expected got))
+        [ [ ("k", "k") ]; [ ("k", "k"); ("k2", "k2") ] ])
+    [ ("int", ints); ("float", floats); ("str", strs); ("mixed", mixed) ]
 
 let test_aggregate () =
   let r =
@@ -352,7 +514,7 @@ let prop_column_compress_roundtrip =
     (fun ints ->
       let vals = Array.of_list (List.map (fun i -> Value.Int i) ints) in
       let c = Column.compress Value.TInt vals in
-      Column.to_values c = vals)
+      Array.init (Column.length c) (Column.get c) = vals)
 
 (* --- interval join: operator, planner node, EXPLAIN ANALYZE --- *)
 
@@ -465,14 +627,17 @@ let suite =
     ("column rle", `Quick, test_column_rle);
     ("column frame-of-reference", `Quick, test_column_for);
     ("column dictionary", `Quick, test_column_dict);
-    ("column iter matches get", `Quick, test_column_iter_matches_get);
+    ("column reader matches get", `Quick, test_column_reader_matches_get);
     ("col store roundtrip", `Quick, test_col_store_roundtrip);
     ("col store late materialization", `Quick, test_col_store_late_materialization);
+    ("col store scan matches Column.get", `Quick, test_col_store_scan_matches_get);
+    ("col store scan counters", `Quick, test_col_store_scan_counters);
     ("filter", `Quick, test_filter);
     ("filter compound", `Quick, test_filter_compound);
     ("project", `Quick, test_project);
     ("map column", `Quick, test_map_column);
     ("hash join vs nested loop", `Quick, test_hash_join_vs_nested_loop);
+    ("hash join matches list-key join", `Quick, test_hash_join_matches_list_key);
     ("aggregate", `Quick, test_aggregate);
     ("sort + limit", `Quick, test_sort_limit);
     ("guard fires", `Quick, test_guard_fires);

@@ -114,6 +114,45 @@ let test_refresh_equals_recompute () =
         (Check.check_all exec all_queries))
     seeds
 
+(* Bitwise refresh pins: after each of 40 batches on two Small seeds,
+   the Q1, Q2 and Q5 answers are fingerprinted, and each golden is the
+   digest of one query's 40 fingerprints in batch order. A maintainer
+   that reorders a floating-point fold (say, adding appends to the Q1
+   sketch before the batch's cell updates) changes these bits while
+   still passing the tolerance-profile oracle above. *)
+let test_refresh_goldens () =
+  let queries = [ Query.Q1_regression; Query.Q2_covariance; Query.Q5_statistics ] in
+  let goldens =
+    [
+      ( 1L,
+        [ "3be20ff6f454eabc986f02f9ec5c8a1a"; "b59710c4e6e96e2c4c5cad1a2487fcc6";
+          "72d8a9c7f985908148533b18026ebb7e" ] );
+      ( 2L,
+        [ "14ffa6a6ec40d20a119d6a4f4f4688f1"; "981efce9f0708d0395663183d824e2e5";
+          "14531245a405dbb3aff58e03cad7b9a9" ] );
+    ]
+  in
+  List.iter
+    (fun (seed, expected) ->
+      let ds = G.generate ~seed (Spec.of_size Spec.Small) in
+      let log = Ingest.generate ~profile:(Ingest.profile ~batches:40 ()) ds in
+      let exec = Exec.create ~queries ds log in
+      let fps = List.map (fun _ -> Buffer.create 1280) queries in
+      for _ = 1 to 40 do
+        Exec.step exec;
+        List.iter2
+          (fun q b -> Buffer.add_string b (Compare.fingerprint (Exec.refresh exec q)))
+          queries fps
+      done;
+      List.iter2
+        (fun (q, b) golden ->
+          Alcotest.(check string)
+            (Printf.sprintf "seed %Ld %s after each batch" seed (Query.name q))
+            golden
+            (Digest.to_hex (Digest.string (Buffer.contents b))))
+        (List.combine queries fps) expected)
+    goldens
+
 (* Mid-stream crashes: recovery restores the last checkpoint and replays;
    the final state and every exact answer are bit-identical to the clean
    run, and the conformance classification records the degradation. *)
@@ -313,6 +352,8 @@ let suite =
       test_exec_matches_materialize;
     Alcotest.test_case "refresh == recompute across seeds (oracle)" `Slow
       test_refresh_equals_recompute;
+    Alcotest.test_case "Q1/Q2/Q5 refresh goldens after each of 40 batches"
+      `Quick test_refresh_goldens;
     Alcotest.test_case "mid-stream crash: replay converges, degraded match"
       `Quick test_crash_replay_converges;
     Alcotest.test_case "crash before first checkpoint rebuilds from base"
