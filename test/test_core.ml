@@ -399,6 +399,118 @@ let test_lean_store_builders () =
       ("37x53", Dataset.generate ~seed:11L (Spec.custom ~genes:37 ~patients:53));
     ]
 
+(* --- multi-node cluster ledger --- *)
+
+(* One cell's deterministic cluster ledger: the payload fingerprint, the
+   superstep count, the phase names in order and every comm op with its
+   bytes in order. Simulated times are left out (they are measured). *)
+let cell_ledger e ds q =
+  let module Obs = Gb_obs.Obs in
+  Obs.reset ();
+  let outcome = Engine.run e ds q ~timeout_s:600. () in
+  let spans =
+    List.filter_map
+      (function Obs.Span_ev s -> Some s | Obs.Instant_ev _ -> None)
+      (Obs.events ())
+  in
+  let names cat = List.filter (fun s -> s.Obs.cat = cat) spans in
+  let comm s =
+    match List.assoc_opt "bytes" s.Obs.attrs with
+    | Some (Obs.Int b) -> Printf.sprintf "%s=%d" s.Obs.name b
+    | _ -> s.Obs.name
+  in
+  String.concat "\n"
+    [
+      outcome_fingerprint outcome;
+      Printf.sprintf "supersteps %d" (List.length (names "superstep"));
+      "phases " ^ String.concat "," (List.map (fun s -> s.Obs.name) (names "phase"));
+      "comm " ^ String.concat "," (List.map comm (names "comm"));
+    ]
+
+let ledger_configs =
+  [
+    ("pbdR", fun nodes -> Engine_pbdr.engine ~nodes);
+    ("SciDB", fun nodes -> Engine_scidb_mn.engine ~nodes);
+    ("SciDB + Xeon Phi", fun nodes -> Engine_scidb_mn.engine_phi ~nodes);
+    ("Column store + pbdR", fun nodes -> Engine_colstore_mn.pbdr ~nodes);
+    ("Column store + UDFs", fun nodes -> Engine_colstore_mn.udf ~nodes);
+  ]
+
+(* Per (configuration, nodes): one 8-hex digest of each query's ledger,
+   Q1..Q6, computed before the multi-node engines shared one program.
+   Simulated communication, superstep structure and answers must not
+   move under a refactor of that program. *)
+let ledger_golden =
+  [
+    (("pbdR", 1),
+     "1c9b8b67 51a5e071 dfa9a18c ef0954fd 5a498c5c 81c97f23");
+    (("pbdR", 2),
+     "0dc8705f 51a5e071 d1c1df66 db5b53d5 5a498c5c de93d950");
+    (("pbdR", 4),
+     "890183f3 5586a784 3bdc96bd 7683b59d 5a498c5c b4935ef6");
+    (("SciDB", 1),
+     "1c9b8b67 51a5e071 dfa9a18c ef0954fd 5a498c5c 81c97f23");
+    (("SciDB", 2),
+     "8023c072 bea0f56d d1c1df66 fdbf35bf 5a498c5c de93d950");
+    (("SciDB", 4),
+     "aaf00d49 36776032 3bdc96bd 0c20537c 5a498c5c b4935ef6");
+    (("SciDB + Xeon Phi", 1),
+     "1c9b8b67 51a5e071 dfa9a18c ef0954fd 5a498c5c 81c97f23");
+    (("SciDB + Xeon Phi", 2),
+     "8023c072 bea0f56d d1c1df66 fdbf35bf 5a498c5c de93d950");
+    (("SciDB + Xeon Phi", 4),
+     "aaf00d49 36776032 3bdc96bd 0c20537c 5a498c5c b4935ef6");
+    (("Column store + pbdR", 1),
+     "f4044871 31e29cb0 e658b0ba f378879b 5a498c5c 6045cd7f");
+    (("Column store + pbdR", 2),
+     "f732a367 31e29cb0 2d41aeed ffd62e9e 5a498c5c c7a707fa");
+    (("Column store + pbdR", 4),
+     "d62b4055 86c2a75e 7a2fe82e d963b3b1 5a498c5c c3817c44");
+    (("Column store + UDFs", 1),
+     "c55dad74 6d57c3da dfa9a18c ef0954fd 5a498c5c 6045cd7f");
+    (("Column store + UDFs", 2),
+     "29f36cd1 6d57c3da d1c1df66 db5b53d5 5a498c5c c7a707fa");
+    (("Column store + UDFs", 4),
+     "37730276 a2a77244 3bdc96bd 7683b59d 5a498c5c c3817c44");
+  ]
+
+let test_multinode_ledger_golden () =
+  let module Obs = Gb_obs.Obs in
+  let ds = Dataset.of_size Spec.Small in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      List.iter
+        (fun (name, make) ->
+          List.iter
+            (fun nodes ->
+              let e = make nodes in
+              Alcotest.(check string) "configuration name" name e.Engine.name;
+              let ledgers = List.map (fun q -> (q, cell_ledger e ds q)) Query.all in
+              let got =
+                List.map
+                  (fun (_, l) -> String.sub (Digest.to_hex (Digest.string l)) 0 8)
+                  ledgers
+              in
+              let pinned =
+                String.split_on_char ' ' (List.assoc (name, nodes) ledger_golden)
+              in
+              List.iteri
+                (fun i (q, ledger) ->
+                  let want = Option.value (List.nth_opt pinned i) ~default:"" in
+                  if List.nth got i <> want then
+                    Alcotest.failf
+                      "%s, %s, %d nodes: ledger digest %s, pinned %s \
+                       (row digests: %s)\n%s"
+                      name (Query.name q) nodes (List.nth got i) want
+                      (String.concat " " got) ledger)
+                ledgers)
+            [ 1; 2; 4 ])
+        ledger_configs)
+
 let suite =
   [
     ("q1 cross-engine agreement", `Quick, test_q1_agreement);
@@ -420,5 +532,6 @@ let suite =
     ("session reuse matches fresh runs", `Quick, test_session_reuse_matches_fresh);
     ("harness cell prepares once", `Quick, test_harness_cell_prepares_once);
     ("lean store builders", `Quick, test_lean_store_builders);
+    ("multi-node ledger golden", `Quick, test_multinode_ledger_golden);
   ]
 
