@@ -31,10 +31,10 @@ let run () =
   in
   let systems =
     [
-      ("pbdR", fun nodes -> Genbase.Engine_pbdr.engine ~nodes);
-      ("SciDB", fun nodes -> Genbase.Engine_scidb_mn.engine ~nodes);
+      ("pbdR", fun nodes -> Genbase.Engine_multinode.pbdr ~nodes ());
+      ("SciDB", fun nodes -> Genbase.Engine_multinode.scidb ~nodes ());
       ( "Column store + pbdR",
-        fun nodes -> Genbase.Engine_colstore_mn.pbdr ~nodes );
+        fun nodes -> Genbase.Engine_multinode.colstore_pbdr ~nodes () );
     ]
   in
   List.concat_map

@@ -36,12 +36,12 @@ let engine_table nodes =
     ("scidb", Genbase.Engine_scidb.engine);
     ("scidb-phi", Genbase.Engine_phi.engine);
     ("hadoop", Genbase.Engine_hadoop.engine);
-    ("pbdr", Genbase.Engine_pbdr.engine ~nodes);
-    ("scidb-mn", Genbase.Engine_scidb_mn.engine ~nodes);
-    ("scidb-phi-mn", Genbase.Engine_scidb_mn.engine_phi ~nodes);
-    ("colstore-pbdr", Genbase.Engine_colstore_mn.pbdr ~nodes);
-    ("colstore-udf-mn", Genbase.Engine_colstore_mn.udf ~nodes);
-    ("hadoop-mn", Genbase.Engine_hadoop.engine_multinode ~nodes);
+    ("pbdr", Genbase.Engine_multinode.pbdr ~nodes ());
+    ("scidb-mn", Genbase.Engine_multinode.scidb ~nodes ());
+    ("scidb-phi-mn", Genbase.Engine_multinode.scidb_phi ~nodes);
+    ("colstore-pbdr", Genbase.Engine_multinode.colstore_pbdr ~nodes ());
+    ("colstore-udf-mn", Genbase.Engine_multinode.colstore_udf ~nodes ());
+    ("hadoop-mn", Genbase.Engine_hadoop.engine_multinode ~nodes ());
   ]
 
 let seed_arg =

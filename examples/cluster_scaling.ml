@@ -10,9 +10,9 @@ let () =
   let node_counts = [ 1; 2; 4 ] in
   let engines nodes =
     [
-      Genbase.Engine_pbdr.engine ~nodes;
-      Genbase.Engine_scidb_mn.engine ~nodes;
-      Genbase.Engine_colstore_mn.pbdr ~nodes;
+      Genbase.Engine_multinode.pbdr ~nodes ();
+      Genbase.Engine_multinode.scidb ~nodes ();
+      Genbase.Engine_multinode.colstore_pbdr ~nodes ();
     ]
   in
   Printf.printf "%-22s %8s %8s %8s %s\n" "engine" "1 node" "2 nodes" "4 nodes"

@@ -68,7 +68,7 @@ let seed_runs config =
       (seed, fuzzed, params, ds))
     config.seeds
 
-let default_engines =
+let engines =
   List.filter
     (fun e -> e.Engine.name <> Oracle.reference.Engine.name)
     Harness.single_node_engines
@@ -83,17 +83,23 @@ let police_unsupported ~engine ~query = function
       { divergence = infinity; detail = "unexpected Unsupported outcome" }
   | c -> c
 
-let differential ?(engines = default_engines) config =
+let classify ~engine ~query ~params ~reference outcome =
+  Oracle.classify
+    ~tol:(Oracle.tolerance_for ~engine query)
+    ~p_threshold:params.Query.p_threshold ~reference outcome
+  |> police_unsupported ~engine ~query
+
+(* Vanilla R's outcome for every query on one seed's data. *)
+let reference_outcomes config ds params =
+  List.map
+    (fun q ->
+      (q, Engine.run Oracle.reference ds q ~params ~timeout_s:config.timeout_s ()))
+    Query.all
+
+let differential config =
   List.concat_map
     (fun (seed, fuzzed, params, ds) ->
-      let reference_outcomes =
-        List.map
-          (fun q ->
-            ( q,
-              Engine.run Oracle.reference ds q ~params
-                ~timeout_s:config.timeout_s () ))
-          Query.all
-      in
+      let reference = reference_outcomes config ds params in
       List.concat_map
         (fun e ->
           List.map
@@ -101,12 +107,9 @@ let differential ?(engines = default_engines) config =
               let outcome =
                 Engine.run e ds query ~params ~timeout_s:config.timeout_s ()
               in
-              let tol = Oracle.tolerance_for ~engine:e.Engine.name query in
               let classification =
-                Oracle.classify ~tol ~p_threshold:params.Query.p_threshold
-                  ~reference:(List.assoc query reference_outcomes)
-                  outcome
-                |> police_unsupported ~engine:e.Engine.name ~query
+                classify ~engine:e.Engine.name ~query ~params
+                  ~reference:(List.assoc query reference) outcome
               in
               note config "seed %Ld | %s | %s: %s" seed (Query.name query)
                 e.Engine.name
@@ -124,17 +127,18 @@ let differential ?(engines = default_engines) config =
         engines)
     (seed_runs config)
 
-let chaos_conformance ?(chaos = Harness.default_chaos) ?(node_counts = [ 2; 4 ])
-    config =
+let chaos_conformance ~node_counts config =
   List.concat_map
     (fun (seed, fuzzed, params, ds) ->
+      let oracle = reference_outcomes config ds params in
       List.concat_map
         (fun nodes ->
           let clean = Harness.multi_node_engines ~nodes in
-          let armed = Harness.chaos_engines chaos ~nodes in
+          let armed = Harness.chaos_engines Harness.default_chaos ~nodes in
           List.concat_map
             (fun (e_clean, e_armed) ->
-              assert (e_clean.Engine.name = e_armed.Engine.name);
+              let engine = e_clean.Engine.name in
+              assert (engine = e_armed.Engine.name);
               List.map
                 (fun query ->
                   let reference =
@@ -145,19 +149,24 @@ let chaos_conformance ?(chaos = Harness.default_chaos) ?(node_counts = [ 2; 4 ])
                     Engine.run e_armed ds query ~params
                       ~timeout_s:config.timeout_s ()
                   in
-                  let tol =
-                    Oracle.tolerance_for ~engine:e_clean.Engine.name query
-                  in
+                  (* A faulted answer is held to the fault-free one, which
+                     is held to Vanilla R: a multi-node engine that is
+                     consistently wrong does not conform. *)
                   let classification =
-                    Oracle.classify ~tol
-                      ~p_threshold:params.Query.p_threshold ~reference outcome
-                    |> police_unsupported ~engine:e_clean.Engine.name ~query
+                    match
+                      classify ~engine ~query ~params
+                        ~reference:(List.assoc query oracle) reference
+                    with
+                    | Oracle.Mismatch { divergence; detail } ->
+                      Oracle.Mismatch
+                        { divergence; detail = "fault-free run vs reference: " ^ detail }
+                    | _ -> classify ~engine ~query ~params ~reference outcome
                   in
                   note config "seed %Ld | n=%d | %s | %s: %s" seed nodes
-                    (Query.name query) e_clean.Engine.name
+                    (Query.name query) engine
                     (Oracle.describe classification);
                   {
-                    engine = e_clean.Engine.name;
+                    engine;
                     nodes;
                     query;
                     seed;

@@ -6,8 +6,9 @@
     (one per seed; non-base seeds also fuzz the query parameters through
     {!Genqc}). {!chaos_conformance} re-runs the multi-node engines under
     the harness's deterministic fault plans and checks each (possibly
-    degraded) answer against the same engine's fault-free run — turning
-    the chaos grid from an availability report into a correctness check. *)
+    degraded) answer against the same engine's fault-free run, and that
+    fault-free run against Vanilla R — turning the chaos grid from an
+    availability report into a correctness check. *)
 
 type cell = {
   engine : string;
@@ -39,17 +40,18 @@ val quick_config : config
 val seeds_from : base:int64 -> int -> int64 list
 (** [base] followed by [n-1] SplitMix-derived seeds. *)
 
-val differential : ?engines:Genbase.Engine.t list -> config -> cell list
-(** Engines default to every single-node engine except the reference,
-    plus the Xeon Phi configuration. An [Unsupported] outcome outside
+val differential : config -> cell list
+(** Every single-node engine except the reference, plus the Xeon Phi
+    configuration. An [Unsupported] outcome outside
     {!Oracle.whitelisted_unsupported} is converted to a mismatch. *)
 
-val chaos_conformance :
-  ?chaos:Genbase.Harness.chaos -> ?node_counts:int list -> config -> cell list
-(** For each node count (default [[2; 4]]), runs every multi-node engine
-    clean and under its {!Genbase.Harness.chaos_plan}, and classifies the
-    faulty run against the clean one. Degraded-but-equal cells classify
-    as {!Oracle.Degraded_match}. *)
+val chaos_conformance : node_counts:int list -> config -> cell list
+(** For each node count, runs every multi-node engine clean and under
+    its {!Genbase.Harness.chaos_plan} ({!Genbase.Harness.default_chaos}).
+    The clean run is classified against Vanilla R; when it diverges the
+    cell is a mismatch, otherwise the faulty run is classified against
+    the clean one. Degraded-but-equal cells classify as
+    {!Oracle.Degraded_match}. *)
 
 val render : cell list -> string
 (** One table per (seed, node count): engines x queries with per-cell

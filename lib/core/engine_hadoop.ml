@@ -260,13 +260,10 @@ let engine =
     prepare = (fun ds q ~params ~timeout_s -> run ~nodes:1 ds q ~params ~timeout_s);
   }
 
-let make_multinode ~fault ~nodes =
+let engine_multinode ?fault ~nodes () =
   {
     Engine.name = "Hadoop";
     kind = `Multi_node nodes;
     supports;
     prepare = (fun ds q ~params ~timeout_s -> run ?fault ~nodes ds q ~params ~timeout_s);
   }
-
-let engine_multinode ~nodes = make_multinode ~fault:None ~nodes
-let multinode_faulty ~fault ~nodes = make_multinode ~fault:(Some fault) ~nodes

@@ -6,12 +6,9 @@
 
 val engine : Engine.t
 
-val engine_multinode : nodes:int -> Engine.t
+val engine_multinode : ?fault:Gb_fault.Fault.plan -> nodes:int -> unit -> Engine.t
 (** The same stack with maps/reduces spread over [nodes] (parallel
-    efficiency < 1) and shuffle traffic charged to the interconnect. *)
-
-val multinode_faulty : fault:Gb_fault.Fault.plan -> nodes:int -> Engine.t
-(** [engine_multinode] with a deterministic fault plan armed on the
-    MapReduce runtime: [Task_fail] events cost Hadoop-style task
-    re-attempts; jobs whose failures outlast the attempt budget surface
-    as [Engine.Errored]. *)
+    efficiency < 1) and shuffle traffic charged to the interconnect.
+    [?fault] arms a deterministic fault plan on the MapReduce runtime:
+    [Task_fail] events cost Hadoop-style task re-attempts; jobs whose
+    failures outlast the attempt budget surface as [Engine.Errored]. *)

@@ -131,14 +131,17 @@ let single_node_engines =
     Engine_hadoop.engine;
   ]
 
-let multi_node_engines ~nodes =
+let multi_node_constructors =
   [
-    Engine_pbdr.engine ~nodes;
-    Engine_scidb_mn.engine ~nodes;
-    Engine_colstore_mn.pbdr ~nodes;
-    Engine_colstore_mn.udf ~nodes;
-    Engine_hadoop.engine_multinode ~nodes;
+    Engine_multinode.pbdr;
+    Engine_multinode.scidb;
+    Engine_multinode.colstore_pbdr;
+    Engine_multinode.colstore_udf;
+    Engine_hadoop.engine_multinode;
   ]
+
+let multi_node_engines ~nodes =
+  List.map (fun make -> make ?fault:None ~nodes ()) multi_node_constructors
 
 (* Global memory budget throttling concurrent cells. Sized from
    GENBASE_MEMORY_BUDGET_MB (default 4 GiB); a cell's reservation is a
@@ -282,8 +285,8 @@ let phi_mn_cells config =
         (fun q ->
           let cells =
             run_pair_interleaved ~iterations:5
-              (Engine_scidb_mn.engine ~nodes)
-              (Engine_scidb_mn.engine_phi ~nodes)
+              (Engine_multinode.scidb ~nodes ())
+              (Engine_multinode.scidb_phi ~nodes)
               ds q ~timeout_s:config.timeout_s
           in
           List.iter
@@ -498,14 +501,11 @@ let chaos_plan chaos ~engine ~nodes =
     ~task_fail_p:chaos.task_fail_p ()
 
 let chaos_engines chaos ~nodes =
-  let plan name = chaos_plan chaos ~engine:name ~nodes in
-  [
-    Engine_pbdr.faulty ~fault:(plan "pbdR") ~nodes;
-    Engine_scidb_mn.faulty ~fault:(plan "SciDB") ~nodes;
-    Engine_colstore_mn.pbdr_faulty ~fault:(plan "Column store + pbdR") ~nodes;
-    Engine_colstore_mn.udf_faulty ~fault:(plan "Column store + UDFs") ~nodes;
-    Engine_hadoop.multinode_faulty ~fault:(plan "Hadoop") ~nodes;
-  ]
+  List.map
+    (fun make ->
+      let engine = (make ?fault:None ~nodes ()).Engine.name in
+      make ?fault:(Some (chaos_plan chaos ~engine ~nodes)) ~nodes ())
+    multi_node_constructors
 
 let chaos_cells ?(chaos = default_chaos) config =
   run_grid config

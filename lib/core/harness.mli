@@ -107,7 +107,8 @@ val chaos_plan : chaos -> engine:string -> nodes:int -> Gb_fault.Fault.plan
     differ across the grid but are a pure function of the config. *)
 
 val chaos_engines : chaos -> nodes:int -> Engine.t list
-(** {!multi_node_engines} with each engine armed with its chaos plan. *)
+(** {!multi_node_engines}, each armed with the {!chaos_plan} of its own
+    name and [nodes]. *)
 
 val chaos_cells : ?chaos:chaos -> config -> cell list
 (** The {!multi_node_cells} grid under fault injection: 5 systems x 5

@@ -165,48 +165,7 @@ let overlap_sweep ?(min_overlap = 1) variants genes =
   Gb_obs.Telemetry.add overlap_pairs_out (List.length pairs);
   pairs
 
-let overlap_axis_end variants genes =
-  let m = ref 0 in
-  Array.iter (fun (iv : Ranges.iv) -> m := max !m iv.hi) variants;
-  Array.iter (fun (iv : Ranges.iv) -> m := max !m iv.hi) genes;
-  !m
-
-(* Bin-aligned coordinate spans for the cluster engines: the axis's
-   fixed-width bins are block-partitioned across nodes, giving each node
-   one contiguous [lo, hi) slice of the genome. *)
-let overlap_node_spans ~bin_width ~nodes ~axis_end =
-  let nbins = max nodes (1 + Ranges.bin_of ~bin_width (max 0 (axis_end - 1))) in
-  Gb_cluster.Partition.block_rows ~rows:nbins ~nodes
-  |> Array.map (fun (start, len) ->
-         (start * bin_width, (start + len) * bin_width))
-
-(* One node's share of the overlap join: sweep the intervals touching
-   its span, then keep only the pairs the span owns — the pair's
-   max(starts) falls inside it — so replicated boundary intervals are
-   counted exactly once across the cluster.  Interval ids must index the
-   full arrays (true for {!variant_ivs}/{!gene_ivs}). *)
-let overlap_pairs_in_span ?(min_overlap = 1) ~span:(lo, hi) variants genes =
-  let touching ivs =
-    Array.to_list ivs
-    |> List.filter (fun (iv : Ranges.iv) -> iv.lo < hi && iv.hi > lo)
-    |> Array.of_list
-  in
-  Ranges.sweep_join ~min_overlap (touching variants) (touching genes)
-  |> List.filter (fun (v, g, _) ->
-         let s = max variants.(v).Ranges.lo genes.(g).Ranges.lo in
-         s >= lo && s < hi)
-
-(* --- recovery accounting shared by the fault-tolerant engines --- *)
-
-let cluster_recovery cluster =
-  let s = Gb_cluster.Cluster.stats cluster in
-  {
-    Engine.retries =
-      s.Gb_cluster.Cluster.oom_retries + s.Gb_cluster.Cluster.messages_dropped;
-    recovered_nodes = s.Gb_cluster.Cluster.crashes_recovered;
-    speculative = s.Gb_cluster.Cluster.speculative_restarts;
-    wasted_s = s.Gb_cluster.Cluster.wasted_seconds;
-  }
+(* --- recovery accounting --- *)
 
 let mr_recovery mr =
   {
@@ -215,11 +174,3 @@ let mr_recovery mr =
     speculative = 0;
     wasted_s = Gb_mapreduce.Mr.wasted_seconds mr;
   }
-
-let arm_cluster cluster = function
-  | None -> ()
-  | Some plan ->
-    Gb_cluster.Cluster.set_fault_plan cluster plan;
-    (* Crash recovery is only interesting with something to restore from:
-       checkpoint every 4 supersteps, 64 KiB of state per node. *)
-    Gb_cluster.Cluster.set_checkpoint cluster ~every:4 ~bytes_per_node:65536

@@ -52,34 +52,6 @@ val overlap_sweep :
     already canonical and identical at any domain count. Profiled as the
     ["overlap_sweep"] kernel span; bumps ["q6_overlap_pairs"]. *)
 
-val overlap_axis_end : Gb_util.Ranges.iv array -> Gb_util.Ranges.iv array -> int
-(** One past the largest coordinate either interval set touches. *)
-
-val overlap_node_spans :
-  bin_width:int -> nodes:int -> axis_end:int -> (int * int) array
-(** Block-partition the axis's fixed-width bins across nodes; each node
-    gets one bin-aligned, contiguous [lo, hi) genome slice. *)
-
-val overlap_pairs_in_span :
-  ?min_overlap:int ->
-  span:int * int ->
-  Gb_util.Ranges.iv array ->
-  Gb_util.Ranges.iv array ->
-  (int * int * int) list
-(** One node's share of the Q6 join: sweep the intervals touching [span],
-    keeping only pairs whose max(starts) lies inside it — boundary
-    intervals replicated to two spans are counted exactly once across
-    the cluster. Interval ids must index the given arrays. *)
-
-val cluster_recovery : Gb_cluster.Cluster.t -> Engine.recovery
-(** The cluster's absorbed faults as degraded-completion metadata
-    ({!Engine.no_recovery} when the run was clean). *)
-
 val mr_recovery : Gb_mapreduce.Mr.t -> Engine.recovery
-(** Likewise for the MapReduce runtime's task retries. *)
-
-val arm_cluster : Gb_cluster.Cluster.t -> Gb_fault.Fault.plan option -> unit
-(** Arm an optional fault plan on a freshly created cluster, enabling
-    periodic superstep checkpointing alongside it (every 4 supersteps,
-    64 KiB per node) so injected crashes exercise restore-from-checkpoint
-    rather than full re-execution. No-op on [None]. *)
+(** The MapReduce runtime's task retries as degraded-completion metadata
+    ({!Engine.no_recovery} when the run was clean). *)

@@ -236,9 +236,9 @@ let test_chaos_conformance_tiny () =
 
 let test_targeted_crash_degraded_match () =
   let ds = Dataset.generate ~seed:7L (Spec.custom ~genes:40 ~patients:110) in
-  let clean = Genbase.Engine_pbdr.engine ~nodes:2 in
+  let clean = Genbase.Engine_multinode.pbdr ~nodes:2 () in
   let fault = Fault.of_events [ Fault.Node_crash { node = 0; superstep = 0 } ] in
-  let armed = Genbase.Engine_pbdr.faulty ~fault ~nodes:2 in
+  let armed = Genbase.Engine_multinode.pbdr ~fault ~nodes:2 () in
   let reference = Engine.run clean ds Query.Q1_regression ~timeout_s:60. () in
   let outcome = Engine.run armed ds Query.Q1_regression ~timeout_s:60. () in
   match Oracle.classify ~tol:Compare.numeric ~reference outcome with
@@ -301,9 +301,9 @@ let test_q6_crash_degraded_match () =
   (* The Q6 chaos requirement: a node crash on the shuffle-by-bin plan
      must recover to the *bit-identical* pair list. *)
   let ds = Dataset.generate ~seed:7L (Spec.custom ~genes:40 ~patients:110) in
-  let clean = Genbase.Engine_pbdr.engine ~nodes:2 in
+  let clean = Genbase.Engine_multinode.pbdr ~nodes:2 () in
   let fault = Fault.of_events [ Fault.Node_crash { node = 0; superstep = 0 } ] in
-  let armed = Genbase.Engine_pbdr.faulty ~fault ~nodes:2 in
+  let armed = Genbase.Engine_multinode.pbdr ~fault ~nodes:2 () in
   let reference = Engine.run clean ds Query.Q6_overlap ~timeout_s:60. () in
   let outcome = Engine.run armed ds Query.Q6_overlap ~timeout_s:60. () in
   match Oracle.classify ~reference outcome with

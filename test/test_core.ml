@@ -23,10 +23,10 @@ let all_engines =
     Engine_scidb.engine;
     Engine_phi.engine;
     Engine_hadoop.engine;
-    Engine_pbdr.engine ~nodes:2;
-    Engine_scidb_mn.engine ~nodes:2;
-    Engine_colstore_mn.pbdr ~nodes:2;
-    Engine_colstore_mn.udf ~nodes:2;
+    Engine_multinode.pbdr ~nodes:2 ();
+    Engine_multinode.scidb ~nodes:2 ();
+    Engine_multinode.colstore_pbdr ~nodes:2 ();
+    Engine_multinode.colstore_udf ~nodes:2 ();
   ]
 
 let supporting q =
@@ -326,7 +326,8 @@ let outcome_fingerprint = function
 
 (* Reuse gives the same answer: a memoized session answers Q1-Q6 twice,
    in a seeded shuffled order, each time bit-identically to a fresh
-   [Engine.run] on the same data. *)
+   [Engine.run] on the same data. Multi-node sessions hold their node
+   stores, so the five cluster configurations are covered at 2 nodes. *)
 let test_session_reuse_matches_fresh () =
   let order = Array.of_list (Query.all @ Query.all) in
   Gb_util.Prng.shuffle (Gb_util.Prng.create 0x5E5510L) order;
@@ -345,7 +346,15 @@ let test_session_reuse_matches_fresh () =
             (List.assoc q fresh)
             (outcome_fingerprint (Engine.run session tiny q ~timeout_s:60. ())))
         order)
-    (Harness.single_node_engines @ [ Engine_phi.engine ])
+    (Harness.single_node_engines
+    @ [
+        Engine_phi.engine;
+        Engine_multinode.pbdr ~nodes:2 ();
+        Engine_multinode.scidb ~nodes:2 ();
+        Engine_multinode.scidb_phi ~nodes:2;
+        Engine_multinode.colstore_pbdr ~nodes:2 ();
+        Engine_multinode.colstore_udf ~nodes:2 ();
+      ])
 
 (* A sub-second cell is rerun up to four more times; the reruns share
    the cell's one prepared session. *)
@@ -429,11 +438,11 @@ let cell_ledger e ds q =
 
 let ledger_configs =
   [
-    ("pbdR", fun nodes -> Engine_pbdr.engine ~nodes);
-    ("SciDB", fun nodes -> Engine_scidb_mn.engine ~nodes);
-    ("SciDB + Xeon Phi", fun nodes -> Engine_scidb_mn.engine_phi ~nodes);
-    ("Column store + pbdR", fun nodes -> Engine_colstore_mn.pbdr ~nodes);
-    ("Column store + UDFs", fun nodes -> Engine_colstore_mn.udf ~nodes);
+    ("pbdR", fun nodes -> Engine_multinode.pbdr ~nodes ());
+    ("SciDB", fun nodes -> Engine_multinode.scidb ~nodes ());
+    ("SciDB + Xeon Phi", fun nodes -> Engine_multinode.scidb_phi ~nodes);
+    ("Column store + pbdR", fun nodes -> Engine_multinode.colstore_pbdr ~nodes ());
+    ("Column store + UDFs", fun nodes -> Engine_multinode.colstore_udf ~nodes ());
   ]
 
 (* Per (configuration, nodes): one 8-hex digest of each query's ledger,

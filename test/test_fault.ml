@@ -384,9 +384,9 @@ let test_grid_mixed_outcomes () =
     List.map
       (fun e -> Harness.run_cell e tiny Query.Q1_regression ~timeout_s:60.)
       [
-        Engine_pbdr.engine ~nodes:2;
-        Engine_pbdr.faulty ~fault:crashy ~nodes:2;
-        Engine_hadoop.multinode_faulty ~fault:doomed ~nodes:2;
+        Engine_multinode.pbdr ~nodes:2 ();
+        Engine_multinode.pbdr ~fault:crashy ~nodes:2 ();
+        Engine_hadoop.engine_multinode ~fault:doomed ~nodes:2 ();
       ]
   in
   Alcotest.(check (list string))

@@ -28,7 +28,7 @@ let test_scidb_two_node_regression_penalty () =
   let best nodes =
     List.fold_left Float.min infinity
       (List.init 3 (fun _ ->
-           total (Engine_scidb_mn.engine ~nodes) ds Query.Q1_regression))
+           total (Engine_multinode.scidb ~nodes ()) ds Query.Q1_regression))
   in
   let one = best 1 in
   let two = best 2 in
@@ -36,15 +36,15 @@ let test_scidb_two_node_regression_penalty () =
 
 let test_pbdr_scales () =
   let ds = Lazy.force large in
-  let one = total (Engine_pbdr.engine ~nodes:1) ds Query.Q1_regression in
-  let four = total (Engine_pbdr.engine ~nodes:4) ds Query.Q1_regression in
+  let one = total (Engine_multinode.pbdr ~nodes:1 ()) ds Query.Q1_regression in
+  let four = total (Engine_multinode.pbdr ~nodes:4 ()) ds Query.Q1_regression in
   Alcotest.(check bool) "speedup" (four < one) true;
   Alcotest.(check bool) "sub-linear-ish sane" (four > one /. 16.) true
 
 let test_hadoop_multinode_faster () =
   let ds = Lazy.force medium in
-  let one = total (Engine_hadoop.engine_multinode ~nodes:1) ds Query.Q2_covariance in
-  let four = total (Engine_hadoop.engine_multinode ~nodes:4) ds Query.Q2_covariance in
+  let one = total (Engine_hadoop.engine_multinode ~nodes:1 ()) ds Query.Q2_covariance in
+  let four = total (Engine_hadoop.engine_multinode ~nodes:4 ()) ds Query.Q2_covariance in
   Alcotest.(check bool) "multi-node helps" (four < one) true;
   (* Job overhead does not parallelize, so far from 4x. *)
   Alcotest.(check bool) "not linear" (four > one /. 4.) true
