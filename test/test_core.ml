@@ -520,6 +520,105 @@ let test_multinode_ledger_golden () =
             [ 1; 2; 4 ])
         ledger_configs)
 
+(* --- single-node phase ledger --- *)
+
+(* One single-node cell's ledger: the outcome fingerprint, then every
+   span in recording order as category, clock track and name, with its
+   [bytes] or [rows] attribute when it has one. Durations and GC
+   attributes are measured, so they are left out. *)
+let span_ledger e ds q =
+  let module Obs = Gb_obs.Obs in
+  Obs.reset ();
+  let outcome = Engine.run e ds q ~timeout_s:600. () in
+  let line = function
+    | Obs.Span_ev s ->
+      let size =
+        List.filter_map
+          (fun key ->
+            match List.assoc_opt key s.Obs.attrs with
+            | Some (Obs.Int n) -> Some (Printf.sprintf " %s=%d" key n)
+            | _ -> None)
+          [ "bytes"; "rows" ]
+      in
+      Some
+        (Printf.sprintf "%s %s %s%s" s.Obs.cat
+           (match s.Obs.track with Obs.Wall -> "wall" | Obs.Sim -> "sim")
+           s.Obs.name (String.concat "" size))
+    | Obs.Instant_ev _ -> None
+  in
+  String.concat "\n"
+    (outcome_fingerprint outcome :: List.filter_map line (Obs.events ()))
+
+let single_node_configs =
+  [
+    Engine_r.engine;
+    Engine_sql.postgres_r;
+    Engine_madlib.engine;
+    Engine_sql.colstore_r;
+    Engine_sql.colstore_udf;
+    Engine_scidb.engine;
+    Engine_phi.engine;
+    Engine_hadoop.engine;
+  ]
+
+(* Per configuration: one 8-hex digest of each query's span ledger,
+   Q1..Q6 on Small, computed before the single-node engines shared one
+   program. Answers, phase structure, kernel spans and device transfers
+   must not move under a refactor of that program. *)
+let single_ledger_golden =
+  [
+    ("Vanilla R",
+     "8669d070 684e77ce ed5c8a23 3682b993 deb984f1 23c441a7");
+    ("Postgres + R",
+     "a7ae8795 4a9cacb8 1668a24a 394ab853 b8d7890c fe5573d0");
+    ("Postgres + Madlib",
+     "8ba03f65 00e6ea72 723c2587 e331426f c9333866 0e6acab9");
+    ("Column store + R",
+     "a7ae8795 4a9cacb8 1668a24a 394ab853 b8d7890c fe5573d0");
+    ("Column store + UDFs",
+     "0604c20c f8468215 65fd08c0 cc2f84bc a7945c40 fe5573d0");
+    ("SciDB",
+     "aa683bb7 97f3e39a 730e5eaa 3b836f5a e56b5086 75dfbc5e");
+    ("SciDB + Xeon Phi",
+     "af25e8b0 0f879596 81aaede6 230e4573 bccb4fa0 e5ac106f");
+    ("Hadoop",
+     "66eaa5d0 ee9a48d8 723c2587 20a3c733 723c2587 8a3360d6");
+  ]
+
+let test_single_node_ledger_golden () =
+  let module Obs = Gb_obs.Obs in
+  let ds = Dataset.of_size Spec.Small in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      List.iter
+        (fun e ->
+          let name = e.Engine.name in
+          let ledgers = List.map (fun q -> (q, span_ledger e ds q)) Query.all in
+          let got =
+            List.map
+              (fun (_, l) -> String.sub (Digest.to_hex (Digest.string l)) 0 8)
+              ledgers
+          in
+          let pinned =
+            match List.assoc_opt name single_ledger_golden with
+            | Some row -> String.split_on_char ' ' row
+            | None -> []
+          in
+          List.iteri
+            (fun i (q, ledger) ->
+              let want = Option.value (List.nth_opt pinned i) ~default:"" in
+              if List.nth got i <> want then
+                Alcotest.failf
+                  "%s, %s: ledger digest %s, pinned %s (row digests: %s)\n%s"
+                  name (Query.name q) (List.nth got i) want
+                  (String.concat " " got) ledger)
+            ledgers)
+        single_node_configs)
+
 let suite =
   [
     ("q1 cross-engine agreement", `Quick, test_q1_agreement);
@@ -542,5 +641,6 @@ let suite =
     ("harness cell prepares once", `Quick, test_harness_cell_prepares_once);
     ("lean store builders", `Quick, test_lean_store_builders);
     ("multi-node ledger golden", `Quick, test_multinode_ledger_golden);
+    ("single-node ledger golden", `Quick, test_single_node_ledger_golden);
   ]
 
