@@ -34,7 +34,7 @@ let engine_table nodes =
     ("colstore-r", Genbase.Engine_sql.colstore_r);
     ("colstore-udf", Genbase.Engine_sql.colstore_udf);
     ("scidb", Genbase.Engine_scidb.engine);
-    ("scidb-phi", Genbase.Engine_phi.engine);
+    ("scidb-phi", Genbase.Engine_scidb.phi);
     ("hadoop", Genbase.Engine_hadoop.engine);
     ("pbdr", Genbase.Engine_multinode.pbdr ~nodes ());
     ("scidb-mn", Genbase.Engine_multinode.scidb ~nodes ());

@@ -61,8 +61,10 @@ val summary : cell list -> string
 (** Totals per classification plus one line per mismatch. *)
 
 val to_csv : cell list -> string
-(** [engine,nodes,query,seed,fuzzed,status,divergence,detail] — the CI
-    artifact. *)
+(** [engine,nodes,query,seed,fuzzed,payload,status,divergence,detail] —
+    the CI artifact. A degraded match's detail is its retries and
+    recovered nodes, which the fault plan fixes, so two runs write the
+    same CSV unless a status changes. *)
 
 val mismatches : cell list -> cell list
 val conforming : cell list -> bool

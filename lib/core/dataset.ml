@@ -104,18 +104,15 @@ type columnar_db = {
    in [microarray_rows]'s order (gene-major, ascending) so pages and
    column encodings come out identical, but without materializing a
    boxed row per cell first. *)
-let iter_microarray (t : t) f =
+let load_row_stores (t : t) =
   let p, g = Mat.dims t.expression in
+  let microarray_r = Row_store.create microarray_schema in
   for j = 0 to g - 1 do
     for i = 0 to p - 1 do
-      f j i (Mat.unsafe_get t.expression i j)
+      let v = Mat.unsafe_get t.expression i j in
+      Row_store.insert microarray_r [| Value.Int j; Value.Int i; Value.Float v |]
     done
-  done
-
-let load_row_stores t =
-  let microarray_r = Row_store.create microarray_schema in
-  iter_microarray t (fun j i v ->
-      Row_store.insert microarray_r [| Value.Int j; Value.Int i; Value.Float v |]);
+  done;
   {
     microarray_r;
     patients_r = Row_store.of_rows patients_schema (patients_rows t);
@@ -124,20 +121,25 @@ let load_row_stores t =
     variants_r = Row_store.of_rows variants_schema (variants_rows t);
   }
 
-let load_col_stores (t : t) =
-  let p, g = Mat.dims t.expression in
-  let n = p * g in
+let microarray_block (t : t) ~start ~len =
+  let g = snd (Mat.dims t.expression) in
+  let n = len * g in
   let gene = Array.make n 0 and patient = Array.make n 0 in
   let value = Array.create_float n in
-  iter_microarray t (fun j i v ->
-      let r = (j * p) + i in
+  for j = 0 to g - 1 do
+    for i = 0 to len - 1 do
+      let r = (j * len) + i in
       gene.(r) <- j;
-      patient.(r) <- i;
-      value.(r) <- v);
+      patient.(r) <- start + i;
+      value.(r) <- Mat.unsafe_get t.expression (start + i) j
+    done
+  done;
+  Col_store.of_compressed microarray_schema
+    [| Column.of_ints gene; Column.of_ints patient; Column.Float_plain value |]
+
+let load_col_stores (t : t) =
   {
-    microarray_c =
-      Col_store.of_compressed microarray_schema
-        [| Column.of_ints gene; Column.of_ints patient; Column.Float_plain value |];
+    microarray_c = microarray_block t ~start:0 ~len:t.expression.Mat.rows;
     patients_c = Col_store.of_rows patients_schema (patients_rows t);
     genes_c = Col_store.of_rows genes_schema (genes_rows t);
     go_c = Col_store.of_rows go_schema (go_rows t);

@@ -46,6 +46,12 @@ type columnar_db = {
 val load_row_stores : t -> relational_db
 val load_col_stores : t -> columnar_db
 
+val microarray_block : t -> start:int -> len:int -> Gb_relational.Col_store.t
+(** The column-stored microarray rows of the [len] patients from [start]
+    on, built straight from the expression matrix in
+    {!microarray_rows}' order. {!load_col_stores} stores the whole table
+    as one block, the multi-node column store one block per node. *)
+
 (** {1 Array form} *)
 
 type array_db = {

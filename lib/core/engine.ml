@@ -64,6 +64,26 @@ type t = {
 
 exception Memory_exceeded
 
+let phase ?clock ~check name f =
+  match clock with
+  | None ->
+    Gb_obs.Profile.with_ ~cat:"phase" ~name
+      ~dur_of:(fun (_, t) -> Some t)
+      (fun () ->
+        let r, t = Gb_util.Clock.Stopwatch.time f in
+        check ();
+        (r, t))
+  | Some now ->
+    let t0 = now () in
+    let gc = Gb_obs.Profile.start () in
+    let r = f () in
+    check ();
+    let t1 = now () in
+    Gb_obs.Obs.Span.emit ~cat:"phase"
+      ~attrs:(Gb_obs.Profile.delta_attrs gc)
+      ~name ~t0 ~t1 ();
+    (r, t1 -. t0)
+
 let run e ds q ?(params = Query.default_params) ~timeout_s () =
   if not (e.supports q) then Unsupported
   else

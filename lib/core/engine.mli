@@ -70,10 +70,10 @@ val recovery_of : outcome -> recovery option
 type session = Query.t -> params:Query.params -> timeout_s:float -> outcome
 (** An engine prepared on one data set: it answers any number of
     queries from what [prepare] built. A session may hold immutable
-    derived stores (row pages, compressed columns, chunked arrays) and
-    nothing else: every query starts its own deadline, simulated clock
-    and cooperative-timeout hook, so answering a query never changes
-    the answer to the next one. *)
+    derived stores (row pages, compressed columns, chunked arrays, data
+    frames, text tables) and nothing else: every query starts its own
+    deadline, simulated clock and cooperative-timeout hook, so answering
+    a query never changes the answer to the next one. *)
 
 type t = {
   name : string;
@@ -108,6 +108,21 @@ val memo : t -> t
     and session alive until it is replaced or dropped. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
+
+val phase :
+  ?clock:(unit -> float) ->
+  check:(unit -> unit) ->
+  string ->
+  (unit -> 'a) ->
+  'a * float
+(** [phase ?clock ~check name f] runs one phase of a query under a
+    ["phase"]-category span named [name], calls [check] (the query's
+    cooperative timeout hook) when [f] returns, and gives [f]'s result
+    with the phase's seconds. Without [clock] the phase is wall-timed
+    and its span is a wall span; with [clock] (a simulated clock's
+    reading, advanced by [f] itself) its seconds are the clock's advance
+    and its span lands on the simulated track. Either way the span
+    carries the phase's GC delta when profiling is on. *)
 
 exception Memory_exceeded
 (** Raised by engines whose modelled memory budget is exhausted (the

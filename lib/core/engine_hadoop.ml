@@ -25,23 +25,17 @@ let to_dense_triples mr table ~id_field ~other_field ~value_field ~index
       else [ Printf.sprintf "%s,%d,%s" other dense v ])
     table
 
-let run ?fault ~nodes ds query ~(params : Query.params) ~timeout_s =
+(* The text tables are written when [prepare] is applied; each query
+   runs its jobs on a fresh MapReduce runtime. *)
+let prepare ?fault ~nodes ds =
+  let hdb = Dataset.load_hadoop_db ds in
+  fun query ~(params : Query.params) ~timeout_s ->
   let dl = Gb_util.Deadline.start ~seconds:(2. *. timeout_s) in
+  let check () = Gb_util.Deadline.check dl in
   let mr = Mr.create ~nodes () in
   Mr.set_deadline mr timeout_s;
   Option.iter (Mr.set_fault_plan mr) fault;
-  let hdb = Dataset.load_hadoop_db ds in
-  let phase name f =
-    let t0 = Mr.elapsed mr in
-    let gc = Gb_obs.Profile.start () in
-    let r = f () in
-    Gb_util.Deadline.check dl;
-    let t1 = Mr.elapsed mr in
-    Gb_obs.Obs.Span.emit ~cat:"phase"
-      ~attrs:(Gb_obs.Profile.delta_attrs gc)
-      ~name ~t0 ~t1 ();
-    (r, t1 -. t0)
-  in
+  let clock () = Mr.elapsed mr in
   let n_patients = Array.length ds.Gb_datagen.Generate.patients in
   let n_genes = Array.length ds.Gb_datagen.Generate.genes in
   let select_genes_and_join () =
@@ -69,7 +63,7 @@ let run ?fault ~nodes ds query ~(params : Query.params) ~timeout_s =
   match query with
   | Query.Q1_regression ->
     let (triples, gene_ids, y), dm =
-      phase "dm" (fun () ->
+      Engine.phase ~clock ~check "dm" (fun () ->
           let triples, gene_ids = select_genes_and_join () in
           let resp =
             Hive.project mr ~name:"responses" [ 0; 5 ] hdb.Dataset.patients_h
@@ -82,7 +76,7 @@ let run ?fault ~nodes ds query ~(params : Query.params) ~timeout_s =
           (triples, gene_ids, y))
     in
     let payload, analytics =
-      phase "analytics" (fun () ->
+      Engine.phase ~clock ~check "analytics" (fun () ->
           let beta =
             Mahout.regression mr ~rows:n_patients ~cols:(Array.length gene_ids)
               triples y
@@ -98,7 +92,7 @@ let run ?fault ~nodes ds query ~(params : Query.params) ~timeout_s =
       payload
   | Query.Q2_covariance ->
     let (triples, n_sel), dm0 =
-      phase "dm" (fun () ->
+      Engine.phase ~clock ~check "dm" (fun () ->
           let sel =
             Hive.select mr ~name:"sel-patients"
               (fun f -> int_of_string f.(4) = params.disease_id)
@@ -120,7 +114,7 @@ let run ?fault ~nodes ds query ~(params : Query.params) ~timeout_s =
           (triples, Array.length pat_ids))
     in
     let payload, analytics =
-      phase "analytics" (fun () ->
+      Engine.phase ~clock ~check "analytics" (fun () ->
           let cov =
             Mahout.covariance mr ~rows:n_sel ~cols:n_genes triples
           in
@@ -134,7 +128,7 @@ let run ?fault ~nodes ds query ~(params : Query.params) ~timeout_s =
       match payload with Engine.Cov_pairs p -> p.top_pairs | _ -> []
     in
     let _joined, dm1 =
-      phase "dm:join_metadata" (fun () ->
+      Engine.phase ~clock ~check "dm:join_metadata" (fun () ->
           let pair_table =
             List.map (fun (a, b, v) -> Printf.sprintf "%d,%d,%.12g" a b v) pairs
           in
@@ -146,10 +140,10 @@ let run ?fault ~nodes ds query ~(params : Query.params) ~timeout_s =
   | Query.Q3_biclustering | Query.Q5_statistics -> Engine.Unsupported
   | Query.Q4_svd ->
     let (triples, gene_ids), dm =
-      phase "dm" (fun () -> select_genes_and_join ())
+      Engine.phase ~clock ~check "dm" (fun () -> select_genes_and_join ())
     in
     let payload, analytics =
-      phase "analytics" (fun () ->
+      Engine.phase ~clock ~check "analytics" (fun () ->
           let eigs =
             Mahout.lanczos_eigs mr ~rows:n_patients
               ~cols:(Array.length gene_ids)
@@ -171,7 +165,7 @@ let run ?fault ~nodes ds query ~(params : Query.params) ~timeout_s =
     let module Ranges = Gb_util.Ranges in
     let bin_width = Ranges.default_bin_width in
     let tagged, dm0 =
-      phase "dm" (fun () ->
+      Engine.phase ~clock ~check "dm" (fun () ->
           let vs =
             List.map (fun l -> "V," ^ l) hdb.Dataset.variants_h
           in
@@ -182,7 +176,7 @@ let run ?fault ~nodes ds query ~(params : Query.params) ~timeout_s =
           vs @ gs)
     in
     let lines, dm1 =
-      phase "analytics" (fun () ->
+      Engine.phase ~clock ~check "analytics" (fun () ->
           Mr.run_job mr ~name:"overlap-bins"
             ~mapper:(fun line ->
               let f = Array.of_list (String.split_on_char ',' line) in
@@ -257,7 +251,7 @@ let engine =
     Engine.name = "Hadoop";
     kind = `Single_node;
     supports;
-    prepare = (fun ds q ~params ~timeout_s -> run ~nodes:1 ds q ~params ~timeout_s);
+    prepare = prepare ?fault:None ~nodes:1;
   }
 
 let engine_multinode ?fault ~nodes () =
@@ -265,5 +259,5 @@ let engine_multinode ?fault ~nodes () =
     Engine.name = "Hadoop";
     kind = `Multi_node nodes;
     supports;
-    prepare = (fun ds q ~params ~timeout_s -> run ?fault ~nodes ds q ~params ~timeout_s);
+    prepare = prepare ?fault ~nodes;
   }

@@ -1,5 +1,4 @@
 open Gb_relational
-module Stopwatch = Gb_util.Clock.Stopwatch
 
 (* Re-key a (patient_id, gene_id, value) relation into Sql_linalg triple
    form, renumbering columns densely via [gene_index]. *)
@@ -36,22 +35,16 @@ let prepare ds =
   let dl = Gb_util.Deadline.start ~seconds:timeout_s in
   let check () = Gb_util.Deadline.check dl in
   let db = stores ~check in
-  let time name f =
-    Gb_obs.Profile.with_ ~cat:"phase" ~name
-      ~dur_of:(fun (_, t) -> Some t)
-      (fun () ->
-        let r, t = Stopwatch.time f in
-        check ();
-        (r, t))
-  in
   let n_genes = Array.length ds.Gb_datagen.Generate.genes in
   match query with
   | Query.Q1_regression ->
     (* MADlib's linear regression is a native C++ aggregate: one streaming
        pass assembling the normal equations. *)
-    let (x, y, _gene_ids), dm = time "dm" (fun () -> Relops.q1_dm db params) in
+    let (x, y, _gene_ids), dm =
+      Engine.phase ~check "dm" (fun () -> Relops.q1_dm db params)
+    in
     let payload, analytics =
-      time "analytics" (fun () ->
+      Engine.phase ~check "analytics" (fun () ->
           let m = Gb_linalg.Linreg.fit_normal_equations x y in
           Engine.Regression
             {
@@ -65,7 +58,7 @@ let prepare ds =
     (* Covariance "simulated in SQL": joins and aggregates over the triple
        relation, no native kernel. *)
     let (triples, n_sel), dm0 =
-      time "dm" (fun () ->
+      Engine.phase ~check "dm" (fun () ->
           let joined =
             Ops.filter
               Expr.(col "disease_id" =% int params.disease_id)
@@ -85,7 +78,7 @@ let prepare ds =
           (Ops.of_list Sql_linalg.triple_schema rows, Hashtbl.length distinct))
     in
     let payload, analytics =
-      time "analytics" (fun () ->
+      Engine.phase ~check "analytics" (fun () ->
           let cov_rel = Sql_linalg.covariance ~check ~rows:n_sel triples in
           let c = Sql_linalg.to_matrix ~rows:n_genes ~cols:n_genes cov_rel in
           let pairs =
@@ -96,12 +89,15 @@ let prepare ds =
     let pairs =
       match payload with Engine.Cov_pairs p -> p.top_pairs | _ -> []
     in
-    let _n, dm1 = time "dm:join_metadata" (fun () -> Relops.q2_join_metadata db pairs) in
+    let _n, dm1 =
+      Engine.phase ~check "dm:join_metadata" (fun () ->
+          Relops.q2_join_metadata db pairs)
+    in
     Engine.Completed ({ dm = dm0 +. dm1; analytics }, payload)
   | Query.Q3_biclustering -> Engine.Unsupported
   | Query.Q4_svd ->
     let (triples, n_patients, n_sel_genes), dm =
-      time "dm" (fun () ->
+      Engine.phase ~check "dm" (fun () ->
           let genes_sel =
             Ops.filter
               Expr.(col "func" <% int params.func_threshold)
@@ -131,7 +127,7 @@ let prepare ds =
             Array.length gene_ids ))
     in
     let payload, analytics =
-      time "analytics" (fun () ->
+      Engine.phase ~check "analytics" (fun () ->
           let eigs =
             Sql_linalg.power_iteration_eigs ~check ~rows:n_patients
               ~cols:n_sel_genes
@@ -144,13 +140,13 @@ let prepare ds =
     Engine.Completed ({ dm; analytics }, payload)
   | Query.Q5_statistics ->
     let (scores, go_pairs), dm =
-      time "dm" (fun () ->
+      Engine.phase ~check "dm" (fun () ->
           Relops.q5_dm db params
             ~n_patients:(Array.length ds.Gb_datagen.Generate.patients))
     in
     (* The Wilcoxon test runs in plpython inside the database. *)
     let payload, analytics =
-      time "analytics" (fun () ->
+      Engine.phase ~check "analytics" (fun () ->
           Qcommon.enrichment_of ~n_genes:(Array.length scores) ~go_pairs
             ~go_terms:ds.Gb_datagen.Generate.spec.Gb_datagen.Spec.go_terms
             ~p_threshold:params.p_threshold ~scores)
@@ -161,7 +157,7 @@ let prepare ds =
        and run the sort-merge sweep operator directly, as a MADlib-style
        native aggregate would. *)
     let pairs, dm =
-      time "dm" (fun () ->
+      Engine.phase ~check "dm" (fun () ->
           let joined =
             Ops.interval_join ~trace:"interval_join"
               ~min_overlap:params.min_overlap_bp
@@ -181,7 +177,7 @@ let prepare ds =
                    Value.to_int row.(oi) )))
     in
     let payload, analytics =
-      time "analytics" (fun () ->
+      Engine.phase ~check "analytics" (fun () ->
           Qcommon.overlaps_of
             ~n_variants:(Array.length ds.Gb_datagen.Generate.variants)
             ~n_genes pairs)

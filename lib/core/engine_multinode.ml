@@ -33,10 +33,6 @@ type backend = {
   marshal : Mat.t -> unit;  (** Q3's per-call marshalling on the head *)
 }
 
-let mat_bytes m =
-  let r, c = Mat.dims m in
-  8 * r * c
-
 (* --- pbdR and SciDB: block-row slices of the expression matrix --- *)
 
 (* How one back end holds a node's block of patient rows. *)
@@ -169,16 +165,9 @@ let columnar ~boundary (ds : Dataset.t) ~nodes =
   let genes = table Dataset.genes_schema Dataset.genes_rows in
   let go = table Dataset.go_schema Dataset.go_rows in
   let variants = table Dataset.variants_schema Dataset.variants_rows in
-  let micro = Dataset.microarray_rows ds in
   let blocks =
     Partition.block_rows ~rows:(fst (Mat.dims ds.expression)) ~nodes
-    |> Array.map (fun (start, len) ->
-           Col_store.of_rows Dataset.microarray_schema
-             (List.filter
-                (fun row ->
-                  let pid = Value.to_int row.(1) in
-                  pid >= start && pid < start + len)
-                micro))
+    |> Array.map (fun (start, len) -> Dataset.microarray_block ds ~start ~len)
   in
   let db ctx node =
     let store = function
@@ -324,18 +313,9 @@ let run ?device ?fault ~nodes (ds : Dataset.t) b query ~(params : Query.params)
          from: checkpoint every 4 supersteps, 64 KiB of state per node. *)
       Cluster.set_checkpoint cluster ~every:4 ~bytes_per_node:65536)
     fault;
-  let ctx = { cluster; params; check = (fun () -> Gb_util.Deadline.check dl) } in
-  let phase name f =
-    let t0 = Cluster.elapsed cluster in
-    let gc = Gb_obs.Profile.start () in
-    let r = f () in
-    ctx.check ();
-    let t1 = Cluster.elapsed cluster in
-    Gb_obs.Obs.Span.emit ~cat:"phase"
-      ~attrs:(Gb_obs.Profile.delta_attrs gc)
-      ~name ~t0 ~t1 ();
-    (r, t1 -. t0)
-  in
+  let check () = Gb_util.Deadline.check dl in
+  let ctx = { cluster; params; check } in
+  let clock () = Cluster.elapsed cluster in
   let head_only f =
     let out = ref None in
     ignore
@@ -346,7 +326,7 @@ let run ?device ?fault ~nodes (ds : Dataset.t) b query ~(params : Query.params)
      node's block crosses PCIe and superstep compute is scaled by the
      device's speedup for the kernel class. *)
   let analytics_phase cls ~bytes_per_node f =
-    phase "analytics" (fun () ->
+    Engine.phase ~clock ~check "analytics" (fun () ->
         match device with
         | None -> f ()
         | Some dev ->
@@ -357,12 +337,12 @@ let run ?device ?fault ~nodes (ds : Dataset.t) b query ~(params : Query.params)
             f)
   in
   let blocks dm =
-    phase "dm" (fun () ->
+    Engine.phase ~clock ~check "dm" (fun () ->
         let parts = dm ctx in
         b.realign cluster;
         parts)
   in
-  let widest = Array.fold_left (fun acc p -> max acc (mat_bytes p)) 0 in
+  let widest = Array.fold_left (fun acc p -> max acc (Mat.byte_size p)) 0 in
   let finish ~dm (payload, analytics) =
     Engine.completed { dm; analytics }
       ~recovery:(recovery cluster) payload
@@ -393,19 +373,23 @@ let run ?device ?fault ~nodes (ds : Dataset.t) b query ~(params : Query.params)
     in
     (* Step 4 joins the pairs against the replicated gene metadata. *)
     let name, join = b.metadata in
-    let (), dm1 = phase name (fun () -> head_only (fun () -> join ctx pairs)) in
+    let (), dm1 =
+      Engine.phase ~clock ~check name (fun () ->
+          head_only (fun () -> join ctx pairs))
+    in
     finish ~dm:(dm0 +. dm1)
       (Engine.Cov_pairs { n_genes; top_pairs = pairs }, analytics)
   | Query.Q3_biclustering ->
     let head, dm =
-      phase "dm" (fun () ->
+      Engine.phase ~clock ~check "dm" (fun () ->
           let parts = b.q3 ctx in
-          let total = Array.fold_left (fun acc p -> acc + mat_bytes p) 0 parts in
+          let total = Array.fold_left (fun n p -> n + Mat.byte_size p) 0 parts in
           Cluster.gather cluster ~bytes_per_node:(total / nodes);
           Partition.concat_rows parts)
     in
     finish ~dm
-      (analytics_phase Device.Light ~bytes_per_node:(mat_bytes head) (fun () ->
+      (analytics_phase Device.Light ~bytes_per_node:(Mat.byte_size head)
+         (fun () ->
            head_only (fun () ->
                b.marshal head;
                Qcommon.biclusters_of head)))
@@ -418,7 +402,7 @@ let run ?device ?fault ~nodes (ds : Dataset.t) b query ~(params : Query.params)
              (Array.map (fun e -> sqrt (Float.max 0. e)) eigs)))
   | Query.Q5_statistics ->
     let scores, dm =
-      phase "dm" (fun () ->
+      Engine.phase ~clock ~check "dm" (fun () ->
           let k =
             Query.sample_size params.sample_fraction (Array.length ds.patients)
           in
@@ -438,7 +422,7 @@ let run ?device ?fault ~nodes (ds : Dataset.t) b query ~(params : Query.params)
        the two small interval tables), sweeps locally, and the head
        gathers the per-node pair lists. *)
     let (vivs, givs, spans), dm =
-      phase "dm" (fun () ->
+      Engine.phase ~clock ~check "dm" (fun () ->
           let vivs, givs = b.q6 ctx in
           let spans = node_spans ~nodes vivs givs in
           Cluster.shuffle cluster

@@ -1,8 +1,8 @@
 (** Configurations 3–5: SQL engines with external-R or in-DB-UDF
     analytics.
 
-    [make] builds an engine from a storage backend (row or column store)
-    and an analytics boundary:
+    [make] builds an engine on the {!Engine_single} program from a
+    storage backend (row or column store) and an analytics boundary:
     - [`Export_to_r]: results cross a CSV serialize/parse boundary before
       analytics (Postgres+R, ColumnStore+R);
     - [`Udf]: analytics run in-process against the pivoted data

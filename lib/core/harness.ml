@@ -264,7 +264,7 @@ let phi_cells config =
         (fun q ->
           let cells =
             run_pair_interleaved ~iterations:5 Engine_scidb.engine
-              Engine_phi.engine ds q ~timeout_s:config.timeout_s
+              Engine_scidb.phi ds q ~timeout_s:config.timeout_s
           in
           List.iter
             (fun c ->

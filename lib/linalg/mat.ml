@@ -13,6 +13,7 @@ let create rows cols =
   { rows; cols; data }
 
 let dims m = (m.rows, m.cols)
+let byte_size m = 8 * m.rows * m.cols
 
 let get m i j =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then

@@ -16,6 +16,9 @@ val create : int -> int -> t
 val init : int -> int -> (int -> int -> float) -> t
 val dims : t -> int * int
 
+val byte_size : t -> int
+(** Payload bytes, 8 per cell: what shipping the matrix moves. *)
+
 (** Element accessors [get], [set], [unsafe_get] and [unsafe_set]. Called
     from another module they are out-of-line calls that box every float
     they take or return: the dev profile compiles each library with

@@ -84,7 +84,7 @@ let speed_classes =
       (Genbase.Engine_sql.colstore_r, 0.9);
       (Genbase.Engine_sql.colstore_udf, 0.7);
       (Genbase.Engine_scidb.engine, 0.8);
-      (Genbase.Engine_phi.engine, 0.5);
+      (Genbase.Engine_scidb.phi, 0.5);
       (Genbase.Engine_hadoop.engine, 2.5);
     ]
 

@@ -334,6 +334,24 @@ let test_render_and_csv () =
   checkb "summary flags it" true (contains (Matrix.summary [ ok; bad ]) "MISMATCH");
   checkb "clean grid conforms" true (Matrix.conforming [ ok ])
 
+(* A degraded match's CSV line carries only what the fault plan fixes:
+   wasted seconds and speculative restarts come from measured wall time
+   and must not make two runs' CSVs differ. *)
+let test_csv_degraded_deterministic () =
+  let cell wasted_s speculative =
+    { Matrix.engine = "Hadoop"; nodes = 2; query = Query.Q4_svd; seed = 1L;
+      fuzzed = false; payload = "singular_values";
+      classification =
+        Oracle.Degraded_match
+          { divergence = 1e-9;
+            recovery =
+              { Engine.retries = 2; recovered_nodes = 1; speculative; wasted_s } } }
+  in
+  let a = Matrix.to_csv [ cell 0.164 0 ] and b = Matrix.to_csv [ cell 0.162 3 ] in
+  check Alcotest.string "same line" a b;
+  checkb "retries and recovered nodes written" true
+    (contains a "retries=2 recovered=1")
+
 (* --- seed stability ---
 
    Two in-process generations must be bit-identical, and the digests must
@@ -632,6 +650,7 @@ let suite =
     Alcotest.test_case "Q6 differential (3 seeds, 2 sizes)" `Slow test_q6_differential_three_seeds;
     Alcotest.test_case "Q6 crash degrades but matches bitwise" `Quick test_q6_crash_degraded_match;
     Alcotest.test_case "render and CSV" `Quick test_render_and_csv;
+    Alcotest.test_case "degraded CSV line deterministic" `Quick test_csv_degraded_deterministic;
     Alcotest.test_case "seed stability" `Slow test_seed_stability;
   ]
   @ props

@@ -21,7 +21,7 @@ let all_engines =
     Engine_sql.colstore_r;
     Engine_sql.colstore_udf;
     Engine_scidb.engine;
-    Engine_phi.engine;
+    Engine_scidb.phi;
     Engine_hadoop.engine;
     Engine_multinode.pbdr ~nodes:2 ();
     Engine_multinode.scidb ~nodes:2 ();
@@ -348,7 +348,7 @@ let test_session_reuse_matches_fresh () =
         order)
     (Harness.single_node_engines
     @ [
-        Engine_phi.engine;
+        Engine_scidb.phi;
         Engine_multinode.pbdr ~nodes:2 ();
         Engine_multinode.scidb ~nodes:2 ();
         Engine_multinode.scidb_phi ~nodes:2;
@@ -377,12 +377,27 @@ let test_harness_cell_prepares_once () =
   Alcotest.(check int) "one prepare per cell" 1 !prepares
 
 (* The lean builders store the microarray table straight from the
-   matrix; pages and column encodings must equal the row-list path. *)
+   matrix; pages and column encodings must equal the row-list path, for
+   the whole table and for a multi-node column store's per-node block. *)
 let test_lean_store_builders () =
+  let module Col_store = Gb_relational.Col_store in
+  let schema = Dataset.microarray_schema in
+  let same_columns label lean rows =
+    let reference = Col_store.of_rows schema rows in
+    Alcotest.(check int) (label ^ ": row count")
+      (Col_store.row_count reference) (Col_store.row_count lean);
+    List.iteri
+      (fun i (name, _) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: column %s equal" label name)
+          true
+          (Col_store.column lean i = Col_store.column reference i))
+      (Gb_relational.Schema.columns schema)
+  in
+  let odd = Dataset.generate ~seed:11L (Spec.custom ~genes:37 ~patients:53) in
   List.iter
     (fun (label, ds) ->
       let rows = Dataset.microarray_rows ds in
-      let schema = Dataset.microarray_schema in
       let lean = (Dataset.load_row_stores ds).Dataset.microarray_r in
       let reference = Gb_relational.Row_store.of_rows schema rows in
       Alcotest.(check int) (label ^ ": page count")
@@ -390,23 +405,16 @@ let test_lean_store_builders () =
         (Gb_relational.Row_store.page_count lean);
       Alcotest.(check bool) (label ^ ": rows decode equal") true
         (List.of_seq (Gb_relational.Row_store.to_seq lean) = rows);
-      let lean = (Dataset.load_col_stores ds).Dataset.microarray_c in
-      let reference = Gb_relational.Col_store.of_rows schema rows in
-      Alcotest.(check int) (label ^ ": row count")
-        (Gb_relational.Col_store.row_count reference)
-        (Gb_relational.Col_store.row_count lean);
-      List.iteri
-        (fun i (name, _) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: column %s equal" label name)
-            true
-            (Gb_relational.Col_store.column lean i
-            = Gb_relational.Col_store.column reference i))
-        (Gb_relational.Schema.columns schema))
-    [
-      ("small", Dataset.of_size Spec.Small);
-      ("37x53", Dataset.generate ~seed:11L (Spec.custom ~genes:37 ~patients:53));
-    ]
+      same_columns label (Dataset.load_col_stores ds).Dataset.microarray_c rows)
+    [ ("small", Dataset.of_size Spec.Small); ("37x53", odd) ];
+  let start, len = (Gb_cluster.Partition.block_rows ~rows:53 ~nodes:4).(2) in
+  same_columns "37x53, node 2 of 4"
+    (Dataset.microarray_block odd ~start ~len)
+    (List.filter
+       (fun row ->
+         let pid = Gb_relational.Value.to_int row.(1) in
+         pid >= start && pid < start + len)
+       (Dataset.microarray_rows odd))
 
 (* --- multi-node cluster ledger --- *)
 
@@ -557,7 +565,7 @@ let single_node_configs =
     Engine_sql.colstore_r;
     Engine_sql.colstore_udf;
     Engine_scidb.engine;
-    Engine_phi.engine;
+    Engine_scidb.phi;
     Engine_hadoop.engine;
   ]
 

@@ -52,7 +52,7 @@ let test_hadoop_multinode_faster () =
 let test_phi_speedup_on_covariance () =
   let ds = Lazy.force large in
   let host = analytics Engine_scidb.engine ds Query.Q2_covariance in
-  let phi = analytics Engine_phi.engine ds Query.Q2_covariance in
+  let phi = analytics Engine_scidb.phi ds Query.Q2_covariance in
   let speedup = host /. phi in
   Alcotest.(check bool)
     (Printf.sprintf "speedup %.2f in band" speedup)
@@ -62,7 +62,7 @@ let test_phi_speedup_on_covariance () =
 let test_phi_no_gain_on_biclustering () =
   let ds = Lazy.force large in
   let host = analytics Engine_scidb.engine ds Query.Q3_biclustering in
-  let phi = analytics Engine_phi.engine ds Query.Q3_biclustering in
+  let phi = analytics Engine_scidb.phi ds Query.Q3_biclustering in
   let speedup = host /. phi in
   Alcotest.(check bool)
     (Printf.sprintf "speedup %.2f modest" speedup)

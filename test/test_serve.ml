@@ -440,7 +440,7 @@ let test_engine_speed_classes () =
       (Engine_sql.colstore_r, 0.9);
       (Engine_sql.colstore_udf, 0.7);
       (Engine_scidb.engine, 0.8);
-      (Engine_phi.engine, 0.5);
+      (Engine_scidb.phi, 0.5);
       (Engine_hadoop.engine, 2.5);
     ]
 
