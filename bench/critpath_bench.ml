@@ -38,7 +38,7 @@ let scenario_records ~quick name =
     Obs.set_enabled true;
     Obs.reset ();
     Rec.start ();
-    let i = Loadgen.run_instrumented cfg in
+    let r = Loadgen.run cfg in
     Rec.stop ();
     let events = Obs.events () in
     Obs.set_enabled false;
@@ -50,7 +50,7 @@ let scenario_records ~quick name =
       | Ok n -> n
       | Error e -> failwith ("critpath bench: blame-sum identity broken: " ^ e)
     in
-    let s = i.Loadgen.i_summary in
+    let s = r.Loadgen.summary in
     let size = s.Loadgen.scenario ^ "/" ^ s.Loadgen.size in
     Format.printf "%a@." Loadgen.pp_summary s;
     Format.printf

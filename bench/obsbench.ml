@@ -60,39 +60,6 @@ let estimate test =
   in
   (name, est)
 
-(* Interleaved enabled/disabled measurement of one full cell, mirroring
-   `genbase run --overhead-check`: median ratio over several
-   best-of-n interleaved rounds, so one noisy round cannot dominate. *)
-let cell_overhead () =
-  let ds =
-    Gb_datagen.Generate.generate ~seed:0x6E0BA5EL
-      (Gb_datagen.Spec.of_size Gb_datagen.Spec.Small)
-  in
-  let e = Genbase.Engine_sql.colstore_udf in
-  let one enabled =
-    Obs.set_enabled enabled;
-    Telemetry.set_enabled enabled;
-    Obs.reset ();
-    Telemetry.reset ();
-    match
-      Genbase.Engine.run e ds Genbase.Query.Q1_regression ~timeout_s:60. ()
-    with
-    | Genbase.Engine.Completed (t, _) -> Genbase.Engine.total t
-    | _ -> infinity
-  in
-  let round () =
-    let off = ref infinity and on_ = ref infinity in
-    for _ = 1 to 6 do
-      off := Float.min !off (one false);
-      on_ := Float.min !on_ (one true)
-    done;
-    100. *. ((!on_ /. !off) -. 1.)
-  in
-  let pcts = List.sort compare (List.init 5 (fun _ -> round ())) in
-  Obs.set_enabled false;
-  Telemetry.set_enabled false;
-  List.nth pcts (List.length pcts / 2)
-
 let run () =
   let results =
     List.map estimate (tests ~enabled:false)
@@ -114,7 +81,15 @@ let run () =
       results
   in
   print_endline (Gb_util.Render.table ~headers:[ "hook"; "time/run" ] ~rows);
-  let overhead = cell_overhead () in
+  let overhead =
+    let ds =
+      Gb_datagen.Generate.generate ~seed:0x6E0BA5EL
+        (Gb_datagen.Spec.of_size Gb_datagen.Spec.Small)
+    in
+    (Genbase.Harness.tracing_overhead Genbase.Engine_sql.colstore_udf ds
+       Genbase.Query.Q1_regression ~timeout_s:60.)
+      .Genbase.Harness.median_pct
+  in
   Printf.printf
     "Q1 small (colstore-udf), median of 5 interleaved best-of-6 rounds: \
      overhead %+.2f%%\n"

@@ -17,7 +17,7 @@ let run ~quick =
           Loadgen.duration = (if quick then 30. else 60.);
         }
       in
-      let _, _, summary = Loadgen.run cfg in
+      let { Loadgen.summary; _ } = Loadgen.run cfg in
       Format.printf "%a@.@." Loadgen.pp_summary summary;
       Loadgen.bench_records summary)
     Loadgen.scenarios

@@ -177,57 +177,27 @@ let describe_payload = function
 
 let overhead_budget_pct = 5.0
 
-(* The overhead check compares two measurements of the same cell taken
-   moments apart, so it interleaves the disabled and enabled runs and
-   keeps each side's best of several repetitions — otherwise transient
-   machine load drowns the few-percent effect it is after (same trick as
-   the harness's Phi comparison). One such round is still a single
-   sample of a ~10ms cell, so the check takes the median ratio over
-   several independent rounds: a round polluted by a scheduler hiccup
-   gets voted out instead of failing CI. *)
+(* The CI overhead gate: {!Genbase.Harness.tracing_overhead}'s rounds,
+   then its median against the budget. *)
 let check_overhead e ds q ~timeout_s =
-  let module Obs = Gb_obs.Obs in
-  let module Tele = Gb_obs.Telemetry in
-  let one enabled =
-    Obs.set_enabled enabled;
-    Tele.set_enabled enabled;
-    Obs.reset ();
-    Tele.reset ();
-    match Genbase.Engine.run e ds q ~timeout_s () with
-    | Genbase.Engine.Completed (t, _) | Genbase.Engine.Degraded (t, _, _) ->
-      Genbase.Engine.total t
-    | o ->
-      Printf.eprintf "engine did not complete: %s\n"
-        (Format.asprintf "%a" Genbase.Engine.pp_outcome o);
-      exit 1
-  in
-  let round () =
-    let off = ref infinity and on_ = ref infinity in
-    for _ = 1 to 6 do
-      off := Float.min !off (one false);
-      on_ := Float.min !on_ (one true)
-    done;
-    (!off, !on_)
-  in
-  let rounds = List.init 5 (fun _ -> round ()) in
-  Obs.set_enabled false;
-  Tele.set_enabled false;
-  let pct (off, on) = 100. *. ((on /. off) -. 1.) in
-  List.iteri
-    (fun i (off, on) ->
-      Printf.printf
-        "round %d: disabled best %.6fs  enabled best %.6fs  %+.2f%%\n" i off
-        on
-        (pct (off, on)))
-    rounds;
-  let pcts = List.sort compare (List.map pct rounds) in
-  let median = List.nth pcts (List.length pcts / 2) in
-  Printf.printf "median overhead: %+.2f%% (budget %.2f%%)\n" median
-    overhead_budget_pct;
-  if median > overhead_budget_pct then begin
-    Printf.eprintf "tracing overhead exceeds budget\n";
+  match Genbase.Harness.tracing_overhead e ds q ~timeout_s with
+  | exception Failure msg ->
+    prerr_endline msg;
     exit 1
-  end
+  | { Genbase.Harness.rounds; median_pct } ->
+    List.iteri
+      (fun i (off, on) ->
+        Printf.printf
+          "round %d: disabled best %.6fs  enabled best %.6fs  %+.2f%%\n" i off
+          on
+          (Genbase.Harness.overhead_pct (off, on)))
+      rounds;
+    Printf.printf "median overhead: %+.2f%% (budget %.2f%%)\n" median_pct
+      overhead_budget_pct;
+    if median_pct > overhead_budget_pct then begin
+      Printf.eprintf "tracing overhead exceeds budget\n";
+      exit 1
+    end
 
 (* The traced cell's report: the validated export, the flame tree, the
    span summary, the cell's counters, and its root span against the
@@ -338,8 +308,8 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:
          "Run one benchmark query on one engine (best of 5 for sub-second \
-          cells), optionally traced to a Chrome trace or checked against \
-          the tracing overhead budget.")
+          cells; a traced cell runs once), optionally traced to a Chrome \
+          trace or checked against the tracing overhead budget.")
     Term.(
       const run $ jobs_term $ size_arg $ seed_arg $ query $ engine $ nodes
       $ timeout_arg 120. $ trace $ overhead_check)
@@ -746,14 +716,14 @@ let write_exposition file =
     Printf.eprintf "exposition failed round-trip validation: %s\n" msg;
     exit 1
 
-let print_slo_report (i : Gb_serve.Loadgen.instrumented) =
+let print_slo_report (r : Gb_serve.Loadgen.run) =
   let module Slo = Gb_obs.Slo in
-  let summary = i.Gb_serve.Loadgen.i_summary in
-  let window = i.Gb_serve.Loadgen.i_window in
+  let summary = r.Gb_serve.Loadgen.summary in
+  let window = r.Gb_serve.Loadgen.window in
   let now = summary.Gb_serve.Loadgen.horizon_s in
   let horizon_s = Gb_obs.Telemetry.Window.horizon_s window in
   let p50, p99, p999 =
-    Gb_serve.Loadgen.live_quantiles i ~now ~horizon_s
+    Gb_serve.Loadgen.live_quantiles r ~now ~horizon_s
   in
   let fmt_q = function
     | Some v -> Printf.sprintf "%.6fs" v
@@ -776,8 +746,8 @@ let print_slo_report (i : Gb_serve.Loadgen.instrumented) =
         "slo %-28s burn_long %6.2f  burn_short %6.2f  events %6d  %s\n" name
         burn_long burn_short events
         (if firing then "FIRING" else "ok"))
-    (Slo.summary i.Gb_serve.Loadgen.i_monitor);
-  (match Slo.alerts i.Gb_serve.Loadgen.i_monitor with
+    (Slo.summary r.Gb_serve.Loadgen.monitor);
+  (match Slo.alerts r.Gb_serve.Loadgen.monitor with
   | [] -> Printf.printf "slo alerts: none\n"
   | alerts ->
     Printf.printf "slo alerts (%d):\n" (List.length alerts);
@@ -955,21 +925,8 @@ let load_cmd =
       Obs.reset ()
     end;
     if record_out <> None then Rec.start ();
-    (* Any dump implies the instrumented run: same simulation, same
-       PRNG stream, plus the sliding window and the SLO monitor. *)
-    let instrumented =
-      if metrics_out <> None || trace_out <> None || record_out <> None then
-        Some (Serve.Loadgen.run_instrumented cfg)
-      else None
-    in
-    let responses, stats, summary =
-      match instrumented with
-      | Some i ->
-        ( i.Serve.Loadgen.i_responses,
-          i.Serve.Loadgen.i_stats,
-          i.Serve.Loadgen.i_summary )
-      | None -> Serve.Loadgen.run cfg
-    in
+    let r = Serve.Loadgen.run cfg in
+    let { Serve.Loadgen.responses; stats; summary; _ } = r in
     Tele.set_enabled false;
     Obs.set_enabled false;
     Rec.stop ();
@@ -981,11 +938,11 @@ let load_cmd =
         (fun (engine, n) ->
           if n > 0 then Printf.printf "breaker %-24s tripped %d times\n" engine n)
         trips);
-    (match instrumented with
-    | None -> ()
-    | Some i ->
+    (* Any dump also reports the live window and the SLO monitor. *)
+    if metrics_out <> None || trace_out <> None || record_out <> None then begin
       print_newline ();
-      print_slo_report i);
+      print_slo_report r
+    end;
     (match metrics_out with
     | None -> ()
     | Some file ->

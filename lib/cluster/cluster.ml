@@ -210,14 +210,13 @@ let maybe_checkpoint t step =
     Array.fill t.since_ckpt 0 t.nodes 0.
   end
 
-let superstep_scaled t ~speedup f =
+let superstep t f =
   check t;
   let step = t.step in
   t.step <- step + 1;
   let step_t0 = Sim.now t.clock in
   handle_crashes t step;
   let tasks_t0 = Sim.now t.clock in
-  let scale = speedup *. t.compute_speedup in
   let busy = Array.make t.nodes 0. in
   let results = Array.make t.nodes None in
   for node = 0 to t.nodes - 1 do
@@ -230,7 +229,7 @@ let superstep_scaled t ~speedup f =
     (* Floor at 1ns: a measured 0 (below clock resolution) would make a
        straggler's endured stall vanish ([slowed -. dt = 0.]), so whether
        the run reports as degraded would depend on timer granularity. *)
-    let dt = Float.max (dt /. scale) 1e-9 in
+    let dt = Float.max (dt /. t.compute_speedup) 1e-9 in
     (* A dead node's task runs on the least-loaded survivor. *)
     let executor =
       if not t.dead.(node) then node
@@ -347,8 +346,6 @@ let superstep_scaled t ~speedup f =
   Array.map
     (fun r -> match r with Some r -> r | None -> assert false)
     results
-
-let superstep t f = superstep_scaled t ~speedup:1. f
 
 let set_compute_speedup t s =
   if s <= 0. then invalid_arg "Cluster.set_compute_speedup";

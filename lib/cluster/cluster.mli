@@ -48,10 +48,6 @@ val superstep : t -> (int -> 'a) -> 'a array
     deadline passed mid-superstep raises [Gb_util.Deadline.Timeout] when
     the step completes. *)
 
-val superstep_scaled : t -> speedup:float -> (int -> 'a) -> 'a array
-(** Like {!superstep} with each node's measured time divided by [speedup]
-    (models per-node accelerator execution of the same kernel). *)
-
 val set_compute_speedup : t -> float -> unit
 (** A multiplier applied to every subsequent superstep's measured time —
     used to model per-node coprocessors without threading a factor through

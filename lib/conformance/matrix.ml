@@ -135,47 +135,64 @@ let chaos_conformance ~node_counts config =
         (fun nodes ->
           let clean = Harness.multi_node_engines ~nodes in
           let armed = Harness.chaos_engines Harness.default_chaos ~nodes in
-          List.concat_map
-            (fun (e_clean, e_armed) ->
-              let engine = e_clean.Engine.name in
-              assert (engine = e_armed.Engine.name);
-              List.map
-                (fun query ->
-                  let reference =
-                    Engine.run e_clean ds query ~params
-                      ~timeout_s:config.timeout_s ()
-                  in
-                  let outcome =
-                    Engine.run e_armed ds query ~params
-                      ~timeout_s:config.timeout_s ()
-                  in
-                  (* A faulted answer is held to the fault-free one, which
-                     is held to Vanilla R: a multi-node engine that is
-                     consistently wrong does not conform. *)
-                  let classification =
-                    match
-                      classify ~engine ~query ~params
-                        ~reference:(List.assoc query oracle) reference
-                    with
-                    | Oracle.Mismatch { divergence; detail } ->
-                      Oracle.Mismatch
-                        { divergence; detail = "fault-free run vs reference: " ^ detail }
-                    | _ -> classify ~engine ~query ~params ~reference outcome
-                  in
-                  note config "seed %Ld | n=%d | %s | %s: %s" seed nodes
-                    (Query.name query) engine
-                    (Oracle.describe classification);
-                  {
-                    engine;
-                    nodes;
-                    query;
-                    seed;
-                    fuzzed;
-                    payload = payload_of outcome;
-                    classification;
-                  })
-                Query.all)
-            (List.combine clean armed))
+          let cell ~engine ~query outcome classification =
+            note config "seed %Ld | n=%d | %s | %s: %s" seed nodes
+              (Query.name query) engine
+              (Oracle.describe classification);
+            {
+              engine;
+              nodes;
+              query;
+              seed;
+              fuzzed;
+              payload = payload_of outcome;
+              classification;
+            }
+          in
+          (* SciDB + Xeon Phi has no fault plan: its fault-free answer is
+             held to Vanilla R at each node count. *)
+          let phi = Genbase.Engine_multinode.scidb_phi ~nodes in
+          let phi_cell query =
+            let outcome =
+              Engine.run phi ds query ~params ~timeout_s:config.timeout_s ()
+            in
+            cell ~engine:phi.Engine.name ~query outcome
+              (classify ~engine:phi.Engine.name ~query ~params
+                 ~reference:(List.assoc query oracle) outcome)
+          in
+          let armed_cells =
+            List.concat_map
+              (fun (e_clean, e_armed) ->
+                let engine = e_clean.Engine.name in
+                assert (engine = e_armed.Engine.name);
+                List.map
+                  (fun query ->
+                    let reference =
+                      Engine.run e_clean ds query ~params
+                        ~timeout_s:config.timeout_s ()
+                    in
+                    let outcome =
+                      Engine.run e_armed ds query ~params
+                        ~timeout_s:config.timeout_s ()
+                    in
+                    (* A faulted answer is held to the fault-free one, which
+                       is held to Vanilla R: a multi-node engine that is
+                       consistently wrong does not conform. *)
+                    let classification =
+                      match
+                        classify ~engine ~query ~params
+                          ~reference:(List.assoc query oracle) reference
+                      with
+                      | Oracle.Mismatch { divergence; detail } ->
+                        Oracle.Mismatch
+                          { divergence; detail = "fault-free run vs reference: " ^ detail }
+                      | _ -> classify ~engine ~query ~params ~reference outcome
+                    in
+                    cell ~engine ~query outcome classification)
+                  Query.all)
+              (List.combine clean armed)
+          in
+          armed_cells @ List.map phi_cell Query.all)
         node_counts)
     (seed_runs config)
 

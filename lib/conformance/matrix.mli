@@ -51,7 +51,9 @@ val chaos_conformance : node_counts:int list -> config -> cell list
     The clean run is classified against Vanilla R; when it diverges the
     cell is a mismatch, otherwise the faulty run is classified against
     the clean one. Degraded-but-equal cells classify as
-    {!Oracle.Degraded_match}. *)
+    {!Oracle.Degraded_match}. Each node count ends with the multi-node
+    SciDB + Xeon Phi, which has no fault plan: its fault-free run is
+    classified against Vanilla R. *)
 
 val render : cell list -> string
 (** One table per (seed, node count): engines x queries with per-cell

@@ -53,5 +53,3 @@ let offload t clock ~bytes_in ~bytes_out cls f =
     ~attrs:[ ("bytes", Gb_obs.Obs.Int bytes_out) ]
     ~t0:t_out ~t1:(Sim.now clock) ();
   result
-
-let host_time clock f = Sim.run_measured clock f

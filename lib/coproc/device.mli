@@ -38,6 +38,3 @@ val offload :
   kernel_class ->
   (unit -> 'a) ->
   'a
-
-val host_time : Gb_util.Clock.Sim.t -> (unit -> 'a) -> 'a
-(** Run on the host, charging measured time unchanged. *)

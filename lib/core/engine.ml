@@ -98,7 +98,7 @@ let run e ds q ?(params = Query.default_params) ~timeout_s () =
         (Gb_util.Deadline.start ~seconds:timeout_s)
         (fun () -> e.prepare ds q ~params ~timeout_s)
     with
-    | Gb_util.Deadline.Timeout | Gb_mapreduce.Mr.Timeout -> Timed_out
+    | Gb_util.Deadline.Timeout -> Timed_out
     | Memory_exceeded | Out_of_memory | Gb_fault.Fault.Injected_oom _ ->
       Out_of_memory
     | Stack_overflow -> Out_of_memory

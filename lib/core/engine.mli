@@ -88,7 +88,7 @@ type t = {
 val run : t -> Dataset.t -> Query.t -> ?params:Query.params ->
   timeout_s:float -> unit -> outcome
 (** Prepares a session and answers one query from it, translating
-    [Deadline.Timeout], [Mr.Timeout] and memory-budget failures
+    [Deadline.Timeout] and memory-budget failures
     (including injected ones that exhaust their retry budget) into the
     corresponding outcomes. Any other exception becomes [Errored] — a
     misbehaving engine can fail its own cell but never abort the grid.

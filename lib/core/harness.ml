@@ -16,7 +16,9 @@ type cell = {
    at this reproduction's scale some analytics phases take milliseconds and
    a single measurement is noise-dominated (visible in the Table 1
    speedups otherwise). The reruns share one prepared session; the memo
-   is the cell's own, so concurrent cells never share a session. *)
+   is the cell's own, so concurrent cells never share a session. A traced
+   cell runs once: its spans, span breakdown and counter deltas would
+   otherwise add up every attempt under a root span one attempt long. *)
 let run_cell e ds query ~timeout_s =
   let e = Engine.memo e in
   let rec best outcome tries =
@@ -57,7 +59,9 @@ let run_cell e ds query ~timeout_s =
             | Engine.Completed (t, _) | Engine.Degraded (t, _, _) ->
               Some (Engine.total t)
             | _ -> None)
-          (fun () -> best (Engine.run e ds query ~timeout_s ()) 4))
+          (fun () ->
+            let reruns = if traced then 0 else 4 in
+            best (Engine.run e ds query ~timeout_s ()) reruns))
   in
   let breakdown, counters =
     if traced then
@@ -75,6 +79,47 @@ let run_cell e ds query ~timeout_s =
     breakdown;
     counters;
   }
+
+(* Tracing overhead compares two measurements of the same cell taken
+   moments apart, so it interleaves the disabled and enabled runs and
+   keeps each side's best of 6 — otherwise transient machine load drowns
+   the few-percent effect it is after (the same trick as the coprocessor
+   comparison below). One such round is still a single sample of a ~10 ms
+   cell, so the verdict is the median over 5 rounds: a round polluted by
+   a scheduler hiccup is voted out. *)
+type overhead = { rounds : (float * float) list; median_pct : float }
+
+let overhead_pct (off, on) = 100. *. ((on /. off) -. 1.)
+
+let tracing_overhead e ds query ~timeout_s =
+  let one enabled =
+    Gb_obs.Obs.set_enabled enabled;
+    Tele.set_enabled enabled;
+    Gb_obs.Obs.reset ();
+    Tele.reset ();
+    match Engine.run e ds query ~timeout_s () with
+    | Engine.Completed (t, _) | Engine.Degraded (t, _, _) -> Engine.total t
+    | o ->
+      failwith
+        (Format.asprintf "engine did not complete: %a" Engine.pp_outcome o)
+  in
+  let round () =
+    let off = ref infinity and on_ = ref infinity in
+    for _ = 1 to 6 do
+      off := Float.min !off (one false);
+      on_ := Float.min !on_ (one true)
+    done;
+    (!off, !on_)
+  in
+  let rounds =
+    Fun.protect
+      ~finally:(fun () ->
+        Gb_obs.Obs.set_enabled false;
+        Tele.set_enabled false)
+      (fun () -> List.init 5 (fun _ -> round ()))
+  in
+  let pcts = List.sort compare (List.map overhead_pct rounds) in
+  { rounds; median_pct = List.nth pcts (List.length pcts / 2) }
 
 let total_seconds c =
   match c.outcome with
@@ -512,6 +557,25 @@ let chaos_cells ?(chaos = default_chaos) config =
     (fun nodes -> chaos_engines chaos ~nodes)
     ~node_counts:[ 1; 2; 4 ] ~queries:Query.all ~sizes:[ largest config ]
 
+(* Per engine, in grid order: its cells and how many completed, degraded
+   or failed ([Unsupported] cells are none of the three). *)
+let tallies cells =
+  List.map
+    (fun engine ->
+      let cs = List.filter (fun c -> c.engine = engine) cells in
+      let count p = List.length (List.filter (fun c -> p c.outcome) cs) in
+      ( engine,
+        cs,
+        count (function Engine.Completed _ -> true | _ -> false),
+        count (function Engine.Degraded _ -> true | _ -> false),
+        count (function
+          | Engine.Timed_out | Engine.Out_of_memory | Engine.Errored _ -> true
+          | _ -> false) ))
+    (engines_of cells)
+
+let availability_pct ~ok ~degraded ~failed =
+  100. *. float_of_int (ok + degraded) /. float_of_int (ok + degraded + failed)
+
 let availability cells =
   let sum_recovery cs =
     List.fold_left
@@ -529,25 +593,10 @@ let availability cells =
   in
   let rows =
     List.map
-      (fun engine ->
-        let cs = List.filter (fun c -> c.engine = engine) cells in
-        let count p = List.length (List.filter (fun c -> p c.outcome) cs) in
-        let ok = count (function Engine.Completed _ -> true | _ -> false) in
-        let degraded =
-          count (function Engine.Degraded _ -> true | _ -> false)
-        in
-        let failed =
-          count (function
-            | Engine.Timed_out | Engine.Out_of_memory | Engine.Errored _ ->
-              true
-            | _ -> false)
-        in
-        let attempted = ok + degraded + failed in
+      (fun (engine, cs, ok, degraded, failed) ->
         let avail =
-          if attempted = 0 then "-"
-          else
-            Printf.sprintf "%.1f%%"
-              (100. *. float_of_int (ok + degraded) /. float_of_int attempted)
+          if ok + degraded + failed = 0 then "-"
+          else Printf.sprintf "%.1f%%" (availability_pct ~ok ~degraded ~failed)
         in
         let r = sum_recovery cs in
         [
@@ -561,7 +610,7 @@ let availability cells =
           string_of_int r.Engine.speculative;
           Printf.sprintf "%.2f" r.Engine.wasted_s;
         ])
-      (engines_of cells)
+      (tallies cells)
   in
   Printf.sprintf "Availability under fault injection\n%s"
     (Render.table
@@ -608,23 +657,13 @@ let bench_records cells =
    diffable form of the {!availability} table (chaos grids). *)
 let availability_records cells =
   List.filter_map
-    (fun engine ->
-      let cs = List.filter (fun c -> c.engine = engine) cells in
-      let count p = List.length (List.filter (fun c -> p c.outcome) cs) in
-      let ok = count (function Engine.Completed _ -> true | _ -> false) in
-      let degraded = count (function Engine.Degraded _ -> true | _ -> false) in
-      let failed =
-        count (function
-          | Engine.Timed_out | Engine.Out_of_memory | Engine.Errored _ -> true
-          | _ -> false)
-      in
-      let attempted = ok + degraded + failed in
-      if attempted = 0 then None
+    (fun (engine, _, ok, degraded, failed) ->
+      if ok + degraded + failed = 0 then None
       else
         Gb_obs.Bench_json.make ~name:"availability" ~engine ~unit_:"pct"
           ~better:Gb_obs.Bench_json.Higher
-          [ 100. *. float_of_int (ok + degraded) /. float_of_int attempted ])
-    (engines_of cells)
+          [ availability_pct ~ok ~degraded ~failed ])
+    (tallies cells)
 
 (* Counter columns are the sorted union of counter names seen across the
    grid, so the header order is stable for a given cell set regardless of

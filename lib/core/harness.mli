@@ -19,12 +19,31 @@ type cell = {
 }
 
 val run_cell : Engine.t -> Dataset.t -> Query.t -> timeout_s:float -> cell
-(** Run one (engine, query, data set) cell. When tracing is enabled the
-    run is wrapped in a ["cell:<engine>/<query>/<size>"] root span whose
-    duration equals the engine-reported total (matching
-    {!total_seconds}), telemetry is switched on for the cell's run
-    ({!Gb_obs.Telemetry.set_enabled}, restored afterwards), and the cell
-    carries its span breakdown and counter deltas. *)
+(** Run one (engine, query, data set) cell, keeping the best of up to 5
+    runs when the cell completes in under a second. When tracing is
+    enabled the cell runs once, wrapped in a
+    ["cell:<engine>/<query>/<size>"] root span whose duration equals the
+    engine-reported total (matching {!total_seconds}), telemetry is
+    switched on for the run ({!Gb_obs.Telemetry.set_enabled}, restored
+    afterwards), and the cell carries its span breakdown and counter
+    deltas. *)
+
+type overhead = {
+  rounds : (float * float) list;
+      (** per round, the best engine total with tracing off and on *)
+  median_pct : float;  (** median over rounds of the on/off slowdown, % *)
+}
+
+val overhead_pct : float * float -> float
+(** A round's slowdown in percent: [100 * (on / off - 1)]. *)
+
+val tracing_overhead :
+  Engine.t -> Dataset.t -> Query.t -> timeout_s:float -> overhead
+(** The cost of enabled tracing and telemetry on one cell: 5 rounds, each
+    the best of 6 runs with both flags off interleaved with 6 runs with
+    both on. Leaves both flags off. Raises [Failure] when a run does not
+    complete. Behind [genbase run --overhead-check] and the [obs] bench
+    section. *)
 
 val total_seconds : cell -> float option
 (** [Some total] for a (possibly degraded) completion; [Some infinity]

@@ -1,4 +1,5 @@
 module Sim = Gb_util.Clock.Sim
+module Deadline = Gb_util.Deadline
 module Stopwatch = Gb_util.Clock.Stopwatch
 module Fault = Gb_fault.Fault
 module Obs = Gb_obs.Obs
@@ -9,44 +10,44 @@ let c_shuffle_bytes = Telemetry.counter ~help:"byte" "mr_shuffle_bytes"
 let c_retries = Telemetry.counter ~help:"retry" "fault_retries"
 let c_wasted_s = Telemetry.counter ~help:"s" "fault_wasted_s"
 
+(* Hadoop never scales linearly: measured compute on [n] nodes is
+   divided by [n * parallel_efficiency]. The cross-node share of a
+   shuffle moves at [shuffle_bps] per node, and a task is tried at most
+   [max_task_attempts] times (Hadoop's [mapreduce.map.maxattempts]). *)
+let parallel_efficiency = 0.75
+let shuffle_bps = 1e9
+let max_task_attempts = 4
+
 type t = {
   clock : Sim.t;
   job_overhead_s : float;
   nodes : int;
-  parallel_efficiency : float;
-  shuffle_bps : float;
   mutable jobs : int;
-  mutable deadline : float;
+  mutable deadline : Deadline.Sim.t;
   mutable plan : Fault.plan;
-  mutable max_task_attempts : int;
   mutable task_retries : int;
   mutable wasted_seconds : float;
 }
 
-exception Timeout
 exception Job_failed of string
 
-let create ?(job_overhead_s = 0.15) ?(nodes = 1) ?(parallel_efficiency = 0.75)
-    ?(shuffle_bps = 1e9) ?(max_task_attempts = 4) () =
+let create ?(job_overhead_s = 0.15) ?(nodes = 1) () =
+  let clock = Sim.create () in
   {
-    clock = Sim.create ();
+    clock;
     job_overhead_s;
     nodes;
-    parallel_efficiency;
-    shuffle_bps;
     jobs = 0;
-    deadline = infinity;
+    deadline = Deadline.Sim.unlimited ~clock;
     plan = Fault.empty;
-    max_task_attempts;
     task_retries = 0;
     wasted_seconds = 0.;
   }
 
 let compute_speedup t =
-  if t.nodes <= 1 then 1.
-  else float_of_int t.nodes *. t.parallel_efficiency
+  if t.nodes <= 1 then 1. else float_of_int t.nodes *. parallel_efficiency
 
-let check_deadline t = if Sim.now t.clock > t.deadline then raise Timeout
+let check_deadline t = Deadline.Sim.check t.deadline
 
 let elapsed t = Sim.now t.clock
 let jobs_run t = t.jobs
@@ -61,11 +62,11 @@ let wasted_seconds t = t.wasted_seconds
 let charge_task_faults t ~job ~name ~dt =
   let failures = Fault.task_failures t.plan ~job in
   if failures > 0 then begin
-    if failures >= t.max_task_attempts then
+    if failures >= max_task_attempts then
       raise
         (Job_failed
            (Printf.sprintf "%s: task failed %d times (max attempts %d)" name
-              failures t.max_task_attempts));
+              failures max_task_attempts));
     let redone = float_of_int failures *. (dt +. t.job_overhead_s) in
     t.task_retries <- t.task_retries + failures;
     t.wasted_seconds <- t.wasted_seconds +. redone;
@@ -155,7 +156,7 @@ let run_job t ~name ?combiner ~mapper ~reducer inputs =
     (* Cross-node fraction of the shuffle goes over the wire. *)
     let n = float_of_int t.nodes in
     let wire = float_of_int shuffled_bytes *. ((n -. 1.) /. n) in
-    Sim.advance t.clock (wire /. (t.shuffle_bps *. n))
+    Sim.advance t.clock (wire /. (shuffle_bps *. n))
   end;
   Telemetry.add c_shuffle_bytes shuffled_bytes;
   Obs.Span.emit ~cat:"mr" ~name:("mr:" ^ name)
@@ -195,7 +196,8 @@ let text_job t ~name f inputs =
 let map_only t ~name ~mapper inputs =
   text_job t ~name (fun inputs -> List.concat_map mapper inputs) inputs
 
-let set_deadline t d = t.deadline <- d
+let set_deadline t d =
+  t.deadline <- Deadline.Sim.at ~clock:t.clock ~time:d
 
 let run_combine t ~name ~init ~fold ~emit inputs =
   text_job t ~name

@@ -9,21 +9,14 @@
 
 type t
 
-val create :
-  ?job_overhead_s:float ->
-  ?nodes:int ->
-  ?parallel_efficiency:float ->
-  ?shuffle_bps:float ->
-  ?max_task_attempts:int ->
-  unit ->
-  t
+val create : ?job_overhead_s:float -> ?nodes:int -> unit -> t
 (** Default overhead 0.15 s per job (scaled to this reproduction's
     dataset scale-down, standing in for tens of seconds of real Hadoop
     job latency). With [nodes > 1], measured map/reduce compute is divided
-    by [nodes * parallel_efficiency] (default 0.75 — Hadoop never scales
-    linearly) and the cross-node share of each job's shuffle is charged at
-    [shuffle_bps] per node. [max_task_attempts] (default 4, Hadoop's
-    [mapreduce.map.maxattempts]) bounds injected task retries. *)
+    by [nodes * 0.75] (Hadoop never scales linearly) and the cross-node
+    share of each job's shuffle is charged at 1 GB/s per node. Injected
+    task failures are retried up to 4 attempts (Hadoop's
+    [mapreduce.map.maxattempts]). *)
 
 val elapsed : t -> float
 (** Simulated seconds consumed so far (overhead + measured compute). *)
@@ -60,20 +53,18 @@ val run_combine :
     [DistributedRowMatrix.times] uses for [A{^T}A]): fold over the input
     records accumulating state, then emit the combined output once. *)
 
-exception Timeout
-
 val set_deadline : t -> float -> unit
-(** Abort (raise {!Timeout}) when a job starts after the simulated clock
-    passes this many seconds — the benchmark's cut-off for runaway
-    computations. Simulated-clock semantics, like [Cluster.set_deadline]
-    (and unlike the wall-clock [Gb_util.Deadline]): charged overheads and
+(** Abort (raise [Gb_util.Deadline.Timeout]) when a job starts after the
+    simulated clock passes this many seconds — the benchmark's cut-off
+    for runaway computations. A [Gb_util.Deadline.Sim] deadline on the
+    runtime's clock, as [Cluster.set_deadline] is: charged overheads and
     retries count against the window even when no wall time passes. *)
 
 (** {1 Fault injection} *)
 
 exception Job_failed of string
-(** A job whose injected task failures outlast [max_task_attempts] — the
-    JobTracker gives up on the job. *)
+(** A job with 4 or more injected task failures (Hadoop's attempt limit)
+    — the JobTracker gives up on the job. *)
 
 val set_fault_plan : t -> Gb_fault.Fault.plan -> unit
 (** Arm a deterministic fault plan; [Task_fail] events are consulted by

@@ -39,17 +39,6 @@ type file = {
 
 (* --- record construction from raw samples --- *)
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else begin
-    let rank = q *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = min (n - 1) (lo + 1) in
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
-  end
-
 let make ~name ?(engine = "") ?(query = "") ?(size = "") ?(unit_ = "s")
     ?(better = Lower) ?(counters = []) samples =
   (* Failed cells report infinite totals; those carry no magnitude to
@@ -73,8 +62,8 @@ let make ~name ?(engine = "") ?(query = "") ?(size = "") ?(unit_ = "s")
         better;
         iterations = n;
         mean = sum /. float_of_int n;
-        median = percentile sorted 0.5;
-        p95 = percentile sorted 0.95;
+        median = Gb_util.Order.quantile_sorted sorted 0.5;
+        p95 = Gb_util.Order.quantile_sorted sorted 0.95;
         min_v = sorted.(0);
         max_v = sorted.(n - 1);
         counters;

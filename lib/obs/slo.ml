@@ -1,5 +1,5 @@
 (* SLO monitor: declarative availability / latency objectives evaluated
-   as multi-window burn rates over sliding good/bad event rings.
+   as multi-window burn rates over sliding windows of good/bad marks.
 
    Burn rate is the Google SRE formulation: with a target good-fraction
    T, the error budget is (1 - T) and
@@ -60,20 +60,20 @@ type alert = {
   a_burn_short : float;
 }
 
-(* Per-objective state: one good/bad ring at resolution long_s / 48, so
-   the short window (long / 12) spans 4 slots exactly. *)
+(* Per-objective state: one sliding window of 0/1 marks (1 = bad) at
+   resolution long_s / 48, so the short window (long / 12) spans 4
+   sub-windows and 49 cover the long window plus one partial sub-window.
+   A window's bad fraction is the marks' mean, its event count their
+   count; one bucket bound is enough to split 0 from 1. *)
 type ostate = {
   obj : objective;
-  slot_s : float;
-  n_slots : int;  (* covers the long window plus one partial slot *)
-  good : int array;
-  bad : int array;
-  mutable cur : int;  (* absolute slot index of the newest slot *)
+  marks : Telemetry.Window.t;
   mutable firing : bool;
 }
 
 type t = {
   states : ostate list;
+  mutable last : float;  (* clock time of the newest observation *)
   mutable alerts_rev : alert list;
   on_alert : alert -> unit;
 }
@@ -82,54 +82,23 @@ let create ?(on_alert = fun _ -> ()) ~objectives () =
   let states =
     List.map
       (fun obj ->
-        let slot_s = obj.long_s /. 48. in
-        let n_slots = 49 in
         {
           obj;
-          slot_s;
-          n_slots;
-          good = Array.make n_slots 0;
-          bad = Array.make n_slots 0;
-          cur = 0;
+          marks =
+            Telemetry.Window.create ~width_s:(obj.long_s /. 48.) ~windows:49
+              ~buckets:[| 0.5 |] ();
           firing = false;
         })
       objectives
   in
-  { states; alerts_rev = []; on_alert }
+  { states; last = 0.; alerts_rev = []; on_alert }
 
-let slot st abs = ((abs mod st.n_slots) + st.n_slots) mod st.n_slots
-
-let advance st abs =
-  if abs > st.cur then begin
-    let steps = min st.n_slots (abs - st.cur) in
-    for k = 0 to steps - 1 do
-      let s = slot st (abs - k) in
-      st.good.(s) <- 0;
-      st.bad.(s) <- 0
-    done;
-    st.cur <- abs
-  end
-
-let window_counts st ~horizon_s =
-  let k = max 1 (min st.n_slots (int_of_float (Float.ceil (horizon_s /. st.slot_s)))) in
-  let g = ref 0 and b = ref 0 in
-  for j = 0 to k - 1 do
-    let a = st.cur - j in
-    if a >= 0 then begin
-      let s = slot st a in
-      g := !g + st.good.(s);
-      b := !b + st.bad.(s)
-    end
-  done;
-  (!g, !b)
-
-let burn st ~horizon_s =
-  let g, b = window_counts st ~horizon_s in
-  let total = g + b in
-  if total = 0 then (0., 0)
-  else
-    let bad_frac = float_of_int b /. float_of_int total in
-    (bad_frac /. (1. -. st.obj.target), total)
+let burn st ~now ~horizon_s =
+  match Telemetry.Window.mean st.marks ~now ~horizon_s with
+  | None -> (0., 0)
+  | Some bad_frac ->
+    ( bad_frac /. (1. -. st.obj.target),
+      Telemetry.Window.count st.marks ~now ~horizon_s )
 
 let is_good obj ~ok ~latency_s =
   match obj.o_kind with
@@ -137,15 +106,13 @@ let is_good obj ~ok ~latency_s =
   | Latency_under bound -> ok && latency_s <= bound
 
 let observe m ~now ~ok ~latency_s =
+  m.last <- now;
   List.iter
     (fun st ->
-      let abs = int_of_float (Float.floor (Float.max 0. now /. st.slot_s)) in
-      advance st abs;
-      let s = slot st abs in
-      if is_good st.obj ~ok ~latency_s then st.good.(s) <- st.good.(s) + 1
-      else st.bad.(s) <- st.bad.(s) + 1;
-      let burn_long, n_long = burn st ~horizon_s:st.obj.long_s in
-      let burn_short, _ = burn st ~horizon_s:(short_s st.obj) in
+      Telemetry.Window.observe st.marks ~now
+        (if is_good st.obj ~ok ~latency_s then 0. else 1.);
+      let burn_long, n_long = burn st ~now ~horizon_s:st.obj.long_s in
+      let burn_short, _ = burn st ~now ~horizon_s:(short_s st.obj) in
       let should_fire =
         (not st.firing)
         && n_long >= st.obj.min_events
@@ -191,7 +158,7 @@ let firing m =
 let summary m =
   List.map
     (fun st ->
-      let burn_long, n = burn st ~horizon_s:st.obj.long_s in
-      let burn_short, _ = burn st ~horizon_s:(short_s st.obj) in
+      let burn_long, n = burn st ~now:m.last ~horizon_s:st.obj.long_s in
+      let burn_short, _ = burn st ~now:m.last ~horizon_s:(short_s st.obj) in
       (st.obj.o_name, burn_long, burn_short, n, st.firing))
     m.states

@@ -239,27 +239,6 @@ let aggregate ~group_by ~aggs r =
   in
   { schema = out_schema; rows }
 
-let sort ~by r =
-  let keys = List.map (fun (n, dir) -> (Schema.index r.schema n, dir)) by in
-  let cmp a b =
-    let rec go = function
-      | [] -> 0
-      | (i, dir) :: rest ->
-        let c = Value.compare a.(i) b.(i) in
-        let c = match dir with `Asc -> c | `Desc -> -c in
-        if c <> 0 then c else go rest
-    in
-    go keys
-  in
-  let rows () =
-    let arr = Array.of_seq r.rows in
-    Array.sort cmp arr;
-    Array.to_seq arr ()
-  in
-  { r with rows }
-
-let limit n r = { r with rows = Seq.take n r.rows }
-
 let guard ?(interval = 4096) ?trace check r =
   match trace with
   | Some name when Gb_obs.Obs.enabled () ->

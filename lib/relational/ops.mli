@@ -42,9 +42,6 @@ val aggregate : group_by:string list -> aggs:(string * agg) list -> rel -> rel
 (** Hash aggregation; output columns are the group keys then the named
     aggregates. *)
 
-val sort : by:(string * [ `Asc | `Desc ]) list -> rel -> rel
-val limit : int -> rel -> rel
-
 val guard : ?interval:int -> ?trace:string -> (unit -> unit) -> rel -> rel
 (** [guard check r] invokes [check] every [interval] (default 4096) rows
     pulled through — the hook the engines use for cooperative query
@@ -56,8 +53,8 @@ val traced : ?cat:string -> ?attrs:Gb_obs.Obs.attrs -> name:string -> rel -> rel
     tracing span (first pull to exhaustion) carrying the row count, and
     bumps the ["relops_rows"] counter. The per-element cost while
     tracing is one int increment plus one extra [Seq] node; with tracing
-    disabled this is the identity. {!Plan.run} applies it to plan nodes
-    that lack a fused [?trace] equivalent. *)
+    disabled this is the identity. Use it on operators without a fused
+    [?trace], such as {!aggregate}. *)
 
 val interval_join :
   ?trace:string ->

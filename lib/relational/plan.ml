@@ -10,32 +10,12 @@ type t =
       right_span : string * string;
       min_overlap : int;
     }
-  | Aggregate of {
-      group_by : string list;
-      aggs : (string * Ops.agg) list;
-      input : t;
-    }
-  | Sort of (string * [ `Asc | `Desc ]) list * t
-  | Limit of int * t
 
 type catalog = {
   scan : string -> string list -> Ops.rel;
   schema_of : string -> Schema.t;
   row_count : string -> int;
 }
-
-let agg_schema input_schema group_by aggs =
-  Schema.make
-    (List.map
-       (fun k -> (k, Schema.ty input_schema (Schema.index input_schema k)))
-       group_by
-    @ List.map
-        (fun (name, a) ->
-          let ty =
-            match a with Ops.Count -> Value.TInt | _ -> Value.TFloat
-          in
-          (name, ty))
-        aggs)
 
 let rec schema cat = function
   | Scan (table, []) -> cat.schema_of table
@@ -48,15 +28,11 @@ let rec schema cat = function
     Schema.concat
       (Schema.concat (schema cat left) (schema cat right))
       (Schema.make [ ("overlap_len", Value.TInt) ])
-  | Aggregate { group_by; aggs; input } ->
-    agg_schema (schema cat input) group_by aggs
-  | Sort (_, p) -> schema cat p
-  | Limit (_, p) -> schema cat p
 
 let rec estimate_rows cat = function
   | Scan (table, _) -> cat.row_count table
   | Filter (_, p) -> max 1 (estimate_rows cat p / 3)
-  | Project (_, p) | Sort (_, p) -> estimate_rows cat p
+  | Project (_, p) -> estimate_rows cat p
   | Join { left; right; _ } ->
     (* Equi-join on a key of the smaller side: about the larger input. *)
     max (min (estimate_rows cat left) (estimate_rows cat right))
@@ -65,8 +41,6 @@ let rec estimate_rows cat = function
     (* Interval containment over a shared axis: expect a handful of
        matches per left interval, more when the right side is dense. *)
     max 1 (max (estimate_rows cat left) (estimate_rows cat right) * 3 / 2)
-  | Aggregate { input; _ } -> max 1 (estimate_rows cat input / 4)
-  | Limit (n, p) -> min n (estimate_rows cat p)
 
 let names cat p = List.map fst (Schema.columns (schema cat p))
 
@@ -136,9 +110,12 @@ let rec pushdown cat plan =
     if List.for_all (fun c -> List.mem c below) (Expr.columns e) then
       Project (cols, pushdown cat (Filter (e, p)))
     else Project (cols, pushdown cat p) |> fun inner -> Filter (e, inner)
-  | Filter (e, Interval_join ({ left; right; _ } as ij)) ->
-    (* Same side-routing as the equi-join below; conjuncts touching the
-       computed [overlap_len] column route to neither side and stay. *)
+  | Filter
+      (e, ((Join { left; right; _ } | Interval_join { left; right; _ }) as join))
+    ->
+    (* Each conjunct goes below the join to the side that defines all its
+       columns; the rest (an interval join's computed [overlap_len]
+       included) stays above it. *)
     let lnames = names cat left in
     let stays = ref [] and to_left = ref [] and to_right = ref [] in
     List.iter
@@ -151,52 +128,18 @@ let rec pushdown cat plan =
           | Some c' -> to_right := c' :: !to_right
           | None -> stays := c :: !stays)
       (conjuncts e);
-    let left =
-      match conjoin (List.rev !to_left) with
-      | Some f -> Filter (f, left)
-      | None -> left
+    let with_filter cs p =
+      match conjoin (List.rev cs) with Some f -> Filter (f, p) | None -> p
     in
-    let right =
-      match conjoin (List.rev !to_right) with
-      | Some f -> Filter (f, right)
-      | None -> right
-    in
+    let left = pushdown cat (with_filter !to_left left)
+    and right = pushdown cat (with_filter !to_right right) in
     let joined =
-      Interval_join
-        { ij with left = pushdown cat left; right = pushdown cat right }
+      match join with
+      | Interval_join ij -> Interval_join { ij with left; right }
+      | Join j -> Join { j with left; right }
+      | _ -> assert false
     in
-    (match conjoin (List.rev !stays) with
-    | Some f -> Filter (f, joined)
-    | None -> joined)
-  | Filter (e, Join { left; right; on }) ->
-    let lnames = names cat left in
-    let stays = ref [] and to_left = ref [] and to_right = ref [] in
-    List.iter
-      (fun c ->
-        let cols = Expr.columns c in
-        if List.for_all (fun n -> List.mem n lnames) cols then
-          to_left := c :: !to_left
-        else
-          match rebase_to_right cat left right c with
-          | Some c' -> to_right := c' :: !to_right
-          | None -> stays := c :: !stays)
-      (conjuncts e);
-    let left =
-      match conjoin (List.rev !to_left) with
-      | Some f -> Filter (f, left)
-      | None -> left
-    in
-    let right =
-      match conjoin (List.rev !to_right) with
-      | Some f -> Filter (f, right)
-      | None -> right
-    in
-    let joined =
-      Join { left = pushdown cat left; right = pushdown cat right; on }
-    in
-    (match conjoin (List.rev !stays) with
-    | Some f -> Filter (f, joined)
-    | None -> joined)
+    with_filter !stays joined
   | Filter (e, p) -> Filter (e, pushdown cat p)
   | Project (cols, p) -> Project (cols, pushdown cat p)
   | Join { left; right; on } ->
@@ -204,9 +147,6 @@ let rec pushdown cat plan =
   | Interval_join ij ->
     Interval_join
       { ij with left = pushdown cat ij.left; right = pushdown cat ij.right }
-  | Aggregate a -> Aggregate { a with input = pushdown cat a.input }
-  | Sort (by, p) -> Sort (by, pushdown cat p)
-  | Limit (n, p) -> Limit (n, pushdown cat p)
   | Scan _ as s -> s
 
 (* --- column pruning --- *)
@@ -232,18 +172,6 @@ let rec prune cat required plan =
     let rreq = union rreq [ fst right_span; snd right_span ] in
     Interval_join
       { ij with left = prune cat lreq left; right = prune cat rreq right }
-  | Aggregate { group_by; aggs; input } ->
-    let agg_cols =
-      List.filter_map
-        (fun (_, a) ->
-          match a with
-          | Ops.Count -> None
-          | Ops.Sum c | Ops.Avg c | Ops.Min c | Ops.Max c -> Some c)
-        aggs
-    in
-    Aggregate { group_by; aggs; input = prune cat (union group_by agg_cols) input }
-  | Sort (by, p) -> Sort (by, prune cat (union required (List.map fst by)) p)
-  | Limit (n, p) -> Limit (n, prune cat required p)
 
 (* --- build-side selection --- *)
 
@@ -276,9 +204,6 @@ let rec choose_builds cat plan =
       }
   | Filter (e, p) -> Filter (e, choose_builds cat p)
   | Project (cols, p) -> Project (cols, choose_builds cat p)
-  | Aggregate a -> Aggregate { a with input = choose_builds cat a.input }
-  | Sort (by, p) -> Sort (by, choose_builds cat p)
-  | Limit (n, p) -> Limit (n, choose_builds cat p)
   | Scan _ as s -> s
 
 (* Run each rewrite separately and record which ones changed the plan —
@@ -303,33 +228,34 @@ let optimize_steps cat plan =
 
 let optimize cat plan = fst (optimize_steps cat plan)
 
-(* Each plan node carries a tracing span, so an enabled trace shows one
-   span per operator bracketing the work it forced (lazy pulls nest the
-   spans by time containment). Filter, project and join fuse the span
-   into their own loop via [?trace]; aggregate/sort/limit wrap their
-   output in [Ops.traced]. Scan spans are the catalog's job — its [scan]
-   should fuse one via [Ops.guard ~trace] or wrap with [Ops.traced] — so
-   hot scans need not pay for an extra per-row layer here. With tracing
-   disabled every hook is the identity. *)
-let rec run cat = function
-  | Scan (table, []) ->
-    cat.scan table (List.map fst (Schema.columns (cat.schema_of table)))
-  | Scan (table, cols) -> cat.scan table cols
-  | Filter (e, p) -> Ops.filter ~trace:"filter" e (run cat p)
-  | Project (cols, p) -> Ops.project ~trace:"project" cols (run cat p)
-  | Join { left; right; on } ->
-    Ops.hash_join ~trace:"hash_join" ~on (run cat left) (run cat right)
-  | Interval_join { left; right; left_span; right_span; min_overlap } ->
-    Ops.interval_join ~trace:"interval_join" ~min_overlap ~left_span
-      ~right_span (run cat left) (run cat right)
-  | Aggregate { group_by; aggs; input } ->
-    Ops.traced ~name:"aggregate" (Ops.aggregate ~group_by ~aggs (run cat input))
-  | Sort (by, p) -> Ops.traced ~name:"sort" (Ops.sort ~by (run cat p))
-  | Limit (n, p) -> Ops.traced ~name:"limit" (Ops.limit n (run cat p))
+(* The one plan interpreter. Each node's output passes through [out]
+   (children before their parent): {!execute} passes it on unchanged,
+   EXPLAIN ANALYZE splices in a row counter. Filter, project and the
+   joins fuse a tracing span into their own loop via [?trace], so an
+   enabled trace shows one span per operator bracketing the work it
+   forced (lazy pulls nest the spans by time containment). Scan spans
+   are the catalog's job — its [scan] should fuse one via
+   [Ops.guard ~trace] or wrap with [Ops.traced] — so hot scans need not
+   pay for an extra per-row layer here. With tracing disabled every
+   tracing hook is the identity. *)
+let rec run ~out cat p =
+  let sub = run ~out cat in
+  out p
+    (match p with
+    | Scan (table, []) ->
+      cat.scan table (List.map fst (Schema.columns (cat.schema_of table)))
+    | Scan (table, cols) -> cat.scan table cols
+    | Filter (e, q) -> Ops.filter ~trace:"filter" e (sub q)
+    | Project (cols, q) -> Ops.project ~trace:"project" cols (sub q)
+    | Join { left; right; on } ->
+      Ops.hash_join ~trace:"hash_join" ~on (sub left) (sub right)
+    | Interval_join { left; right; left_span; right_span; min_overlap } ->
+      Ops.interval_join ~trace:"interval_join" ~min_overlap ~left_span
+        ~right_span (sub left) (sub right))
 
 let execute ?(optimize_first = true) cat plan =
   let plan = if optimize_first then optimize cat plan else plan in
-  run cat plan
+  run ~out:(fun _ rel -> rel) cat plan
 
 let describe = function
   | Scan (t, cols) -> Printf.sprintf "Scan %s [%s]" t (String.concat ", " cols)
@@ -343,20 +269,12 @@ let describe = function
     ->
     Printf.sprintf "IntervalJoin [%s+%s overlaps %s+%s, >=%dbp]" ll lv rl rv
       min_overlap
-  | Aggregate { group_by; aggs; _ } ->
-    Printf.sprintf "Aggregate group by [%s] -> [%s]"
-      (String.concat ", " group_by)
-      (String.concat ", " (List.map fst aggs))
-  | Sort (by, _) ->
-    Printf.sprintf "Sort [%s]" (String.concat ", " (List.map fst by))
-  | Limit (n, _) -> Printf.sprintf "Limit %d" n
 
 let children = function
   | Scan _ -> []
-  | Filter (_, p) | Project (_, p) | Sort (_, p) | Limit (_, p) -> [ p ]
+  | Filter (_, p) | Project (_, p) -> [ p ]
   | Join { left; right; _ } | Interval_join { left; right; _ } ->
     [ left; right ]
-  | Aggregate { input; _ } -> [ input ]
 
 let optimizer_note fired =
   match fired with
@@ -378,91 +296,53 @@ let explain cat plan =
 
 (* --- EXPLAIN ANALYZE ---
 
-   Execute the optimized plan with a per-node row counter spliced in,
+   Run the optimized plan with a row counter on every node's output,
    drain it, then print the same tree with estimated vs actual
    cardinalities. Join nodes additionally report the hash table's build
    and probe sizes, which are exactly the right and left child's actual
    counts: the build phase consumes the right input through its counter
    before the first output row, and every probed row passes the left
-   counter. The counting layer is one closure per row per node — fine
-   for a diagnostic run, which is not a timed benchmark. *)
-
-type annotated = { node : t; actual : int ref; kids : annotated list }
-
-let rec instrument cat p =
-  let counted rel =
-    let c = ref 0 in
-    ( c,
-      {
-        rel with
-        Ops.rows =
-          Seq.map
-            (fun row ->
-              incr c;
-              row)
-            rel.Ops.rows;
-      } )
-  in
-  let rel, kids =
-    match p with
-    | Scan (table, cols) ->
-      let cols =
-        if cols = [] then List.map fst (Schema.columns (cat.schema_of table))
-        else cols
-      in
-      (cat.scan table cols, [])
-    | Filter (e, inner) ->
-      let irel, ia = instrument cat inner in
-      (Ops.filter e irel, [ ia ])
-    | Project (cols, inner) ->
-      let irel, ia = instrument cat inner in
-      (Ops.project cols irel, [ ia ])
-    | Join { left; right; on } ->
-      let lrel, la = instrument cat left in
-      let rrel, ra = instrument cat right in
-      (Ops.hash_join ~on lrel rrel, [ la; ra ])
-    | Interval_join { left; right; left_span; right_span; min_overlap } ->
-      let lrel, la = instrument cat left in
-      let rrel, ra = instrument cat right in
-      (Ops.interval_join ~min_overlap ~left_span ~right_span lrel rrel,
-       [ la; ra ])
-    | Aggregate { group_by; aggs; input } ->
-      let irel, ia = instrument cat input in
-      (Ops.aggregate ~group_by ~aggs irel, [ ia ])
-    | Sort (by, inner) ->
-      let irel, ia = instrument cat inner in
-      (Ops.sort ~by irel, [ ia ])
-    | Limit (n, inner) ->
-      let irel, ia = instrument cat inner in
-      (Ops.limit n irel, [ ia ])
-  in
-  let c, rel = counted rel in
-  (rel, { node = p; actual = c; kids })
+   counter. The optimizer rebuilds every node, so each node of its
+   output is a distinct value and keys its own counter. The counting
+   layer is one closure per row per node — fine for a diagnostic run,
+   which is not a timed benchmark. *)
 
 let explain_analyze cat plan =
   let plan, fired = optimize_steps cat plan in
-  let rel, ann = instrument cat plan in
-  Seq.iter ignore rel.Ops.rows;
+  let counters = ref [] in
+  let count node rel =
+    let c = ref 0 in
+    counters := (node, c) :: !counters;
+    {
+      rel with
+      Ops.rows =
+        Seq.map
+          (fun row ->
+            incr c;
+            row)
+          rel.Ops.rows;
+    }
+  in
+  Seq.iter ignore (run ~out:count cat plan).Ops.rows;
+  let actual node = !(List.assq node !counters) in
   let buf = Buffer.create 256 in
-  let rec go indent a =
+  let rec go indent p =
     let extra =
-      match (a.node, a.kids) with
-      | Join _, [ la; ra ] ->
-        Printf.sprintf "; build %d, probe %d" !(ra.actual) !(la.actual)
-      | Interval_join _, [ la; ra ] ->
+      match p with
+      | Join { left; right; _ } ->
+        Printf.sprintf "; build %d, probe %d" (actual right) (actual left)
+      | Interval_join { left; right; _ } ->
         (* The node's own est|actual above IS the overlap-pair count;
            this footnote sizes the sweep's two interval inputs. *)
-        Printf.sprintf "; swept %d x %d intervals" !(la.actual) !(ra.actual)
+        Printf.sprintf "; swept %d x %d intervals" (actual left) (actual right)
       | _ -> ""
     in
     Buffer.add_string buf
       (Printf.sprintf "%s%s  (est %d | actual %d rows%s)\n"
          (String.make indent ' ')
-         (describe a.node)
-         (estimate_rows cat a.node)
-         !(a.actual) extra);
-    List.iter (go (indent + 2)) a.kids
+         (describe p) (estimate_rows cat p) (actual p) extra);
+    List.iter (go (indent + 2)) (children p)
   in
-  go 0 ann;
+  go 0 plan;
   Buffer.add_string buf (optimizer_note fired);
   Buffer.contents buf

@@ -23,13 +23,6 @@ type t =
       (** Genomic overlap join via {!Ops.interval_join}: output is
           [left ++ right ++ overlap_len], canonical (left, right) row
           order; sides are never swapped by the optimizer. *)
-  | Aggregate of {
-      group_by : string list;
-      aggs : (string * Ops.agg) list;
-      input : t;
-    }
-  | Sort of (string * [ `Asc | `Desc ]) list * t
-  | Limit of int * t
 
 type catalog = {
   scan : string -> string list -> Ops.rel;
@@ -64,8 +57,9 @@ val explain : catalog -> t -> string
     the plan was unchanged). *)
 
 val explain_analyze : catalog -> t -> string
-(** EXPLAIN ANALYZE: execute the optimized plan with a per-node row
-    counter spliced in, drain it, and render the tree with
+(** EXPLAIN ANALYZE: run the optimized plan through {!execute}'s
+    interpreter with a row counter on every node's output, drain it, and
+    render the tree with
     [est vs actual] cardinalities per node. Join nodes also report hash
     build/probe input sizes (the right and left child's actual counts);
     interval-join nodes report the swept input sizes, their own

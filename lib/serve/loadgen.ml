@@ -14,7 +14,6 @@
 module Spec = Gb_datagen.Spec
 module Prng = Gb_util.Prng
 module Query = Genbase.Query
-module Descriptive = Gb_stats.Descriptive
 
 type shape =
   | Steady of float
@@ -178,9 +177,8 @@ let quantiles (xs : float list) =
   | xs ->
     let a = Array.of_list xs in
     Array.sort Float.compare a;
-    ( Descriptive.quantile a 0.5,
-      Descriptive.quantile a 0.99,
-      Descriptive.quantile a 0.999 )
+    let q = Gb_util.Order.quantile_sorted a in
+    (q 0.5, q 0.99, q 0.999)
 
 let summarize (cfg : config) ~retries (responses : Outcome.response list)
     (stats : Server.stats) =
@@ -236,9 +234,42 @@ let pp_summary ppf (s : summary) =
     s.expired_running s.goodput_qps s.p50_s s.p99_s s.p999_s s.max_queue_len
     s.max_mem_used s.breaker_trips
 
-let run_with ?(observe = fun (_ : Outcome.response) -> ()) cfg =
+type run = {
+  responses : Outcome.response list;
+  stats : Server.stats;
+  summary : summary;
+  window : Gb_obs.Telemetry.Window.t;  (** served latencies *)
+  monitor : Gb_obs.Slo.t;
+}
+
+let run cfg =
   let jobs = jobs_of cfg in
   let mean = mean_service jobs in
+  (* The live latency window and the SLO monitor read the response
+     stream; they consume no PRNG draws and never feed back into the
+     simulation. *)
+  let window = Gb_obs.Telemetry.Window.create ~width_s:mean ~windows:64 () in
+  (* A firing burn-rate alert is the flight recorder's highest-signal
+     trigger: dump while the ring still holds the offending window. *)
+  let on_alert (a : Gb_obs.Slo.alert) =
+    if a.Gb_obs.Slo.a_firing then
+      Gb_obs.Recorder.trigger ~reason:Gb_obs.Recorder.Slo_fire
+        ~now:a.Gb_obs.Slo.a_at ()
+  in
+  let monitor =
+    Gb_obs.Slo.create ~on_alert
+      ~objectives:(Gb_obs.Slo.defaults ~scale_s:mean)
+      ()
+  in
+  let observe (r : Outcome.response) =
+    let now = r.Outcome.finished_s in
+    (match r.Outcome.disposition with
+    | Outcome.Served _ ->
+      Gb_obs.Telemetry.Window.observe window ~now (Outcome.latency_s r)
+    | Outcome.Shed _ | Outcome.Deadline_exceeded _ -> ());
+    Gb_obs.Slo.observe monitor ~now ~ok:(Outcome.goodput r)
+      ~latency_s:(Outcome.latency_s r)
+  in
   let sconfig = server_config cfg jobs in
   let capacity_qps = float_of_int cfg.lanes /. mean in
   let duration_s = cfg.duration *. mean in
@@ -361,9 +392,7 @@ let run_with ?(observe = fun (_ : Outcome.response) -> ()) cfg =
     else []
   in
   let on_response (r : Outcome.response) =
-    (* Responses arrive here in deterministic event order — the hook
-       point where instrumented runs feed sliding windows and the SLO
-       monitor without touching the server or the PRNG draws. *)
+    (* Responses arrive here in deterministic event order. *)
     observe r;
     let first =
       Option.value
@@ -399,58 +428,12 @@ let run_with ?(observe = fun (_ : Outcome.response) -> ()) cfg =
   let responses, stats =
     Server.run ~config:sconfig ~on_response (open_arrivals @ closed_arrivals)
   in
-  (responses, stats, summarize cfg ~retries:!retries responses stats)
-
-let run cfg = run_with cfg
-
-(* --- instrumented runs: live windows + SLO monitor --- *)
-
-type instrumented = {
-  i_responses : Outcome.response list;
-  i_stats : Server.stats;
-  i_summary : summary;
-  i_window : Gb_obs.Telemetry.Window.t;  (** served latencies *)
-  i_monitor : Gb_obs.Slo.t;
-  i_mean_service_s : float;
-  i_objectives : Gb_obs.Slo.objective list;
-}
-
-let run_instrumented ?objectives cfg =
-  let mean = mean_service (jobs_of cfg) in
-  let objectives =
-    match objectives with
-    | Some o -> o
-    | None -> Gb_obs.Slo.defaults ~scale_s:mean
-  in
-  let window =
-    Gb_obs.Telemetry.Window.create ~width_s:mean ~windows:64 ()
-  in
-  (* A firing burn-rate alert is the flight recorder's highest-signal
-     trigger: dump while the ring still holds the offending window. *)
-  let on_alert (a : Gb_obs.Slo.alert) =
-    if a.Gb_obs.Slo.a_firing then
-      Gb_obs.Recorder.trigger ~reason:Gb_obs.Recorder.Slo_fire
-        ~now:a.Gb_obs.Slo.a_at ()
-  in
-  let monitor = Gb_obs.Slo.create ~on_alert ~objectives () in
-  let observe (r : Outcome.response) =
-    let now = r.Outcome.finished_s in
-    (match r.Outcome.disposition with
-    | Outcome.Served _ ->
-      Gb_obs.Telemetry.Window.observe window ~now (Outcome.latency_s r)
-    | Outcome.Shed _ | Outcome.Deadline_exceeded _ -> ());
-    Gb_obs.Slo.observe monitor ~now ~ok:(Outcome.goodput r)
-      ~latency_s:(Outcome.latency_s r)
-  in
-  let responses, stats, summary = run_with ~observe cfg in
   {
-    i_responses = responses;
-    i_stats = stats;
-    i_summary = summary;
-    i_window = window;
-    i_monitor = monitor;
-    i_mean_service_s = mean;
-    i_objectives = objectives;
+    responses;
+    stats;
+    summary = summarize cfg ~retries:!retries responses stats;
+    window;
+    monitor;
   }
 
 (* Interpolated-vs-exact p99 agreement over the aggregated labeled
@@ -468,30 +451,28 @@ let p99_agreement (s : summary) =
 (* Mid-run tail latency from the sliding window — what a dashboard would
    show at instant [now], as opposed to the summary's post-hoc exact
    quantiles. *)
-let live_quantiles (i : instrumented) ~now ~horizon_s =
-  let q p =
-    Gb_obs.Telemetry.Window.quantile i.i_window ~now ~horizon_s p
-  in
+let live_quantiles (r : run) ~now ~horizon_s =
+  let q p = Gb_obs.Telemetry.Window.quantile r.window ~now ~horizon_s p in
   (q 0.5, q 0.99, q 0.999)
 
 (* Schema-v1 records for the BENCH_slo section: alert counts and
    instants are pure functions of (scenario, seed), so the committed
    baseline diffs exactly. *)
-let slo_records (i : instrumented) =
+let slo_records (r : run) =
   let open Gb_obs.Bench_json in
-  let s = i.i_summary in
-  let all = Gb_obs.Slo.alerts i.i_monitor in
+  let s = r.summary in
+  let all = Gb_obs.Slo.alerts r.monitor in
   List.filter_map
-    (fun (o : Gb_obs.Slo.objective) ->
+    (fun (name, _, _, _, _) ->
       let mine =
-        List.filter (fun (a : Gb_obs.Slo.alert) -> a.a_slo = o.o_name) all
+        List.filter (fun (a : Gb_obs.Slo.alert) -> a.a_slo = name) all
       in
       let fires = List.filter (fun (a : Gb_obs.Slo.alert) -> a.a_firing) mine in
       let first_fire =
         match fires with [] -> 0. | a :: _ -> a.Gb_obs.Slo.a_at
       in
       make
-        ~name:("slo_" ^ o.o_name ^ "_fires")
+        ~name:("slo_" ^ name ^ "_fires")
         ~engine:"" ~query:""
         ~size:(s.scenario ^ "/" ^ s.size)
         ~unit_:"count" ~better:Lower
@@ -502,7 +483,7 @@ let slo_records (i : instrumented) =
              float_of_int (List.length mine - List.length fires));
           ]
         [ float_of_int (List.length fires) ])
-    i.i_objectives
+    (Gb_obs.Slo.summary r.monitor)
 
 (* --- artifacts --- *)
 

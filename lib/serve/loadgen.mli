@@ -75,38 +75,31 @@ type summary = {
   breaker_trips : int;
 }
 
-val run : config -> Outcome.response list * Server.stats * summary
-(** Generate the scenario's traffic and simulate to quiescence. With
-    tracing enabled, retries additionally emit [client.retry] sim-track
-    instants linked to the original request by trace id; trace ids are
-    assigned per logical request (retries inherit the first attempt's),
-    so every admit/queue/exec/retry span of one request shares one
-    [trace] attribute. *)
-
-(** {1 Instrumented runs} — the same simulation with a sliding latency
-    window and an SLO burn-rate monitor fed from the response stream.
-    The instrumentation observes responses in deterministic event order
-    and consumes no PRNG draws, so summaries, sheds and percentiles are
-    bit-identical to {!run}'s. *)
-
-type instrumented = {
-  i_responses : Outcome.response list;
-  i_stats : Server.stats;
-  i_summary : summary;
-  i_window : Gb_obs.Telemetry.Window.t;
+type run = {
+  responses : Outcome.response list;
+  stats : Server.stats;
+  summary : summary;
+  window : Gb_obs.Telemetry.Window.t;
       (** served-response latencies, sub-window width = mean service *)
-  i_monitor : Gb_obs.Slo.t;
-  i_mean_service_s : float;
-  i_objectives : Gb_obs.Slo.objective list;
+  monitor : Gb_obs.Slo.t;
+      (** {!Gb_obs.Slo.defaults} scaled by the workload's mean service
+          time: availability 99% and latency-under-4x 95%, both windows
+          quick-scenario-sized *)
 }
 
-val run_instrumented : ?objectives:Gb_obs.Slo.objective list -> config -> instrumented
-(** [?objectives] defaults to {!Gb_obs.Slo.defaults} scaled by the
-    workload's mean service time: availability 99% and latency-under-4x
-    95%, both windows quick-scenario-sized. *)
+val run : config -> run
+(** Generate the scenario's traffic and simulate to quiescence. A sliding
+    latency window and an SLO burn-rate monitor read the response stream
+    in deterministic event order and consume no PRNG draws; a firing
+    alert triggers a flight-recorder dump when the recorder is armed.
+    With tracing enabled, retries additionally emit [client.retry]
+    sim-track instants linked to the original request by trace id; trace
+    ids are assigned per logical request (retries inherit the first
+    attempt's), so every admit/queue/exec/retry span of one request
+    shares one [trace] attribute. *)
 
 val live_quantiles :
-  instrumented ->
+  run ->
   now:float ->
   horizon_s:float ->
   float option * float option * float option
@@ -121,7 +114,7 @@ val p99_agreement : summary -> (float * float * float) option
     involved. Both cover exactly the [Served _] responses. [None] when
     telemetry was disabled (empty family). *)
 
-val slo_records : instrumented -> Gb_obs.Bench_json.record list
+val slo_records : run -> Gb_obs.Bench_json.record list
 (** One record per objective: fire count, first-fire instant and resolve
     count — pure functions of (scenario, seed), so the committed
     [BENCH_slo.json] baseline diffs exactly. *)

@@ -19,15 +19,10 @@ let variance a =
 let std a = sqrt (variance a)
 
 let quantile a q =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Descriptive.quantile: empty";
   if q < 0. || q > 1. then invalid_arg "Descriptive.quantile: q";
   let s = Array.copy a in
   Array.sort Float.compare s;
-  let pos = q *. float_of_int (n - 1) in
-  let lo = int_of_float (floor pos) and hi = int_of_float (ceil pos) in
-  let frac = pos -. float_of_int lo in
-  (s.(lo) *. (1. -. frac)) +. (s.(hi) *. frac)
+  Gb_util.Order.quantile_sorted s q
 
 let median a = quantile a 0.5
 

@@ -1,98 +1,3 @@
-type t_result = { t : float; df : float; p_value : float }
-
-let student_t_sf t ~df =
-  if df <= 0. then invalid_arg "student_t_sf: df <= 0";
-  let x = df /. (df +. (t *. t)) in
-  let tail = 0.5 *. Special.beta_inc (df /. 2.) 0.5 x in
-  if t >= 0. then tail else 1. -. tail
-
-let two_sided_t t ~df = Float.min 1. (2. *. student_t_sf (Float.abs t) ~df)
-
-let check2 xs ys =
-  if Array.length xs < 2 || Array.length ys < 2 then
-    invalid_arg "t_test: need at least two observations per sample"
-
-let t_test xs ys =
-  check2 xs ys;
-  let n1 = float_of_int (Array.length xs) in
-  let n2 = float_of_int (Array.length ys) in
-  let v1 = Descriptive.variance xs /. n1 in
-  let v2 = Descriptive.variance ys /. n2 in
-  let se = sqrt (v1 +. v2) in
-  let t =
-    if se = 0. then 0. else (Descriptive.mean xs -. Descriptive.mean ys) /. se
-  in
-  (* Welch–Satterthwaite degrees of freedom. *)
-  let df =
-    if v1 +. v2 = 0. then n1 +. n2 -. 2.
-    else
-      ((v1 +. v2) ** 2.)
-      /. ((v1 *. v1 /. (n1 -. 1.)) +. (v2 *. v2 /. (n2 -. 1.)))
-  in
-  { t; df; p_value = two_sided_t t ~df }
-
-let t_test_equal_var xs ys =
-  check2 xs ys;
-  let n1 = float_of_int (Array.length xs) in
-  let n2 = float_of_int (Array.length ys) in
-  let df = n1 +. n2 -. 2. in
-  let pooled =
-    (((n1 -. 1.) *. Descriptive.variance xs)
-    +. ((n2 -. 1.) *. Descriptive.variance ys))
-    /. df
-  in
-  let se = sqrt (pooled *. ((1. /. n1) +. (1. /. n2))) in
-  let t =
-    if se = 0. then 0. else (Descriptive.mean xs -. Descriptive.mean ys) /. se
-  in
-  { t; df; p_value = two_sided_t t ~df }
-
-type chi2_result = { chi2 : float; df : int; p_value : float }
-
-let chi2_p chi2 df =
-  if df <= 0 then invalid_arg "chi2: df <= 0";
-  Special.gamma_q (float_of_int df /. 2.) (chi2 /. 2.)
-
-let chi2_goodness ~observed ~expected =
-  let n = Array.length observed in
-  if Array.length expected <> n || n < 2 then
-    invalid_arg "chi2_goodness: need matching arrays of length >= 2";
-  let chi2 = ref 0. in
-  for i = 0 to n - 1 do
-    if expected.(i) <= 0. then invalid_arg "chi2_goodness: expected <= 0";
-    let d = observed.(i) -. expected.(i) in
-    chi2 := !chi2 +. (d *. d /. expected.(i))
-  done;
-  let df = n - 1 in
-  { chi2 = !chi2; df; p_value = chi2_p !chi2 df }
-
-let chi2_independence table =
-  let rows = Array.length table in
-  if rows < 2 then invalid_arg "chi2_independence: need >= 2 rows";
-  let cols = Array.length table.(0) in
-  if cols < 2 then invalid_arg "chi2_independence: need >= 2 cols";
-  Array.iter
-    (fun r ->
-      if Array.length r <> cols then invalid_arg "chi2_independence: ragged")
-    table;
-  let row_tot = Array.map (Array.fold_left ( +. ) 0.) table in
-  let col_tot = Array.make cols 0. in
-  Array.iter (Array.iteri (fun j v -> col_tot.(j) <- col_tot.(j) +. v)) table;
-  let total = Array.fold_left ( +. ) 0. row_tot in
-  if total <= 0. then invalid_arg "chi2_independence: empty table";
-  let chi2 = ref 0. in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      let e = row_tot.(i) *. col_tot.(j) /. total in
-      if e > 0. then begin
-        let d = table.(i).(j) -. e in
-        chi2 := !chi2 +. (d *. d /. e)
-      end
-    done
-  done;
-  let df = (rows - 1) * (cols - 1) in
-  { chi2 = !chi2; df; p_value = chi2_p !chi2 df }
-
 let benjamini_hochberg results =
   let arr = Array.of_list results in
   let m = Array.length arr in

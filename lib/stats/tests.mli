@@ -1,27 +1,5 @@
-(** Additional hypothesis tests used in microarray analysis pipelines
-    alongside the benchmark's Wilcoxon: Student/Welch t-tests and
-    chi-squared, plus Benjamini–Hochberg FDR control for the many-GO-terms
-    setting of Query 5. *)
-
-type t_result = { t : float; df : float; p_value : float }
-
-val student_t_sf : float -> df:float -> float
-(** Upper tail of the Student-t distribution. *)
-
-val t_test : float array -> float array -> t_result
-(** Welch's two-sample t-test (unequal variances), two-sided. Both
-    samples need at least two observations. *)
-
-val t_test_equal_var : float array -> float array -> t_result
-(** Pooled-variance Student t-test, two-sided. *)
-
-type chi2_result = { chi2 : float; df : int; p_value : float }
-
-val chi2_goodness : observed:float array -> expected:float array -> chi2_result
-(** Pearson goodness-of-fit; expected counts must be positive. *)
-
-val chi2_independence : float array array -> chi2_result
-(** Test of independence on a contingency table (rows x cols >= 2x2). *)
+(** False-discovery-rate control for the many-GO-terms setting of
+    Query 5, where one Wilcoxon test runs per term. *)
 
 val benjamini_hochberg : (int * float) list -> (int * float) list
 (** [benjamini_hochberg results] converts raw p-values to BH-adjusted

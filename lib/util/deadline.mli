@@ -10,8 +10,8 @@
     - {!Sim} runs against a {!Gb_util.Clock.Sim} simulated clock and
       bounds *simulated* seconds — the cluster/MapReduce cut-off, where
       modelled communication or recovery time must count against the
-      window even though no wall time passes ([Cluster.set_deadline] is
-      built on it).
+      window even though no wall time passes ([Cluster.set_deadline] and
+      [Mr.set_deadline] are built on it).
 
     Both raise the same {!Timeout}, so the harness maps either domain to
     the same [Timed_out] outcome. *)

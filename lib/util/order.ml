@@ -14,6 +14,15 @@ let top_k k a =
   let idx = argsort ~descending:true a in
   Array.sub idx 0 k
 
+let quantile_sorted a q =
+  let n = Array.length a in
+  if n = 0 then invalid_arg "Order.quantile_sorted: empty";
+  let pos = q *. float_of_int (n - 1) in
+  let lo = int_of_float (Float.floor pos) in
+  let frac = pos -. float_of_int lo in
+  if frac = 0. then a.(lo)
+  else (a.(lo) *. (1. -. frac)) +. (a.(lo + 1) *. frac)
+
 let quantile_threshold a q =
   if Array.length a = 0 then invalid_arg "quantile_threshold: empty";
   let sorted = Array.copy a in

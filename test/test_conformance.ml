@@ -229,7 +229,8 @@ let test_differential_tiny () =
 let test_chaos_conformance_tiny () =
   let config = { tiny_config with Matrix.seeds = [ 0xC0FFEEL ]; fuzz = false } in
   let cells = Matrix.chaos_conformance ~node_counts:[ 2 ] config in
-  check Alcotest.int "5 engines x 6 queries" 30 (List.length cells);
+  check Alcotest.int "5 armed engines + Xeon Phi, x 6 queries" 36
+    (List.length cells);
   match Matrix.mismatches cells with
   | [] -> ()
   | cs -> Alcotest.failf "chaos mismatches:\n%s" (Matrix.summary cs)

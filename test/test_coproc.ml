@@ -27,7 +27,7 @@ let test_speedups_ordered () =
 let test_offload_beats_host_on_heavy_kernel () =
   let work () = Unix.sleepf 0.05 in
   let host = Sim.create () in
-  Device.host_time host work;
+  Sim.run_measured host work;
   let phi = Sim.create () in
   Device.offload dev phi ~bytes_in:1_000_000 ~bytes_out:1_000 Device.Blas3 work;
   Alcotest.(check bool) "offload faster" (Sim.now phi < Sim.now host) true
@@ -35,7 +35,7 @@ let test_offload_beats_host_on_heavy_kernel () =
 let test_offload_loses_on_light_kernel_with_big_transfer () =
   let work () = Unix.sleepf 0.002 in
   let host = Sim.create () in
-  Device.host_time host work;
+  Sim.run_measured host work;
   let phi = Sim.create () in
   Device.offload dev phi ~bytes_in:(8 * dev.Device.memory_bytes)
     ~bytes_out:1_000 Device.Light work;

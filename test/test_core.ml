@@ -376,6 +376,41 @@ let test_harness_cell_prepares_once () =
   ignore (Harness.run_cell e tiny Query.Q1_regression ~timeout_s:10.);
   Alcotest.(check int) "one prepare per cell" 1 !prepares
 
+(* A traced cell runs once: the reruns that keep an untraced sub-second
+   cell's best total would otherwise stack their phase spans (and add up
+   their counters) under a root span one attempt long. *)
+let test_traced_cell_runs_once () =
+  let module Obs = Gb_obs.Obs in
+  let ds = Dataset.of_size Spec.Small in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      List.iter
+        (fun e ->
+          Obs.reset ();
+          ignore (Harness.run_cell e ds Query.Q1_regression ~timeout_s:60.);
+          let phases =
+            List.filter_map
+              (function
+                | Obs.Span_ev s when s.Obs.cat = "phase" -> Some s.Obs.name
+                | _ -> None)
+              (Obs.events ())
+          in
+          Alcotest.(check bool)
+            (e.Engine.name ^ " records phases")
+            true (phases <> []);
+          List.iter
+            (fun name ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: one %s span" e.Engine.name name)
+                1
+                (List.length (List.filter (( = ) name) phases)))
+            (List.sort_uniq compare phases))
+        [ Engine_scidb.engine; Engine_sql.colstore_udf ])
+
 (* The lean builders store the microarray table straight from the
    matrix; pages and column encodings must equal the row-list path, for
    the whole table and for a multi-node column store's per-node block. *)
@@ -647,6 +682,7 @@ let suite =
     ("errored counts as infinite", `Quick, test_errored_counts_as_infinite);
     ("session reuse matches fresh runs", `Quick, test_session_reuse_matches_fresh);
     ("harness cell prepares once", `Quick, test_harness_cell_prepares_once);
+    ("traced cell runs once", `Quick, test_traced_cell_runs_once);
     ("lean store builders", `Quick, test_lean_store_builders);
     ("multi-node ledger golden", `Quick, test_multinode_ledger_golden);
     ("single-node ledger golden", `Quick, test_single_node_ledger_golden);

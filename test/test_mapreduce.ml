@@ -37,7 +37,7 @@ let test_deadline () =
   let mr = Mr.create ~job_overhead_s:10. () in
   Mr.set_deadline mr 5.;
   ignore (Mr.map_only mr ~name:"first" ~mapper:(fun l -> [ l ]) [ "x" ]);
-  Alcotest.check_raises "second job times out" Mr.Timeout (fun () ->
+  Alcotest.check_raises "second job times out" Gb_util.Deadline.Timeout (fun () ->
       ignore (Mr.map_only mr ~name:"second" ~mapper:(fun l -> [ l ]) [ "x" ]))
 
 let test_multinode_faster_compute () =

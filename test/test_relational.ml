@@ -402,14 +402,6 @@ let test_aggregate () =
   Alcotest.(check bool) "min" (Value.to_float first.(4) = 10.) true;
   Alcotest.(check bool) "max" (Value.to_float first.(5) = 20.) true
 
-let test_sort_limit () =
-  let r = Ops.sort ~by:[ ("v", `Desc) ] (sample_rel ()) in
-  let top = Ops.to_list (Ops.limit 2 r) in
-  Alcotest.(check int) "limit" 2 (List.length top);
-  Alcotest.(check bool) "largest first"
-    (Value.to_float (List.hd top).(1) = 18.)
-    true
-
 let test_guard_fires () =
   let fired = ref 0 in
   let r = Ops.guard ~interval:3 (fun () -> incr fired) (sample_rel ()) in
@@ -639,7 +631,6 @@ let suite =
     ("hash join vs nested loop", `Quick, test_hash_join_vs_nested_loop);
     ("hash join matches list-key join", `Quick, test_hash_join_matches_list_key);
     ("aggregate", `Quick, test_aggregate);
-    ("sort + limit", `Quick, test_sort_limit);
     ("guard fires", `Quick, test_guard_fires);
     ("pivot roundtrip", `Quick, test_pivot_roundtrip);
     ("export rel roundtrip", `Quick, test_export_rel_roundtrip);

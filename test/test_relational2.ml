@@ -1,5 +1,5 @@
 (* The sort-merge interval join as an equi-join, and the logical planner:
-   predicate pushdown, column pruning, aggregation and EXPLAIN. *)
+   predicate pushdown, column pruning and EXPLAIN. *)
 
 open Gb_relational
 
@@ -110,12 +110,9 @@ let test_planner_pushes_predicate () =
   (* The filter must now sit beneath the join, on the genes side. *)
   let rec has_filter_above_join = function
     | Plan.Filter (_, Plan.Join _) -> true
-    | Plan.Filter (_, p) | Plan.Project (_, p) | Plan.Sort (_, p)
-    | Plan.Limit (_, p) ->
-      has_filter_above_join p
+    | Plan.Filter (_, p) | Plan.Project (_, p) -> has_filter_above_join p
     | Plan.Join { left; right; _ } | Plan.Interval_join { left; right; _ } ->
       has_filter_above_join left || has_filter_above_join right
-    | Plan.Aggregate { input; _ } -> has_filter_above_join input
     | Plan.Scan _ -> false
   in
   Alcotest.(check bool) "no filter above join"
@@ -128,12 +125,9 @@ let test_planner_prunes_columns () =
   let optimized = Plan.optimize cat plan in
   let rec scans acc = function
     | Plan.Scan (t, cols) -> (t, cols) :: acc
-    | Plan.Filter (_, p) | Plan.Project (_, p) | Plan.Sort (_, p)
-    | Plan.Limit (_, p) ->
-      scans acc p
+    | Plan.Filter (_, p) | Plan.Project (_, p) -> scans acc p
     | Plan.Join { left; right; _ } | Plan.Interval_join { left; right; _ } ->
       scans (scans acc left) right
-    | Plan.Aggregate { input; _ } -> scans acc input
   in
   let micro_cols = List.assoc "microarray" (scans [] optimized) in
   Alcotest.(check bool) "patient_id pruned from microarray scan"
@@ -143,19 +137,6 @@ let test_planner_prunes_columns () =
   let rows = Ops.to_list (Plan.execute cat plan) in
   Alcotest.(check int) "rows" 50 (List.length rows);
   Alcotest.(check int) "single column" 1 (Array.length (List.hd rows))
-
-let test_planner_aggregate () =
-  let cat = catalog () in
-  let plan =
-    Plan.Aggregate
-      {
-        group_by = [ "patient_id" ];
-        aggs = [ ("total", Ops.Sum "value") ];
-        input = Plan.Scan ("microarray", []);
-      }
-  in
-  let rows = Ops.to_list (Plan.execute cat plan) in
-  Alcotest.(check int) "five patients" 5 (List.length rows)
 
 let test_planner_explain () =
   let cat = catalog () in
@@ -176,6 +157,5 @@ let suite =
     ("planner preserves semantics", `Quick, test_planner_semantics_preserved);
     ("planner pushes predicates", `Quick, test_planner_pushes_predicate);
     ("planner prunes columns", `Quick, test_planner_prunes_columns);
-    ("planner aggregates", `Quick, test_planner_aggregate);
     ("planner explain", `Quick, test_planner_explain);
   ]

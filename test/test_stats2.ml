@@ -1,92 +1,7 @@
-(* Special functions and the additional hypothesis tests. *)
+(* Benjamini-Hochberg FDR control, the multiple-testing correction the
+   RNA-seq extension applies to its enrichment p-values. *)
 
 open Gb_stats
-
-let close = Alcotest.(check (float 1e-6))
-
-let test_log_gamma () =
-  close "gamma(1)" 0. (Special.log_gamma 1.);
-  close "gamma(2)" 0. (Special.log_gamma 2.);
-  close "gamma(5) = log 24" (log 24.) (Special.log_gamma 5.);
-  close "gamma(0.5) = log sqrt(pi)"
-    (0.5 *. log Float.pi)
-    (Special.log_gamma 0.5);
-  (* Recurrence Gamma(x+1) = x Gamma(x). *)
-  List.iter
-    (fun x ->
-      close "recurrence"
-        (Special.log_gamma x +. log x)
-        (Special.log_gamma (x +. 1.)))
-    [ 0.3; 1.7; 4.2; 10.5 ]
-
-let test_gamma_p () =
-  close "P(a,0)" 0. (Special.gamma_p 2. 0.);
-  (* P(1, x) = 1 - exp(-x). *)
-  List.iter
-    (fun x -> close "exponential case" (1. -. exp (-.x)) (Special.gamma_p 1. x))
-    [ 0.1; 1.; 3.; 10. ];
-  List.iter
-    (fun (a, x) ->
-      close "P + Q = 1" 1. (Special.gamma_p a x +. Special.gamma_q a x))
-    [ (0.5, 0.2); (2., 5.); (10., 3.) ]
-
-let test_beta_inc () =
-  close "I_0" 0. (Special.beta_inc 2. 3. 0.);
-  close "I_1" 1. (Special.beta_inc 2. 3. 1.);
-  (* I_x(1,1) = x. *)
-  List.iter (fun x -> close "uniform case" x (Special.beta_inc 1. 1. x))
-    [ 0.25; 0.5; 0.9 ];
-  (* Symmetry I_x(a,b) = 1 - I_{1-x}(b,a). *)
-  close "symmetry"
-    (1. -. Special.beta_inc 3. 2. 0.7)
-    (Special.beta_inc 2. 3. 0.3)
-
-let test_student_t_sf () =
-  (* t = 0 is the median. *)
-  close "median" 0.5 (Tests.student_t_sf 0. ~df:7.);
-  (* Large df approaches the normal tail. *)
-  Alcotest.(check (float 1e-3)) "normal limit" 0.025
-    (Tests.student_t_sf 1.96 ~df:100000.);
-  (* Known quantile: t_{0.975, 10} = 2.228. *)
-  Alcotest.(check (float 1e-3)) "df=10 quantile" 0.025
-    (Tests.student_t_sf 2.228 ~df:10.)
-
-let test_t_test_separated () =
-  let xs = Array.init 20 (fun i -> 10. +. float_of_int (i mod 3)) in
-  let ys = Array.init 20 (fun i -> float_of_int (i mod 3)) in
-  let r = Tests.t_test xs ys in
-  Alcotest.(check bool) "tiny p" (r.Tests.p_value < 1e-10) true;
-  Alcotest.(check bool) "t positive" (r.Tests.t > 0.) true
-
-let test_t_test_same_sample () =
-  let g = Gb_util.Prng.create 8L in
-  let xs = Array.init 40 (fun _ -> Gb_util.Prng.normal g) in
-  let ys = Array.init 40 (fun _ -> Gb_util.Prng.normal g) in
-  let r = Tests.t_test xs ys in
-  Alcotest.(check bool) "not significant" (r.Tests.p_value > 0.01) true;
-  (* Welch and pooled agree when sample sizes and variances match. *)
-  let pooled = Tests.t_test_equal_var xs ys in
-  Alcotest.(check (float 1e-9)) "same t" r.Tests.t pooled.Tests.t
-
-let test_chi2_goodness () =
-  (* Fair die, observed close to expected. *)
-  let r =
-    Tests.chi2_goodness
-      ~observed:[| 9.; 11.; 10.; 8.; 12.; 10. |]
-      ~expected:[| 10.; 10.; 10.; 10.; 10.; 10. |]
-  in
-  Alcotest.(check int) "df" 5 r.Tests.df;
-  Alcotest.(check (float 1e-9)) "chi2" 1.0 r.Tests.chi2;
-  Alcotest.(check bool) "not significant" (r.Tests.p_value > 0.9) true
-
-let test_chi2_independence () =
-  (* Strongly dependent table. *)
-  let r = Tests.chi2_independence [| [| 50.; 5. |]; [| 5.; 50. |] |] in
-  Alcotest.(check int) "df" 1 r.Tests.df;
-  Alcotest.(check bool) "significant" (r.Tests.p_value < 1e-6) true;
-  (* Independent table: rows proportional. *)
-  let r2 = Tests.chi2_independence [| [| 20.; 40. |]; [| 10.; 20. |] |] in
-  Alcotest.(check (float 1e-9)) "zero chi2" 0. r2.Tests.chi2
 
 let test_bh_fdr () =
   let adjusted =
@@ -121,14 +36,6 @@ let prop_bh_q_at_least_p =
 
 let suite =
   [
-    ("log gamma", `Quick, test_log_gamma);
-    ("incomplete gamma", `Quick, test_gamma_p);
-    ("incomplete beta", `Quick, test_beta_inc);
-    ("student t tail", `Quick, test_student_t_sf);
-    ("t-test separated", `Quick, test_t_test_separated);
-    ("t-test same distribution", `Quick, test_t_test_same_sample);
-    ("chi2 goodness of fit", `Quick, test_chi2_goodness);
-    ("chi2 independence", `Quick, test_chi2_independence);
     ("benjamini-hochberg", `Quick, test_bh_fdr);
     QCheck_alcotest.to_alcotest prop_bh_q_at_least_p;
   ]
