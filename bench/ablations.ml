@@ -33,7 +33,10 @@ let storage_formats () =
         let rs = Row_store.of_rows Genbase.Dataset.microarray_schema rel_rows in
         let cs = Col_store.of_rows Genbase.Dataset.microarray_schema rel_rows in
         let t_row =
-          time (fun () -> ignore (Ops.count (Ops.scan_row_store rs)))
+          time (fun () ->
+              ignore
+                (Ops.count
+                   (Ops.scan_row_store rs [ "gene_id"; "patient_id"; "value" ])))
         in
         let t_col_all =
           time (fun () ->

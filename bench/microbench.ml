@@ -70,7 +70,8 @@ let tests () =
       (Staged.stage (fun () ->
            ignore
              (Gb_relational.Ops.count
-                (Gb_relational.Ops.scan_row_store row_store))));
+                (Gb_relational.Ops.scan_row_store row_store
+                   [ "gene_id"; "patient_id"; "value" ]))));
     Test.make ~name:"col store scan 19200 tuples"
       (Staged.stage (fun () ->
            ignore

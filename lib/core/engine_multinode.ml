@@ -179,7 +179,8 @@ let columnar ~boundary (ds : Dataset.t) ~nodes =
       | t -> invalid_arg ("unknown table " ^ t)
     in
     {
-      Relops.scan = (fun t cols -> Ops.scan_col_store (store t) cols);
+      Relops.scan =
+        (fun ?keep t cols -> Ops.scan_col_store ?keep (store t) cols);
       row_count = (fun t -> Col_store.row_count (store t));
       check = ctx.check;
     }

@@ -16,8 +16,7 @@ let make_db backend ds =
       | "variants" -> db.Dataset.variants_r
       | t -> invalid_arg ("unknown table " ^ t)
     in
-    (* A row store decodes whole tuples, then projects. *)
-    let scan table cols = Ops.project cols (Ops.scan_row_store (store table)) in
+    let scan ?keep table cols = Ops.scan_row_store ?keep (store table) cols in
     let row_count table = Row_store.row_count (store table) in
     fun ~check -> { Relops.scan; row_count; check }
   | Col_backend ->
@@ -30,7 +29,7 @@ let make_db backend ds =
       | "variants" -> db.Dataset.variants_c
       | t -> invalid_arg ("unknown table " ^ t)
     in
-    let scan table cols = Ops.scan_col_store (store table) cols in
+    let scan ?keep table cols = Ops.scan_col_store ?keep (store table) cols in
     let row_count table = Col_store.row_count (store table) in
     fun ~check -> { Relops.scan; row_count; check }
 

@@ -2,7 +2,7 @@ open Gb_relational
 module Mat = Gb_linalg.Mat
 
 type db = {
-  scan : string -> string list -> Ops.rel;
+  scan : ?keep:Ops.keep -> string -> string list -> Ops.rel;
   row_count : string -> int;
   check : unit -> unit;
 }
@@ -15,17 +15,21 @@ let table_schema = function
   | "variants" -> Dataset.variants_schema
   | t -> invalid_arg ("Relops: unknown table " ^ t)
 
+(* A scan's deadline checks and its span count the tuples it reads: a
+   keyed scan reports each one to its key test, kept or not. *)
+let guarded ?keep db table cols =
+  let trace = "scan:" ^ table in
+  match keep with
+  | None -> Ops.guard ~trace db.check (db.scan table cols)
+  | Some keep ->
+    Ops.guard_scan ~trace db.check keep (fun keep -> db.scan ~keep table cols)
+
 let catalog db =
   {
-    Plan.scan =
-      (fun t cols ->
-        Ops.guard ~trace:("scan:" ^ t) db.check (db.scan t cols));
+    Plan.scan = (fun ?keep t cols -> guarded ?keep db t cols);
     schema_of = table_schema;
     row_count = db.row_count;
   }
-
-let guarded db table cols =
-  Ops.guard ~trace:("scan:" ^ table) db.check (db.scan table cols)
 
 (* Join the selected rows of a small table ([genes] on gene_id or
    [patients] on patient_id) against the microarray, keeping

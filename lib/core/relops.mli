@@ -6,10 +6,12 @@
 open Gb_relational
 
 type db = {
-  scan : string -> string list -> Ops.rel;
-      (** [scan table cols] where table ∈ microarray | patients | genes |
-          go | variants. A row store decodes whole tuples and projects; a
-          column store reads only the requested columns. *)
+  scan : ?keep:Ops.keep -> string -> string list -> Ops.rel;
+      (** [scan ?keep table cols] where table ∈ microarray | patients |
+          genes | go | variants. A row store decodes the requested fields
+          of each tuple; a column store reads only the requested
+          columns. [?keep] skips the tuples whose key it rejects before
+          decoding them ({!Ops.keep}). *)
   row_count : string -> int; (** catalog statistics for the optimizer *)
   check : unit -> unit; (** cooperative timeout hook *)
 }

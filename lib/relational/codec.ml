@@ -35,21 +35,40 @@ let encode schema row buf off =
     row;
   !pos - off
 
-let decode schema buf off =
-  let arity = Schema.arity schema in
-  let row = Array.make arity (Value.Int 0) in
+let int_at buf pos = Int64.to_int (Bytes.get_int64_le buf pos)
+
+let field_size ty buf pos =
+  match ty with
+  | Value.TInt | Value.TFloat -> 8
+  | Value.TStr -> 4 + Int32.to_int (Bytes.get_int32_le buf pos)
+
+let field ty buf pos =
+  match ty with
+  | Value.TInt -> Value.Int (int_at buf pos)
+  | Value.TFloat -> Value.Float (Int64.float_of_bits (Bytes.get_int64_le buf pos))
+  | Value.TStr ->
+    Value.Str
+      (Bytes.sub_string buf (pos + 4) (Int32.to_int (Bytes.get_int32_le buf pos)))
+
+let fixed_width schema =
+  let rec go i acc =
+    if i = Schema.arity schema then Some acc
+    else
+      match Schema.ty schema i with
+      | Value.TStr -> None
+      | Value.TInt | Value.TFloat -> go (i + 1) (acc + 8)
+  in
+  go 0 0
+
+let offsets schema buf off offs =
   let pos = ref off in
-  for i = 0 to arity - 1 do
-    match Schema.ty schema i with
-    | Value.TInt ->
-      row.(i) <- Value.Int (Int64.to_int (Bytes.get_int64_le buf !pos));
-      pos := !pos + 8
-    | Value.TFloat ->
-      row.(i) <- Value.Float (Int64.float_of_bits (Bytes.get_int64_le buf !pos));
-      pos := !pos + 8
-    | Value.TStr ->
-      let len = Int32.to_int (Bytes.get_int32_le buf !pos) in
-      row.(i) <- Value.Str (Bytes.sub_string buf (!pos + 4) len);
-      pos := !pos + 4 + len
+  for i = 0 to Schema.arity schema - 1 do
+    offs.(i) <- !pos;
+    pos := !pos + field_size (Schema.ty schema i) buf !pos
   done;
-  (row, !pos - off)
+  !pos
+
+let decode schema buf off =
+  let offs = Array.make (Schema.arity schema) 0 in
+  ignore (offsets schema buf off offs);
+  Array.mapi (fun i pos -> field (Schema.ty schema i) buf pos) offs

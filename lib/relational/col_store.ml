@@ -37,30 +37,49 @@ let column t i = t.columns.(i)
 let rows_scanned = Gb_obs.Telemetry.counter ~help:"row" "storage_rows_scanned"
 let values_decoded = Gb_obs.Telemetry.counter ~help:"value" "storage_values_decoded"
 
-let to_seq t names =
+let to_seq ?keep t names =
   let cols =
     Array.of_list
       (List.map (fun n -> t.columns.(Schema.index t.schema n)) names)
   in
   let width = Array.length cols in
   Gb_obs.Telemetry.add rows_scanned t.nrows;
-  Gb_obs.Telemetry.add values_decoded (t.nrows * width);
   (* Late materialization, one row at a time: a cell is decoded and
      boxed only when its row is yielded, so a scan never holds a decoded
      copy of a column. Every traversal starts with fresh readers. *)
-  fun () ->
-    let read = Array.map Column.reader cols in
-    let rec go r () =
-      if r >= t.nrows then Seq.Nil
-      else begin
-        let row = Array.make width (Value.Int 0) in
-        for c = 0 to width - 1 do
-          row.(c) <- read.(c) r
-        done;
-        Seq.Cons (row, go (r + 1))
-      end
-    in
-    go 0 ()
+  let decode read r =
+    let row = Array.make width (Value.Int 0) in
+    for c = 0 to width - 1 do
+      row.(c) <- read.(c) r
+    done;
+    row
+  in
+  match keep with
+  | None ->
+    Gb_obs.Telemetry.add values_decoded (t.nrows * width);
+    fun () ->
+      let read = Array.map Column.reader cols in
+      let rec go r () =
+        if r >= t.nrows then Seq.Nil else Seq.Cons (decode read r, go (r + 1))
+      in
+      go 0 ()
+  | Some (key, test) ->
+    (* Only the rows of runs the key test keeps are decoded. *)
+    let find = Column.find_run t.columns.(key) test in
+    fun () ->
+      let read = Array.map Column.reader cols in
+      let rec seek r () =
+        let first, stop = find r in
+        run first stop ()
+      and run r stop () =
+        if r < stop then begin
+          Gb_obs.Telemetry.add values_decoded width;
+          Seq.Cons (decode read r, run (r + 1) stop)
+        end
+        else if stop < t.nrows then seek stop ()
+        else Seq.Nil
+      in
+      seek 0 ()
 
 let compression_report t =
   List.mapi

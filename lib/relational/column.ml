@@ -148,6 +148,36 @@ let reader = function
   | Float_plain a -> fun i -> Value.Float a.(i)
   | Str_dict d -> fun i -> Value.Str d.dict.(d.codes.(i))
 
+let int_reader = function
+  | Int_plain a -> fun i -> a.(i)
+  | Int_rle r -> fun i -> r.run_values.(rle_find r.run_starts i)
+  | Int_for f -> fun i -> unpack_int ~base:f.base ~width:f.width f.packed i
+  | Float_plain _ | Str_dict _ -> invalid_arg "Column.int_reader: not an int column"
+
+(* A run-length column is tested a run at a time, so the rows of a run
+   the test rejects are never read; any other int column is tested row
+   by row. *)
+let find_run t test =
+  let n = length t in
+  match t with
+  | Int_rle { run_values; run_starts; len = _ } ->
+    let nruns = Array.length run_starts in
+    let rec from_run k r =
+      if k >= nruns then (n, n)
+      else begin
+        let stop = if k + 1 < nruns then run_starts.(k + 1) else n in
+        if test (stop - r) run_values.(k) then (r, stop)
+        else from_run (k + 1) stop
+      end
+    in
+    fun r -> if r >= n then (n, n) else from_run (rle_find run_starts r) r
+  | _ ->
+    let key = int_reader t in
+    let rec from r =
+      if r >= n then (n, n) else if test 1 (key r) then (r, r + 1) else from (r + 1)
+    in
+    from
+
 let encoding_name = function
   | Int_plain _ -> "int-plain"
   | Int_rle _ -> "int-rle"

@@ -32,6 +32,20 @@ val reader : t -> int -> Value.t
     correctly, through a binary search. Each [reader t] has its own
     cursor: make one per traversal. *)
 
+val int_reader : t -> int -> int
+(** {!get} for an int column, unboxed and without the bounds check. A
+    run-length column searches for each row's run. Raises
+    [Invalid_argument] on a float or string column. *)
+
+val find_run : t -> (int -> int -> bool) -> int -> int * int
+(** [find_run t test r] is [(first, stop)], the first run of rows
+    [first, stop) at or after row [r] of int column [t] whose value [k]
+    passes [test (stop - first) k], or [(length t, length t)] when none
+    does. A run-length column offers whole runs (the first one cut at
+    [r]), so a rejected run's rows are skipped unread; any other column
+    offers one row at a time. [find_run t test] may be applied to any
+    number of rows, in any order. *)
+
 val encoding_name : t -> string
 val byte_size : t -> int
 (** Approximate in-memory footprint, for compression-ratio reporting. *)

@@ -7,16 +7,14 @@
     costly". These functions genuinely serialize to CSV text and parse it
     back, so the measured boundary cost is real work, not a fudge factor. *)
 
-val rel_to_csv : Ops.rel -> string
-(** Header plus one line per row (consumes the stream). *)
-
-val csv_to_rows : Schema.t -> string -> Value.t array list
-(** Parse back what [rel_to_csv] produced (skipping the header). *)
-
 val matrix_to_csv : Gb_linalg.Mat.t -> string
-val csv_to_matrix : string -> Gb_linalg.Mat.t
+(** One line per row, cells as [Printf.sprintf "%.12g"] writes them. *)
 
-val roundtrip_rel : Ops.rel -> Ops.rel
-(** Serialize + parse, i.e. ship a result set across the boundary. *)
+val csv_to_matrix : string -> Gb_linalg.Mat.t
+(** Parse comma-separated rows in one pass, skipping empty lines; every
+    cell reads as [float_of_string] reads it (raising [Failure] where it
+    does), and rows of unequal length raise [Invalid_argument]. *)
 
 val roundtrip_matrix : Gb_linalg.Mat.t -> Gb_linalg.Mat.t
+(** Serialize + parse, i.e. ship a matrix across the boundary, counting
+    its text in [boundary_csv_bytes]. *)

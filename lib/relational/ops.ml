@@ -5,13 +5,33 @@ let to_list r = List.of_seq r.rows
 
 let count r = Seq.fold_left (fun n _ -> n + 1) 0 r.rows
 
-let scan_row_store rs =
-  { schema = Row_store.schema rs; rows = Row_store.to_seq rs }
+type keep = { key : string; test : int -> int -> bool }
 
-let scan_col_store cs names =
+(* The store-level key test: [keep.key] as a schema index, which must
+   name an int column. *)
+let store_keep schema =
+  Option.map (fun { key; test } ->
+      let i = Schema.index schema key in
+      if Schema.ty schema i <> Value.TInt then
+        invalid_arg ("Ops: key test on non-int column " ^ key);
+      (i, test))
+
+let scan_row_store ?keep rs names =
+  let schema = Row_store.schema rs in
   {
-    schema = Schema.project (Col_store.schema cs) names;
-    rows = Col_store.to_seq cs names;
+    schema = Schema.project schema names;
+    rows =
+      Row_store.scan
+        ?keep:(store_keep schema keep)
+        rs
+        (Array.of_list (List.map (Schema.index schema) names));
+  }
+
+let scan_col_store ?keep cs names =
+  let schema = Col_store.schema cs in
+  {
+    schema = Schema.project schema names;
+    rows = Col_store.to_seq ?keep:(store_keep schema keep) cs names;
   }
 
 let rows_out = Gb_obs.Telemetry.counter ~help:"row" "relops_rows"
@@ -116,54 +136,97 @@ let index key rows =
   Hashtbl.filter_map_inplace (fun _ rows -> Some (List.rev rows)) table;
   table
 
-let hash_join ?trace ~on left right =
-  let lidx = List.map (fun (l, _) -> Schema.index left.schema l) on in
-  let ridx = List.map (fun (_, r) -> Schema.index right.schema r) on in
-  let out_schema = Schema.concat left.schema right.schema in
-  (* A one-column join keys on the value itself: no list per probe. *)
+module Int_table = Hashtbl.Make (Int)
+
+let int_key row i =
+  match row.(i) with
+  | Value.Int k -> k
+  | v -> invalid_arg ("Ops: int join key holds " ^ Value.to_string v)
+
+(* Direct probe loop (cheaper than [Seq.concat_map] over per-match
+   sub-sequences): [build ()] consumes the right input and returns the
+   lookup each left row probes with. [?trace] adds an int increment per
+   output row and a span at exhaustion; it costs nothing when tracing is
+   disabled. *)
+let probe_rows ?trace build left =
+  fun () ->
+  let tr =
+    match trace with
+    | Some name when Gb_obs.Obs.enabled () ->
+      Some (name, Gb_obs.Obs.now (), Gb_obs.Profile.start ())
+    | _ -> None
+  in
+  let probe = build () in
+  let n = ref 0 in
+  let rec outer l () =
+    match l () with
+    | Seq.Nil ->
+      (match tr with
+      | Some (name, t0, gc) -> emit_op_span ~name ~t0 ~gc !n
+      | None -> ());
+      Seq.Nil
+    | Seq.Cons (lrow, lrest) -> (
+      match probe lrow with
+      | None -> outer lrest ()
+      | Some matches -> inner lrow matches lrest ())
+  and inner lrow ms lrest () =
+    match ms with
+    | [] -> outer lrest ()
+    | rrow :: tl ->
+      incr n;
+      Seq.Cons (Array.append lrow rrow, inner lrow tl lrest)
+  in
+  outer left ()
+
+let is_int schema name = Schema.ty schema (Schema.index schema name) = Value.TInt
+
+let semi_join ?trace ~on:(lkey, rkey) ~probe right =
+  let table = Int_table.create 1024 in
+  let left = probe { key = lkey; test = (fun _ k -> Int_table.mem table k) } in
+  if not (is_int left.schema lkey && is_int right.schema rkey) then
+    invalid_arg "Ops.semi_join: keys must be int columns";
+  let li = Schema.index left.schema lkey in
+  let ri = Schema.index right.schema rkey in
+  (* The table fills at the first pull, before the left input is read,
+     so the key test sees every build key. *)
   let build () =
-    match (lidx, ridx) with
-    | [ li ], [ ri ] ->
-      let table = index (fun row -> row.(ri)) right.rows in
-      fun lrow -> Hashtbl.find_opt table lrow.(li)
-    | _ ->
-      let key idx row = List.map (fun i -> row.(i)) idx in
-      let table = index (key ridx) right.rows in
-      fun lrow -> Hashtbl.find_opt table (key lidx lrow)
+    Int_table.reset table;
+    Seq.iter
+      (fun row ->
+        let k = int_key row ri in
+        let existing = Option.value (Int_table.find_opt table k) ~default:[] in
+        Int_table.replace table k (row :: existing))
+      right.rows;
+    Int_table.filter_map_inplace (fun _ rows -> Some (List.rev rows)) table;
+    fun lrow -> Int_table.find_opt table (int_key lrow li)
   in
-  (* Direct probe loop (cheaper than [Seq.concat_map] over per-match
-     sub-sequences). [?trace] adds an int increment per output row and a
-     span at exhaustion; it costs nothing when tracing is disabled. *)
-  let rows () =
-    let tr =
-      match trace with
-      | Some name when Gb_obs.Obs.enabled () ->
-        Some (name, Gb_obs.Obs.now (), Gb_obs.Profile.start ())
-      | _ -> None
+  {
+    schema = Schema.concat left.schema right.schema;
+    rows = probe_rows ?trace build left.rows;
+  }
+
+let hash_join ?trace ~on left right =
+  match on with
+  | [ (l, r) ] when is_int left.schema l && is_int right.schema r ->
+    semi_join ?trace ~on:(l, r) ~probe:(fun _ -> left) right
+  | _ ->
+    let lidx = List.map (fun (l, _) -> Schema.index left.schema l) on in
+    let ridx = List.map (fun (_, r) -> Schema.index right.schema r) on in
+    (* A one-column join keys on the value itself: no list per probe. *)
+    let build () =
+      match (lidx, ridx) with
+      | [ li ], [ ri ] ->
+        let table = index (fun row -> row.(ri)) right.rows in
+        fun lrow -> Hashtbl.find_opt table lrow.(li)
+      | _ ->
+        let key idx row = List.map (fun i -> row.(i)) idx in
+        let table = index (key ridx) right.rows in
+        fun lrow -> Hashtbl.find_opt table (key lidx lrow)
     in
-    let probe = build () in
-    let n = ref 0 in
-    let rec outer l () =
-      match l () with
-      | Seq.Nil ->
-        (match tr with
-        | Some (name, t0, gc) -> emit_op_span ~name ~t0 ~gc !n
-        | None -> ());
-        Seq.Nil
-      | Seq.Cons (lrow, lrest) -> (
-        match probe lrow with
-        | None -> outer lrest ()
-        | Some matches -> inner lrow matches lrest ())
-    and inner lrow ms lrest () =
-      match ms with
-      | [] -> outer lrest ()
-      | rrow :: tl ->
-        incr n;
-        Seq.Cons (Array.append lrow rrow, inner lrow tl lrest)
-    in
-    outer left.rows ()
-  in
-  { schema = out_schema; rows }
+    {
+      schema = Schema.concat left.schema right.schema;
+      rows = probe_rows ?trace build left.rows;
+    }
 
 type agg = Count | Sum of string | Avg of string | Min of string | Max of string
 
@@ -273,6 +336,37 @@ let guard ?(interval = 4096) ?trace check r =
             row)
           r.rows;
     }
+
+let guard_scan ?(interval = 4096) ?trace check keep open_ =
+  (* Counted where the scan asks, so a scan that skips most of its
+     tuples, or all of them, still reaches [check]. *)
+  let n = ref 0 and due = ref interval in
+  let test run k =
+    n := !n + run;
+    if !n >= !due then begin
+      due := ((!n / interval) + 1) * interval;
+      check ()
+    end;
+    keep.test run k
+  in
+  let r = open_ { keep with test } in
+  match trace with
+  | Some name when Gb_obs.Obs.enabled () ->
+    let rows () =
+      let t0 = Gb_obs.Obs.now () in
+      let gc = Gb_obs.Profile.start () in
+      let n0 = !n in
+      let rec next s () =
+        match s () with
+        | Seq.Nil ->
+          emit_op_span ~name ~t0 ~gc (!n - n0);
+          Seq.Nil
+        | Seq.Cons (row, rest) -> Seq.Cons (row, next rest)
+      in
+      next r.rows ()
+    in
+    { r with rows }
+  | _ -> r
 
 (* Wrap a relation so that one full consumption emits a wall-clock span
    covering first pull to exhaustion, carrying the row count. Volcano

@@ -11,10 +11,23 @@ val of_list : Schema.t -> Value.t array list -> rel
 val to_list : rel -> Value.t array list
 val count : rel -> int
 
-val scan_row_store : Row_store.t -> rel
-val scan_col_store : Col_store.t -> string list -> rel
+type keep = { key : string; test : int -> int -> bool }
+(** A key test a scan applies before it decodes a tuple: [test n k]
+    stands for the next [n] tuples, whose int column [key] holds [k],
+    and [false] skips them undecoded. A row store asks about one tuple
+    at a time, a column store about a whole run of a run-length key;
+    either asks about every tuple it reads, exactly once. *)
+
+val scan_row_store : ?keep:keep -> Row_store.t -> string list -> rel
+(** Scan decoding only the named fields of each tuple; the output
+    schema is restricted to them (in that order). [?keep] skips the
+    tuples whose key it rejects before decoding them. Raises
+    [Invalid_argument] if [keep.key] is not an int column. *)
+
+val scan_col_store : ?keep:keep -> Col_store.t -> string list -> rel
 (** Late-materialization scan: only the named columns are read; the
-    output schema is restricted to them (in that order). *)
+    output schema is restricted to them (in that order). [?keep] as in
+    {!scan_row_store}. *)
 
 val filter : ?trace:string -> Expr.t -> rel -> rel
 (** [?trace] names a tracing span fused into the operator's own
@@ -33,8 +46,21 @@ val map_column : string -> Expr.t -> rel -> rel
 val hash_join : ?trace:string -> on:(string * string) list -> rel -> rel -> rel
 (** [hash_join ~on left right] equi-joins; builds a hash table on [right]
     (choose the smaller input as [right]); output schema is
-    [Schema.concat left right]. [?trace] as in {!filter}, fused into the
-    probe loop. *)
+    [Schema.concat left right], rows in left order, each left row's
+    matches in right order. One pair of int columns keys an unboxed
+    int table ({!semi_join}); other keys, a table of [Value.t]. [?trace]
+    as in {!filter}, fused into the probe loop. *)
+
+val semi_join :
+  ?trace:string -> on:string * string -> probe:(keep -> rel) -> rel -> rel
+(** [semi_join ~on:(l, r) ~probe right] is [hash_join ~on:[ (l, r) ] left
+    right] on two int columns, where [left = probe keep] is opened with
+    a test of the build side's keys: the semi-join of the left input
+    with [right] is taken as the left input is read, so a scan opened
+    with [keep] never decodes a tuple that joins nothing. The build runs
+    at the first pull, before any left tuple is read. The probe still
+    looks up every left row, so [probe] may ignore [keep]. Raises
+    [Invalid_argument] if either key is not an int column. *)
 
 type agg = Count | Sum of string | Avg of string | Min of string | Max of string
 
@@ -47,6 +73,15 @@ val guard : ?interval:int -> ?trace:string -> (unit -> unit) -> rel -> rel
     pulled through — the hook the engines use for cooperative query
     timeouts. [?trace] as in {!filter}: since the guard already touches
     every row, a scan span fused here costs no extra [Seq] layer. *)
+
+val guard_scan :
+  ?interval:int -> ?trace:string -> (unit -> unit) -> keep -> (keep -> rel) -> rel
+(** [guard_scan check keep open_] is {!guard} for a keyed scan: it opens
+    [open_ keep'], where [keep'] is [keep] counting the tuples it is
+    asked about. Since a keyed scan asks about every tuple it reads,
+    [check] runs each time that count passes a multiple of [interval]
+    and the span's [rows] is the tuples read, however few the scan
+    yields. *)
 
 val traced : ?cat:string -> ?attrs:Gb_obs.Obs.attrs -> name:string -> rel -> rel
 (** Wrap a relation so that one full consumption emits a wall-clock

@@ -72,10 +72,10 @@ let to_seq t =
             let nslots, _ = get_header buf in
             let out = ref [] in
             let pos = ref header_bytes in
+            let offs = Array.make (Schema.arity t.schema) 0 in
             for _ = 1 to nslots do
-              let row, consumed = Codec.decode t.schema buf !pos in
-              pos := !pos + consumed;
-              out := row :: !out
+              out := Codec.decode t.schema buf !pos :: !out;
+              pos := Codec.offsets t.schema buf !pos offs
             done;
             List.rev !out)
       in

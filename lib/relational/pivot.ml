@@ -2,41 +2,57 @@ module Mat = Gb_linalg.Mat
 
 type t = { matrix : Mat.t; row_ids : int array; col_ids : int array }
 
+module Int_table = Hashtbl.Make (Int)
+
+(* The distinct ids among [ids.(0 .. n-1)] in ascending order, and each
+   id's position among them. *)
+let dense ids n =
+  let position = Int_table.create 1024 in
+  for k = 0 to n - 1 do
+    Int_table.replace position ids.(k) 0
+  done;
+  let sorted = Array.of_seq (Int_table.to_seq_keys position) in
+  Array.sort Int.compare sorted;
+  Array.iteri (fun i id -> Int_table.replace position id i) sorted;
+  (sorted, position)
+
+(* [a]'s first [n] cells in an array of twice the length from [fresh]. *)
+let grow fresh a n =
+  let b = fresh (2 * n) in
+  Array.blit a 0 b 0 n;
+  b
+
 let of_triples ~row_col ~col_col ~value_col rel =
   let ri = Schema.index rel.Ops.schema row_col in
   let ci = Schema.index rel.Ops.schema col_col in
   let vi = Schema.index rel.Ops.schema value_col in
-  (* Two passes would re-run the pipeline; materialize compactly instead. *)
-  let triples = ref [] and n = ref 0 in
+  (* Two passes would re-run the pipeline; materialize compactly
+     instead, into unboxed columns. *)
+  let rows = ref (Array.make 1024 0) and cols = ref (Array.make 1024 0) in
+  let vals = ref (Array.create_float 1024) and n = ref 0 in
   Seq.iter
     (fun row ->
-      triples :=
-        (Value.to_int row.(ri), Value.to_int row.(ci), Value.to_float row.(vi))
-        :: !triples;
+      if !n = Array.length !rows then begin
+        rows := grow (fun len -> Array.make len 0) !rows !n;
+        cols := grow (fun len -> Array.make len 0) !cols !n;
+        vals := grow Array.create_float !vals !n
+      end;
+      !rows.(!n) <- Value.to_int row.(ri);
+      !cols.(!n) <- Value.to_int row.(ci);
+      (!vals).(!n) <-
+        (match row.(vi) with Value.Float f -> f | v -> Value.to_float v);
       incr n)
     rel.Ops.rows;
-  let row_set = Hashtbl.create 1024 and col_set = Hashtbl.create 1024 in
-  List.iter
-    (fun (r, c, _) ->
-      if not (Hashtbl.mem row_set r) then Hashtbl.add row_set r ();
-      if not (Hashtbl.mem col_set c) then Hashtbl.add col_set c ())
-    !triples;
-  let sorted_keys tbl =
-    let keys = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] in
-    let arr = Array.of_list keys in
-    Array.sort compare arr;
-    arr
-  in
-  let row_ids = sorted_keys row_set and col_ids = sorted_keys col_set in
-  let row_map = Hashtbl.create (Array.length row_ids) in
-  Array.iteri (fun i id -> Hashtbl.add row_map id i) row_ids;
-  let col_map = Hashtbl.create (Array.length col_ids) in
-  Array.iteri (fun i id -> Hashtbl.add col_map id i) col_ids;
+  let row_ids, row_of = dense !rows !n and col_ids, col_of = dense !cols !n in
   let matrix = Mat.create (Array.length row_ids) (Array.length col_ids) in
-  List.iter
-    (fun (r, c, v) ->
-      Mat.unsafe_set matrix (Hashtbl.find row_map r) (Hashtbl.find col_map c) v)
-    !triples;
+  let nc = Array.length col_ids in
+  let rows = !rows and cols = !cols and vals = !vals in
+  (* Last to first: of duplicate cells, the first in the stream wins. *)
+  for k = !n - 1 downto 0 do
+    Bigarray.Array1.unsafe_set matrix.Mat.data
+      ((Int_table.find row_of rows.(k) * nc) + Int_table.find col_of cols.(k))
+      vals.(k)
+  done;
   { matrix; row_ids; col_ids }
 
 let to_triples ~row_col ~col_col ~value_col t =

@@ -12,7 +12,7 @@ type t =
     }
 
 type catalog = {
-  scan : string -> string list -> Ops.rel;
+  scan : ?keep:Ops.keep -> string -> string list -> Ops.rel;
   schema_of : string -> Schema.t;
   row_count : string -> int;
 }
@@ -228,6 +228,22 @@ let optimize_steps cat plan =
 
 let optimize cat plan = fst (optimize_steps cat plan)
 
+(* A join [run] executes as a semi-join: its probe side is a bare scan
+   and both keys are int columns. *)
+let semi_join_scan cat = function
+  | Join { left = Scan (table, cols) as scan; right; on = [ (l, r) ] } ->
+    let is_int p name =
+      let s = schema cat p in
+      Schema.ty s (Schema.index s name) = Value.TInt
+    in
+    if is_int scan l && is_int right r then Some (table, cols, (l, r))
+    else None
+  | _ -> None
+
+let scan_all cat ?keep table = function
+  | [] -> cat.scan ?keep table (List.map fst (Schema.columns (cat.schema_of table)))
+  | cols -> cat.scan ?keep table cols
+
 (* The one plan interpreter. Each node's output passes through [out]
    (children before their parent): {!execute} passes it on unchanged,
    EXPLAIN ANALYZE splices in a row counter. Filter, project and the
@@ -235,20 +251,28 @@ let optimize cat plan = fst (optimize_steps cat plan)
    enabled trace shows one span per operator bracketing the work it
    forced (lazy pulls nest the spans by time containment). Scan spans
    are the catalog's job — its [scan] should fuse one via
-   [Ops.guard ~trace] or wrap with [Ops.traced] — so hot scans need not
-   pay for an extra per-row layer here. With tracing disabled every
-   tracing hook is the identity. *)
+   [Ops.guard ~trace] or [Ops.guard_scan ~trace] or wrap with
+   [Ops.traced] — so hot scans need not pay for an extra per-row layer
+   here. With tracing disabled every tracing hook is the identity.
+
+   A join whose probe side is a bare scan on an int key runs as a
+   semi-join: the build side is read first, then the scan opens with a
+   test of the build keys and skips the tuples that join nothing before
+   decoding them, the way a hash join deforms only the probe key. *)
 let rec run ~out cat p =
   let sub = run ~out cat in
   out p
     (match p with
-    | Scan (table, []) ->
-      cat.scan table (List.map fst (Schema.columns (cat.schema_of table)))
-    | Scan (table, cols) -> cat.scan table cols
+    | Scan (table, cols) -> scan_all cat table cols
     | Filter (e, q) -> Ops.filter ~trace:"filter" e (sub q)
     | Project (cols, q) -> Ops.project ~trace:"project" cols (sub q)
-    | Join { left; right; on } ->
-      Ops.hash_join ~trace:"hash_join" ~on (sub left) (sub right)
+    | Join { left; right; on } -> (
+      match semi_join_scan cat p with
+      | Some (table, cols, on) ->
+        Ops.semi_join ~trace:"hash_join" ~on
+          ~probe:(fun keep -> out left (scan_all cat ~keep table cols))
+          (sub right)
+      | None -> Ops.hash_join ~trace:"hash_join" ~on (sub left) (sub right))
     | Interval_join { left; right; left_span; right_span; min_overlap } ->
       Ops.interval_join ~trace:"interval_join" ~min_overlap ~left_span
         ~right_span (sub left) (sub right))
@@ -257,8 +281,10 @@ let execute ?(optimize_first = true) cat plan =
   let plan = if optimize_first then optimize cat plan else plan in
   run ~out:(fun _ rel -> rel) cat plan
 
-let describe = function
-  | Scan (t, cols) -> Printf.sprintf "Scan %s [%s]" t (String.concat ", " cols)
+let describe ?semi_join_on = function
+  | Scan (t, cols) -> (
+    Printf.sprintf "Scan %s [%s]" t (String.concat ", " cols)
+    ^ match semi_join_on with Some key -> ", semi-join on " ^ key | None -> "")
   | Filter (e, _) ->
     Printf.sprintf "Filter on [%s]" (String.concat ", " (Expr.columns e))
   | Project (cols, _) -> Printf.sprintf "Project [%s]" (String.concat ", " cols)
@@ -281,16 +307,26 @@ let optimizer_note fired =
   | [] -> "-- optimizer: plan unchanged\n"
   | l -> Printf.sprintf "-- optimizer: %s\n" (String.concat ", " l)
 
+(* Renders [plan]'s tree, one [line indent description node] per node,
+   marking the probe scan of each semi-join with its key. *)
+let render cat plan line =
+  let rec go indent ?semi_join_on p =
+    line indent (describe ?semi_join_on p) p;
+    match (semi_join_scan cat p, children p) with
+    | Some (_, _, (key, _)), [ left; right ] ->
+      go (indent + 2) ~semi_join_on:key left;
+      go (indent + 2) right
+    | _, kids -> List.iter (go (indent + 2)) kids
+  in
+  go 0 plan
+
 let explain cat plan =
   let plan, fired = optimize_steps cat plan in
   let buf = Buffer.create 256 in
-  let rec go indent p =
-    Buffer.add_string buf
-      (Printf.sprintf "%s%s  (~%d rows)\n" (String.make indent ' ')
-         (describe p) (estimate_rows cat p));
-    List.iter (go (indent + 2)) (children p)
-  in
-  go 0 plan;
+  render cat plan (fun indent text p ->
+      Buffer.add_string buf
+        (Printf.sprintf "%s%s  (~%d rows)\n" (String.make indent ' ') text
+           (estimate_rows cat p)));
   Buffer.add_string buf (optimizer_note fired);
   Buffer.contents buf
 
@@ -326,7 +362,7 @@ let explain_analyze cat plan =
   Seq.iter ignore (run ~out:count cat plan).Ops.rows;
   let actual node = !(List.assq node !counters) in
   let buf = Buffer.create 256 in
-  let rec go indent p =
+  render cat plan (fun indent text p ->
     let extra =
       match p with
       | Join { left; right; _ } ->
@@ -340,9 +376,6 @@ let explain_analyze cat plan =
     Buffer.add_string buf
       (Printf.sprintf "%s%s  (est %d | actual %d rows%s)\n"
          (String.make indent ' ')
-         (describe p) (estimate_rows cat p) (actual p) extra);
-    List.iter (go (indent + 2)) (children p)
-  in
-  go 0 plan;
+         text (estimate_rows cat p) (actual p) extra));
   Buffer.add_string buf (optimizer_note fired);
   Buffer.contents buf

@@ -37,41 +37,61 @@ let page_count t = List.length t.pages
 let tuples_decoded = Gb_obs.Telemetry.counter ~help:"tuple" "storage_tuples_decoded"
 let pages_read = Gb_obs.Telemetry.counter ~help:"page" "storage_pages_read"
 
-let iter t f =
-  List.iter
-    (fun page ->
-      Gb_obs.Telemetry.add pages_read 1;
-      Gb_obs.Telemetry.add tuples_decoded page.nslots;
-      let pos = ref 0 in
-      for _ = 1 to page.nslots do
-        let row, consumed = Codec.decode t.schema page.data !pos in
-        pos := !pos + consumed;
-        f row
-      done)
-    (List.rev t.pages)
+(* Byte offset of field [i] of the tuple at [start]: fixed when every
+   field is, else as [Codec.offsets] wrote it into [offs]. *)
+let field_at fixed offs start i =
+  match fixed with Some _ -> start + (8 * i) | None -> offs.(i)
 
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun row -> acc := f !acc row);
-  !acc
+let scan ?keep t cols =
+  let schema = t.schema in
+  let tys = Array.map (Schema.ty schema) cols in
+  let width = Array.length cols in
+  let fixed = Codec.fixed_width schema in
+  fun () ->
+    (* One cursor per traversal, advanced in place: no closure or pair
+       per tuple, and a tuple the key test rejects is stepped over
+       without decoding any of it. *)
+    let pages = ref (List.rev t.pages) in
+    let page = ref { data = Bytes.empty; used = 0; nslots = 0 } in
+    let slot = ref 0 and pos = ref 0 in
+    let offs = Array.make (Schema.arity schema) 0 in
+    let rec next () =
+      let p = !page in
+      if !slot < p.nslots then begin
+        let start = !pos in
+        incr slot;
+        pos :=
+          (match fixed with
+          | Some size -> start + size
+          | None -> Codec.offsets schema p.data start offs);
+        match keep with
+        | Some (key, test)
+          when not (test 1 (Codec.int_at p.data (field_at fixed offs start key)))
+          ->
+          next ()
+        | _ ->
+          Gb_obs.Telemetry.add tuples_decoded 1;
+          let row = Array.make width (Value.Int 0) in
+          for c = 0 to width - 1 do
+            row.(c) <- Codec.field tys.(c) p.data (field_at fixed offs start cols.(c))
+          done;
+          Seq.Cons (row, next)
+      end
+      else
+        match !pages with
+        | [] -> Seq.Nil
+        | p :: rest ->
+          Gb_obs.Telemetry.add pages_read 1;
+          pages := rest;
+          page := p;
+          slot := 0;
+          pos := 0;
+          next ()
+    in
+    next ()
 
-let to_seq t =
-  let pages = List.rev t.pages in
-  let rec page_seq pages () =
-    match pages with
-    | [] -> Seq.Nil
-    | page :: rest ->
-      Gb_obs.Telemetry.add pages_read 1;
-      slots_seq page rest 0 0 ()
-  and slots_seq page rest slot pos () =
-    if slot >= page.nslots then page_seq rest ()
-    else begin
-      Gb_obs.Telemetry.add tuples_decoded 1;
-      let row, consumed = Codec.decode t.schema page.data pos in
-      Seq.Cons (row, slots_seq page rest (slot + 1) (pos + consumed))
-    end
-  in
-  page_seq pages
+let to_seq t = scan t (Array.init (Schema.arity t.schema) Fun.id)
+let iter t f = Seq.iter f (to_seq t)
 
 let of_rows schema rows =
   let t = create schema in

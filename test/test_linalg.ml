@@ -282,6 +282,52 @@ let test_covariance_top_fraction () =
   in
   Alcotest.(check bool) "descending |cov|" (desc abs3) true
 
+(* The exact order [top_fraction] returns, which a selection in place of
+   its full sort must reproduce: descending |cov|, a tie putting the
+   pair enumerated later (row-major over the upper triangle) first, -0.
+   tying with 0., NaN last; it keeps ceil(q * pairs) pairs, at least
+   one, at most all. Only the upper triangle is read, so the matrices
+   are built by hand with junk below the diagonal. *)
+let test_covariance_top_fraction_order () =
+  let x = 99. in
+  let pin name c q expected =
+    let bits l = List.map (fun (i, j, v) -> (i, j, Int64.bits_of_float v)) l in
+    Alcotest.(check (list (triple int int int64)))
+      name (bits expected)
+      (bits (Covariance.top_fraction (Mat.of_arrays c) q))
+  in
+  let ties =
+    [|
+      [| 0.; 0.5; -0.5; 0.2 |];
+      [| x; 0.; 0.2; -0.9 |];
+      [| x; x; 0.; 0.5 |];
+      [| x; x; x; 0. |];
+    |]
+  in
+  let all =
+    [ (1, 3, -0.9); (2, 3, 0.5); (0, 2, -0.5); (0, 1, 0.5); (1, 2, 0.2);
+      (0, 3, 0.2) ]
+  in
+  pin "ties: later pair first" ties 1.0 all;
+  pin "half of 6 pairs" ties 0.5 [ (1, 3, -0.9); (2, 3, 0.5); (0, 2, -0.5) ];
+  pin "ceil of 0.6 pairs" ties 0.1 [ (1, 3, -0.9) ];
+  pin "q = 0 keeps one pair" ties 0. [ (1, 3, -0.9) ];
+  pin "q > 1 keeps all" ties 1.5 all;
+  let nan = Float.nan in
+  let specials =
+    [|
+      [| 0.; nan; -0.; 1. |];
+      [| x; 0.; 0.; nan |];
+      [| x; x; 0.; -2. |];
+      [| x; x; x; 0. |];
+    |]
+  in
+  pin "-0. ties 0., NaN last" specials 1.0
+    [ (2, 3, -2.); (0, 3, 1.); (1, 2, 0.); (0, 2, -0.); (1, 3, nan); (0, 1, nan) ];
+  pin "half of 6 pairs, NaN cut" specials 0.5 [ (2, 3, -2.); (0, 3, 1.); (1, 2, 0.) ];
+  pin "one column has no pair" [| [| 1. |] |] 1.0 [];
+  pin "no column has no pair" [||] 0. []
+
 (* --- QCheck properties --- *)
 
 let mat_gen =
@@ -466,6 +512,7 @@ let suite =
     ("covariance naive matches", `Quick, test_covariance_naive_matches);
     ("covariance psd", `Quick, test_covariance_psd);
     ("covariance top fraction", `Quick, test_covariance_top_fraction);
+    ("covariance top fraction order", `Quick, test_covariance_top_fraction_order);
     ("randomized svd low rank", `Quick, test_randomized_svd_low_rank);
     ("randomized svd close to exact", `Quick, test_randomized_svd_close_to_exact);
     ("covariance sampling", `Quick, test_covariance_sample_unbiased_shape);

@@ -67,8 +67,10 @@ let test_codec_roundtrip () =
   let buf = Bytes.create 256 in
   let n = Codec.encode people_schema row buf 0 in
   Alcotest.(check int) "size" (Codec.encoded_size people_schema row) n;
-  let back, consumed = Codec.decode people_schema buf 0 in
-  Alcotest.(check int) "consumed" n consumed;
+  let back = Codec.decode people_schema buf 0 in
+  let offs = Array.make 3 0 in
+  Alcotest.(check int) "consumed" n (Codec.offsets people_schema buf 0 offs);
+  Alcotest.(check (array int)) "field offsets" [| 0; 8; 17 |] offs;
   Alcotest.check rows_eq "row" [ row ] [ back ]
 
 let test_row_store_scan () =
@@ -235,6 +237,79 @@ let test_col_store_scan_matches_get () =
           (same_rows (List.rev expected) heads)
       done)
     [ 0; 1; 40; 257 ]
+
+(* A keyed scan yields exactly the rows of a full scan whose key passes
+   the test, in order, decoding only the asked-for fields, and asks
+   about every tuple exactly once: a run at a time on a run-length
+   key, a row at a time otherwise. *)
+let test_keyed_scans () =
+  let g = Gb_util.Prng.create 0x5E1L in
+  let asked = ref 0 and calls = ref 0 in
+  let keep key wanted =
+    {
+      Ops.key;
+      test =
+        (fun n k ->
+          asked := !asked + n;
+          incr calls;
+          wanted k);
+    }
+  in
+  (* Row store with the key behind a string: its offset, like the
+     projected fields', is found by walking the field lengths. *)
+  let schema =
+    Schema.make
+      [ ("name", Value.TStr); ("id", Value.TInt); ("score", Value.TFloat) ]
+  in
+  let rows =
+    List.init 300 (fun i ->
+        [| Value.Str (String.make (Gb_util.Prng.int g 30) 'x');
+           Value.Int (Gb_util.Prng.int g 20);
+           Value.Float (float_of_int i) |])
+  in
+  let rs = Row_store.of_rows schema rows in
+  let wanted k = k mod 3 = 0 in
+  let got =
+    Ops.to_list (Ops.scan_row_store ~keep:(keep "id" wanted) rs [ "score"; "name" ])
+  in
+  let expected =
+    List.filter_map
+      (fun r -> if wanted (Value.to_int r.(1)) then Some [| r.(2); r.(0) |] else None)
+      rows
+  in
+  Alcotest.(check bool) "row store: kept rows" true (same_rows expected got);
+  Alcotest.(check int) "row store: every tuple asked once" 300 !asked;
+  (* Column store: each int encoding as the key. *)
+  let n = 257 in
+  let schema, columns, cs = every_encoding_store g n in
+  List.iter
+    (fun (key, runs) ->
+      asked := 0;
+      calls := 0;
+      let kc = columns.(Schema.index schema key) in
+      let wanted k = k land 4 = 0 in
+      let proj = [ "float"; key; "dict" ] in
+      let got = Ops.to_list (Ops.scan_col_store ~keep:(keep key wanted) cs proj) in
+      let expected =
+        List.filter_map
+          (fun r ->
+            match Column.get kc r with
+            | Value.Int k when wanted k ->
+              Some
+                (Array.of_list
+                   (List.map
+                      (fun name -> Column.get columns.(Schema.index schema name) r)
+                      proj))
+            | _ -> None)
+          (List.init n Fun.id)
+      in
+      Alcotest.(check bool) (key ^ ": kept rows") true (same_rows expected got);
+      Alcotest.(check int) (key ^ ": every row asked once") n !asked;
+      Alcotest.(check int) (key ^ ": asked per run") runs !calls)
+    [ ("plain", n); ("rle", (n + 8) / 9); ("for", n) ];
+  Alcotest.check_raises "key must be an int column"
+    (Invalid_argument "Ops: key test on non-int column float") (fun () ->
+      ignore (Ops.scan_col_store ~keep:(keep "float" wanted) cs [ "float" ]))
 
 (* The scan counters tick when the scan is set up, once per row and once
    per cell of the projection. *)
@@ -423,15 +498,104 @@ let test_pivot_roundtrip () =
 
 (* --- Export --- *)
 
-let test_export_rel_roundtrip () =
-  let rel = sample_rel () in
-  let back = Export.roundtrip_rel (sample_rel ()) in
-  Alcotest.check rows_eq "roundtrip" (Ops.to_list rel) (Ops.to_list back)
-
 let test_export_matrix_roundtrip () =
   let m = Mat.random (Gb_util.Prng.create 3L) 7 5 in
   let back = Export.roundtrip_matrix m in
   Alcotest.(check bool) "close" (Mat.max_abs_diff m back < 1e-9) true
+
+(* The boundary text is byte for byte what [Printf.sprintf "%.12g"]
+   writes, and every cell parses to the bits [float_of_string] gives:
+   normal, huge, tiny, subnormal, signed zero, infinite and NaN cells,
+   and arbitrary bit patterns. *)
+let test_export_matches_printf () =
+  let g = Gb_util.Prng.create 0xE4L in
+  let specials =
+    [| Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 0.; -0.;
+       Float.min_float; Float.max_float; 5e-324; 1e22; 1e23; 1e-22; 1e-23;
+       123456789012.; 1e15; 9007199254740993.; 0.1; -1.5e-7; 1e-5; 1e-4 |]
+  in
+  let nr = 60 and nc = 25 in
+  let m =
+    Mat.init nr nc (fun i j ->
+        let k = (i * nc) + j in
+        if k < Array.length specials then specials.(k)
+        else
+          match k mod 4 with
+          | 0 -> Gb_util.Prng.normal g
+          | 1 ->
+            Gb_util.Prng.normal g
+            *. (10. ** float_of_int (Gb_util.Prng.int g 80 - 40))
+          | 2 -> Int64.float_of_bits (Gb_util.Prng.next_int64 g)
+          | _ -> float_of_int (Gb_util.Prng.int g 100_000 - 50_000))
+  in
+  let text = Export.matrix_to_csv m in
+  let expected =
+    String.concat ""
+      (List.init nr (fun i ->
+           String.concat ","
+             (List.init nc (fun j -> Printf.sprintf "%.12g" (Mat.get m i j)))
+           ^ "\n"))
+  in
+  Alcotest.(check string) "same text as Printf" expected text;
+  let back = Export.csv_to_matrix text in
+  Alcotest.(check (pair int int)) "dims" (nr, nc) (Mat.dims back);
+  for i = 0 to nr - 1 do
+    for j = 0 to nc - 1 do
+      let want = float_of_string (Printf.sprintf "%.12g" (Mat.get m i j)) in
+      if Int64.bits_of_float want <> Int64.bits_of_float (Mat.get back i j) then
+        Alcotest.failf "cell (%d,%d) %h parsed to %h, float_of_string gives %h" i
+          j (Mat.get m i j) (Mat.get back i j) want
+    done
+  done;
+  (* A column of many more: magnitudes across the whole double range,
+     powers of ten and their neighbours, whole numbers, and values a
+     hair from a 12-digit rounding tie, each written as Printf writes
+     it. *)
+  let family k =
+    let u () = Gb_util.Prng.uniform g in
+    match k mod 6 with
+    | 0 -> Int64.float_of_bits (Gb_util.Prng.next_int64 g)
+    | 1 -> Gb_util.Prng.normal g *. (10. ** float_of_int (Gb_util.Prng.int g 620 - 310))
+    | 2 ->
+      let p = 10. ** float_of_int (Gb_util.Prng.int g 640 - 325) in
+      (match Gb_util.Prng.int g 3 with 0 -> p | 1 -> Float.succ p | _ -> Float.pred p)
+    | 3 -> float_of_int (Gb_util.Prng.int g 2_000_000_000 - 1_000_000_000)
+    | 4 ->
+      (* (d + 1/2) * 10^s for a 12-digit d, nudged by a few ulps. *)
+      let d = 100_000_000_000 + Gb_util.Prng.int g 899_999_999_999 in
+      let t = (float_of_int d +. 0.5) *. (10. ** float_of_int (Gb_util.Prng.int g 40 - 31)) in
+      let rec nudge t n = if n = 0 then t else nudge (if n > 0 then Float.succ t else Float.pred t) (n - (compare n 0)) in
+      nudge t (Gb_util.Prng.int g 9 - 4)
+    | _ -> (u () -. 0.5) *. 1e3
+  in
+  let column = Mat.init 60_000 1 (fun i _ -> family i) in
+  let lines = String.split_on_char '\n' (Export.matrix_to_csv column) in
+  List.iteri
+    (fun i line ->
+      if i < 60_000 then begin
+        let x = Mat.get column i 0 in
+        let want = Printf.sprintf "%.12g" x in
+        if line <> want then Alcotest.failf "%h written %S, Printf writes %S" x line want
+      end)
+    lines;
+  (* Text no boundary writes: each cell still reads as float_of_string
+     reads it, empty lines are skipped, and bad input raises as before. *)
+  let cells = [ "+3"; ".5"; "5."; "1E-3"; "2e+5"; "0x10"; "1_0"; " 2"; "-0"; "007" ] in
+  let parsed = Export.csv_to_matrix ("\n" ^ String.concat "," cells ^ "\n\n") in
+  Alcotest.(check (pair int int)) "one row" (1, List.length cells) (Mat.dims parsed);
+  List.iteri
+    (fun j c ->
+      Alcotest.(check int64) c
+        (Int64.bits_of_float (float_of_string c))
+        (Int64.bits_of_float (Mat.get parsed 0 j)))
+    cells;
+  Alcotest.(check (pair int int)) "no trailing newline" (2, 1)
+    (Mat.dims (Export.csv_to_matrix "1\n2"));
+  Alcotest.(check (pair int int)) "empty" (0, 0) (Mat.dims (Export.csv_to_matrix ""));
+  Alcotest.check_raises "ragged" (Invalid_argument "Mat.of_arrays: ragged")
+    (fun () -> ignore (Export.csv_to_matrix "1,2\n3\n"));
+  Alcotest.check_raises "bad cell" (Failure "float_of_string") (fun () ->
+      ignore (Export.csv_to_matrix "1,2\n3,\n"))
 
 (* --- Sql_linalg --- *)
 
@@ -496,8 +660,9 @@ let prop_codec_roundtrip =
         (fun (i, f, s) ->
           let row = [| Value.Int i; Value.Str s; Value.Float f |] in
           let n = Codec.encode people_schema row buf 0 in
-          let back, consumed = Codec.decode people_schema buf 0 in
-          n = consumed && Array.for_all2 Value.equal row back)
+          let back = Codec.decode people_schema buf 0 in
+          n = Codec.offsets people_schema buf 0 (Array.make 3 0)
+          && Array.for_all2 Value.equal row back)
         rows)
 
 let prop_column_compress_roundtrip =
@@ -539,7 +704,7 @@ let interval_catalog () =
     | t -> invalid_arg t
   in
   {
-    Plan.scan = (fun t cols -> Ops.scan_col_store (table t) cols);
+    Plan.scan = (fun ?keep t cols -> Ops.scan_col_store ?keep (table t) cols);
     schema_of = (fun t -> Col_store.schema (table t));
     row_count = (fun t -> Col_store.row_count (table t));
   }
@@ -624,6 +789,7 @@ let suite =
     ("col store late materialization", `Quick, test_col_store_late_materialization);
     ("col store scan matches Column.get", `Quick, test_col_store_scan_matches_get);
     ("col store scan counters", `Quick, test_col_store_scan_counters);
+    ("keyed scans", `Quick, test_keyed_scans);
     ("filter", `Quick, test_filter);
     ("filter compound", `Quick, test_filter_compound);
     ("project", `Quick, test_project);
@@ -633,8 +799,8 @@ let suite =
     ("aggregate", `Quick, test_aggregate);
     ("guard fires", `Quick, test_guard_fires);
     ("pivot roundtrip", `Quick, test_pivot_roundtrip);
-    ("export rel roundtrip", `Quick, test_export_rel_roundtrip);
     ("export matrix roundtrip", `Quick, test_export_matrix_roundtrip);
+    ("export text and parse match Printf", `Quick, test_export_matches_printf);
     ("sql matmul", `Quick, test_sql_matmul);
     ("sql transpose", `Quick, test_sql_transpose);
     ("sql covariance", `Quick, test_sql_covariance);

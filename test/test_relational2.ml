@@ -81,7 +81,7 @@ let catalog () =
     | t -> invalid_arg t
   in
   {
-    Plan.scan = (fun t cols -> Ops.scan_col_store (table t) cols);
+    Plan.scan = (fun ?keep t cols -> Ops.scan_col_store ?keep (table t) cols);
     schema_of = (fun t -> Col_store.schema (table t));
     row_count = (fun t -> Col_store.row_count (table t));
   }

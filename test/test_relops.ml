@@ -77,11 +77,101 @@ let test_q2_join_metadata_count () =
   in
   Alcotest.(check int) "every pair joins its gene row" 3 n
 
+let backends =
+  [ ("row", Engine_sql.Row_backend); ("col", Engine_sql.Col_backend) ]
+
 let test_q5_guard_timeout () =
   let check () = raise Gb_util.Deadline.Timeout in
   let db = Engine_sql.make_db Engine_sql.Col_backend ds ~check in
   Alcotest.check_raises "guard propagates" Gb_util.Deadline.Timeout (fun () ->
-      ignore (Relops.q1_dm db params))
+      ignore (Relops.q1_dm db params));
+  (* A semi-join whose build side keeps no gene yields no microarray row,
+     yet its scan reads all 50 x 90 tuples: the deadline check and the
+     scan span count tuples read, not rows kept. *)
+  let none = { params with Query.func_threshold = min_int } in
+  let tuples = 50 * 90 in
+  List.iter
+    (fun (name, backend) ->
+      let calls = ref 0 in
+      let db = Engine_sql.make_db backend ds ~check:(fun () -> incr calls) in
+      let module Obs = Gb_obs.Obs in
+      Obs.set_enabled true;
+      let _, _, genes =
+        Fun.protect
+          ~finally:(fun () -> Obs.set_enabled false)
+          (fun () -> Relops.q1_dm db none)
+      in
+      let scan_rows =
+        List.filter_map
+          (function
+            | Obs.Span_ev s when s.Obs.name = "scan:microarray" ->
+              List.assoc_opt "rows" s.Obs.attrs
+            | _ -> None)
+          (Obs.events ())
+      in
+      Obs.reset ();
+      Alcotest.(check int) (name ^ ": no gene joins") 0 (Array.length genes);
+      Alcotest.(check int)
+        (name ^ ": one check per 4096 tuples read")
+        (tuples / 4096) !calls;
+      Alcotest.(check bool)
+        (name ^ ": scan span counts tuples read")
+        true
+        (scan_rows = [ Obs.Int tuples ]);
+      let db = Engine_sql.make_db backend ds ~check in
+      Alcotest.check_raises (name ^ ": guard propagates from an empty semi-join")
+        Gb_util.Deadline.Timeout (fun () -> ignore (Relops.q1_dm db none)))
+    backends
+
+(* Bit patterns, so that equal means bitwise equal. *)
+let bits m = Array.map (Array.map Int64.bits_of_float) (Mat.to_arrays m)
+
+(* The DM of Q1-Q4 through the semi-join equals the same plans over
+   scans that ignore the key test, bitwise, on both stores. *)
+let prop_semi_join_matches_plain_scans =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range (-10) 1100) (int_range 0 12) (int_range 10 100)
+        (int_range 0 2))
+  in
+  QCheck.Test.make ~name:"Q1-Q4 DM: semi-join = plain scans, bitwise"
+    ~count:25 (QCheck.make gen) (fun (func, disease, age, gender) ->
+      let p =
+        {
+          params with
+          Query.func_threshold = func;
+          disease_id = disease;
+          max_age = age;
+          gender;
+        }
+      in
+      List.for_all
+        (fun (_, backend) ->
+          let keyed = ref 0 in
+          let base = Engine_sql.make_db backend ds ~check:ignore in
+          let semi =
+            {
+              base with
+              Relops.scan =
+                (fun ?keep t cols ->
+                  if keep <> None then incr keyed;
+                  base.Relops.scan ?keep t cols);
+            }
+          in
+          let plain =
+            { base with Relops.scan = (fun ?keep:_ t cols -> base.Relops.scan t cols) }
+          in
+          let q1 db =
+            let x, y, g = Relops.q1_dm db p in
+            (bits x, Array.map Int64.bits_of_float y, g)
+          in
+          let q2 db = let m, g = Relops.q2_dm db p in (bits m, g) in
+          let q3 db = bits (Relops.q3_dm db p) in
+          let q4 db = let x, g = Relops.q4_dm db p in (bits x, g) in
+          let same = q1 semi = q1 plain && q2 semi = q2 plain
+                     && q3 semi = q3 plain && q4 semi = q4 plain in
+          same && !keyed = 4)
+        backends)
 
 let suite =
   [
@@ -93,4 +183,5 @@ let suite =
     ("q5 dm matches reference", `Quick, test_q5_dm_matches_reference);
     ("q2 metadata join count", `Quick, test_q2_join_metadata_count);
     ("guard propagates timeout", `Quick, test_q5_guard_timeout);
+    QCheck_alcotest.to_alcotest prop_semi_join_matches_plain_scans;
   ]

@@ -60,10 +60,18 @@ let test_phi_speedup_on_covariance () =
     true
 
 let test_phi_no_gain_on_biclustering () =
+  (* Both sides are wall-timed analytics, so each keeps its best of 3
+     runs, as the SciDB 2-node penalty does, to keep machine load out of
+     the ratio. The runs alternate sides, so a burst of load cannot fall
+     on one side's three runs alone. *)
   let ds = Lazy.force large in
-  let host = analytics Engine_scidb.engine ds Query.Q3_biclustering in
-  let phi = analytics Engine_scidb.phi ds Query.Q3_biclustering in
-  let speedup = host /. phi in
+  let runs =
+    List.init 3 (fun _ ->
+        let host = analytics Engine_scidb.engine ds Query.Q3_biclustering in
+        (host, analytics Engine_scidb.phi ds Query.Q3_biclustering))
+  in
+  let best side = List.fold_left Float.min infinity (List.map side runs) in
+  let speedup = best fst /. best snd in
   Alcotest.(check bool)
     (Printf.sprintf "speedup %.2f modest" speedup)
     (speedup < 1.8)
