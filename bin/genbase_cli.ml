@@ -65,6 +65,25 @@ let timeout_arg ?(doc = "Benchmark cut-off window.") default =
    the flag means env values get the same validation for free. *)
 let jobs_conv = conv_of Gb_par.Pool.parse_jobs Format.pp_print_int
 
+(* Duration and count flags: non-numeric and out-of-range values are
+   usage errors, not runtime surprises. *)
+let pos_float_conv what =
+  conv_of
+    (fun s ->
+      match float_of_string_opt (String.trim s) with
+      | Some f when f > 0. && Float.is_finite f -> Ok f
+      | _ -> Error (Printf.sprintf "%s must be a positive number, got %S" what s))
+    Format.pp_print_float
+
+let count_conv ~min what =
+  conv_of
+    (fun s ->
+      match int_of_string_opt (String.trim s) with
+      | Some n when n >= min -> Ok n
+      | _ ->
+        Error (Printf.sprintf "%s must be an integer >= %d, got %S" what min s))
+    Format.pp_print_int
+
 let jobs_arg =
   Arg.(
     value
@@ -251,7 +270,7 @@ let run_cmd =
   let nodes =
     Arg.(
       value
-      & opt int 1
+      & opt (count_conv ~min:1 "N") 1
       & info [ "nodes" ] ~docv:"N" ~doc:"Node count for multi-node engines.")
   in
   let trace =
@@ -518,7 +537,7 @@ let conformance_cmd =
   let nodes =
     Arg.(
       value
-      & opt (list int) [ 2 ]
+      & opt (list (count_conv ~min:1 "NODES")) [ 2 ]
       & info [ "nodes" ] ~docv:"NODES"
           ~doc:"Node counts for the chaos conformance grid.")
   in
@@ -626,26 +645,16 @@ let policy_arg =
                    (fun (n, _) -> Printf.sprintf "$(b,%s)" n)
                    Gb_serve.Admission.policies))))
 
-(* Deadline flag: non-numeric, zero and negative values are usage
-   errors, not runtime surprises. *)
-let pos_float_conv what =
-  conv_of
-    (fun s ->
-      match float_of_string_opt (String.trim s) with
-      | Some f when f > 0. && Float.is_finite f -> Ok f
-      | _ -> Error (Printf.sprintf "%s must be a positive number, got %S" what s))
-    Format.pp_print_float
-
 let lanes_arg =
   Arg.(
     value
-    & opt int 4
+    & opt (count_conv ~min:1 "N") 4
     & info [ "lanes" ] ~docv:"N" ~doc:"Concurrent query executions.")
 
 let queue_depth_arg =
   Arg.(
     value
-    & opt int 16
+    & opt (count_conv ~min:0 "N") 16
     & info [ "queue-depth" ] ~docv:"N" ~doc:"Admission queue bound.")
 
 (* Scenario names and the usage text both come from Loadgen.scenarios,
@@ -1134,7 +1143,7 @@ let stream_cmd =
   let batches_arg =
     Arg.(
       value
-      & opt int 8
+      & opt (count_conv ~min:1 "N") 8
       & info [ "batches" ] ~docv:"N"
           ~doc:"Ingest batches to draw from the dataset's stream seed.")
   in
@@ -1151,7 +1160,7 @@ let stream_cmd =
   let checkpoint_arg =
     Arg.(
       value
-      & opt int 4
+      & opt (count_conv ~min:1 "N") 4
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:"Checkpoint the live state and maintainers every N batches.")
   in

@@ -1,33 +1,17 @@
 open Gb_relational
 
-(* Re-key a (patient_id, gene_id, value) relation into Sql_linalg triple
-   form, renumbering columns densely via [gene_index]. *)
-let to_triples rel ~gene_index =
-  let s = rel.Ops.schema in
-  let pi = Schema.index s "patient_id" in
-  let gi = Schema.index s "gene_id" in
-  let vi = Schema.index s "value" in
-  {
-    Ops.schema = Sql_linalg.triple_schema;
-    rows =
-      Seq.map
-        (fun row ->
-          [|
-            row.(pi);
-            Value.Int (gene_index (Value.to_int row.(gi)));
-            row.(vi);
-          |])
-        rel.Ops.rows;
-  }
-
-let dense_index ids =
-  let tbl = Hashtbl.create (Array.length ids) in
-  Array.iteri (fun k id -> Hashtbl.add tbl id k) ids;
-  fun id -> Hashtbl.find tbl id
-
-(* Patient ids are not renumbered: the SQL operators only group on them. *)
-let identity_triples rel =
-  to_triples rel ~gene_index:Fun.id
+(* Relops' rows, (patient_id, gene_id, value), as Sql_linalg triple
+   rows (i = patient, j = gene), materialized inside the dm phase. [gene]
+   renumbers gene ids; patient ids are not renumbered, since the SQL
+   operators only group on them. *)
+let triples ?(gene = Fun.id) rel =
+  let ix = Schema.index rel.Ops.schema in
+  let pi = ix "patient_id" and gi = ix "gene_id" and vi = ix "value" in
+  Seq.map
+    (fun row ->
+      [| row.(pi); Value.Int (gene (Value.to_int row.(gi))); row.(vi) |])
+    rel.Ops.rows
+  |> List.of_seq
 
 let prepare ds =
   let stores = Engine_sql.make_db Engine_sql.Row_backend ds in
@@ -59,23 +43,10 @@ let prepare ds =
        relation, no native kernel. *)
     let (triples, n_sel), dm0 =
       Engine.phase ~check "dm" (fun () ->
-          let joined =
-            Ops.filter
-              Expr.(col "disease_id" =% int params.disease_id)
-              (db.Relops.scan "patients" [ "patient_id"; "disease_id" ])
-            |> Ops.project [ "patient_id" ]
-            |> Ops.hash_join ~on:[ ("patient_id", "patient_id") ]
-                 (Ops.guard check
-                    (db.Relops.scan "microarray"
-                       [ "gene_id"; "patient_id"; "value" ]))
-          in
-          let rows = Ops.to_list (identity_triples joined) in
-          let distinct = Hashtbl.create 64 in
-          List.iter
-            (fun row ->
-              Hashtbl.replace distinct (Value.to_int row.(0)) ())
-            rows;
-          (Ops.of_list Sql_linalg.triple_schema rows, Hashtbl.length distinct))
+          let rows = triples (Relops.rows db (Relops.q2_plan params)) in
+          let patients = Hashtbl.create 64 in
+          List.iter (fun row -> Hashtbl.replace patients row.(0) ()) rows;
+          (Ops.of_list Sql_linalg.triple_schema rows, Hashtbl.length patients))
     in
     let payload, analytics =
       Engine.phase ~check "analytics" (fun () ->
@@ -96,36 +67,23 @@ let prepare ds =
     Engine.Completed ({ dm = dm0 +. dm1; analytics }, payload)
   | Query.Q3_biclustering -> Engine.Unsupported
   | Query.Q4_svd ->
-    let (triples, n_patients, n_sel_genes), dm =
+    (* The microarray is gene-major in ascending gene order, so numbering
+       the selected genes by first appearance numbers them ascending. *)
+    let (triples, n_sel_genes), dm =
       Engine.phase ~check "dm" (fun () ->
-          let genes_sel =
-            Ops.filter
-              Expr.(col "func" <% int params.func_threshold)
-              (db.Relops.scan "genes" [ "gene_id"; "func" ])
-            |> Ops.project [ "gene_id" ]
+          let dense = Hashtbl.create 64 in
+          let gene id =
+            match Hashtbl.find_opt dense id with
+            | Some k -> k
+            | None ->
+              let k = Hashtbl.length dense in
+              Hashtbl.add dense id k;
+              k
           in
-          let gene_ids =
-            Ops.to_list genes_sel
-            |> List.map (fun r -> Value.to_int r.(0))
-            |> Array.of_list
-          in
-          Array.sort compare gene_ids;
-          let joined =
-            Ops.hash_join ~on:[ ("gene_id", "gene_id") ]
-              (Ops.guard check
-                 (db.Relops.scan "microarray"
-                    [ "gene_id"; "patient_id"; "value" ]))
-              (Ops.of_list
-                 (Schema.make [ ("gene_id", Value.TInt) ])
-                 (Array.to_list
-                    (Array.map (fun id -> [| Value.Int id |]) gene_ids)))
-          in
-          let idx = dense_index gene_ids in
-          let rows = Ops.to_list (to_triples joined ~gene_index:idx) in
-          ( Ops.of_list Sql_linalg.triple_schema rows,
-            Array.length ds.Gb_datagen.Generate.patients,
-            Array.length gene_ids ))
+          let rows = triples ~gene (Relops.rows db (Relops.genes_plan params)) in
+          (Ops.of_list Sql_linalg.triple_schema rows, Hashtbl.length dense))
     in
+    let n_patients = Array.length ds.Gb_datagen.Generate.patients in
     let payload, analytics =
       Engine.phase ~check "analytics" (fun () ->
           let eigs =
@@ -153,29 +111,7 @@ let prepare ds =
     in
     Engine.Completed ({ dm; analytics }, payload)
   | Query.Q6_overlap ->
-    (* Hand-written SQL pipeline (no planner): scan both interval tables
-       and run the sort-merge sweep operator directly, as a MADlib-style
-       native aggregate would. *)
-    let pairs, dm =
-      Engine.phase ~check "dm" (fun () ->
-          let joined =
-            Ops.interval_join ~trace:"interval_join"
-              ~min_overlap:params.min_overlap_bp
-              ~left_span:("vstart", "vlen") ~right_span:("position", "length")
-              (Ops.guard check
-                 (db.Relops.scan "variants" [ "variant_id"; "vstart"; "vlen" ]))
-              (db.Relops.scan "genes" [ "gene_id"; "position"; "length" ])
-          in
-          let s = joined.Ops.schema in
-          let vi = Schema.index s "variant_id" in
-          let gi = Schema.index s "gene_id" in
-          let oi = Schema.index s "overlap_len" in
-          Ops.to_list joined
-          |> List.map (fun row ->
-                 ( Value.to_int row.(vi),
-                   Value.to_int row.(gi),
-                   Value.to_int row.(oi) )))
-    in
+    let pairs, dm = Engine.phase ~check "dm" (fun () -> Relops.q6_dm db params) in
     let payload, analytics =
       Engine.phase ~check "analytics" (fun () ->
           Qcommon.overlaps_of

@@ -22,8 +22,9 @@ type backend = {
   q2 : ctx -> Mat.t array;  (** per-node rows of the chosen disease *)
   q3 : ctx -> Mat.t array;  (** per-node rows of the age/gender cohort *)
   q4 : ctx -> Mat.t array;  (** per-node columns of the selected genes *)
-  q5 : ctx -> k:int -> float array array;
-      (** per-node expression sums over patients [< k], count last *)
+  q5 : ctx -> float array array;
+      (** per-node expression sums over the patients Q5 samples (ids
+          below {!Query.sample_size}), count last *)
   q6 : ctx -> Ranges.iv array * Ranges.iv array;
       (** the variant and gene interval tables *)
   metadata : string * (ctx -> (int * int * float) list -> unit);
@@ -129,7 +130,10 @@ let block_rows layout (ds : Dataset.t) ~nodes =
             p.age < ctx.params.max_age && p.gender = ctx.params.gender));
     q4 = genes;
     q5 =
-      (fun ctx ~k ->
+      (fun ctx ->
+        let k =
+          Query.sample_size ctx.params.sample_fraction (Array.length ds.patients)
+        in
         Cluster.superstep ctx.cluster (fun node ->
             let sums = Array.make (n_genes + 1) 0. in
             Array.iteri
@@ -222,15 +226,12 @@ let columnar ~boundary (ds : Dataset.t) ~nodes =
     q3 = (fun ctx -> each ctx (fun db -> cross (pad (Relops.q3_dm db ctx.params))));
     q4 = (fun ctx -> each ctx (fun db -> cross (fst (Relops.q4_dm db ctx.params))));
     q5 =
-      (fun ctx ~k ->
+      (fun ctx ->
+        let plan =
+          Relops.q5_plan ctx.params ~n_patients:(Array.length ds.patients)
+        in
         each ctx (fun db ->
-            let sel =
-              Ops.filter
-                Expr.(col "patient_id" <% int k)
-                (Ops.guard ctx.check
-                   (db.Relops.scan "microarray"
-                      [ "gene_id"; "patient_id"; "value" ]))
-            in
+            let sel = Relops.rows db plan in
             let ix = Schema.index sel.Ops.schema in
             let gi = ix "gene_id" and pi = ix "patient_id" and vi = ix "value" in
             let sums = Array.make (n_genes + 1) 0. in
@@ -404,10 +405,7 @@ let run ?device ?fault ~nodes (ds : Dataset.t) b query ~(params : Query.params)
   | Query.Q5_statistics ->
     let scores, dm =
       Engine.phase ~clock ~check "dm" (fun () ->
-          let k =
-            Query.sample_size params.sample_fraction (Array.length ds.patients)
-          in
-          let t = Cluster.allreduce_sum cluster (b.q5 ctx ~k) in
+          let t = Cluster.allreduce_sum cluster (b.q5 ctx) in
           let count = Float.max 1. t.(n_genes) in
           Array.init n_genes (fun j -> t.(j) /. count))
     in

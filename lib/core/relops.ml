@@ -64,13 +64,15 @@ let q5_plan (params : Query.params) ~n_patients =
   let k = Query.sample_size params.sample_fraction n_patients in
   micro_join "patients" "patient_id" Expr.(col "patient_id" <% int k)
 
+let rows db plan = Plan.execute (catalog db) plan
+
 let pivot_triples rel =
   Gb_obs.Profile.with_ ~cat:"op" ~name:"pivot" (fun () ->
       Pivot.of_triples ~row_col:"patient_id" ~col_col:"gene_id"
         ~value_col:"value" rel)
 
 let q1_dm db params =
-  let piv = pivot_triples (Plan.execute (catalog db) (genes_plan params)) in
+  let piv = pivot_triples (rows db (genes_plan params)) in
   (* Project the drug response and align it with the pivot's row order. *)
   let resp = Hashtbl.create 1024 in
   let patients =
@@ -89,7 +91,7 @@ let q1_dm db params =
   (piv.Pivot.matrix, y, piv.Pivot.col_ids)
 
 let q2_dm db params =
-  let piv = pivot_triples (Plan.execute (catalog db) (q2_plan params)) in
+  let piv = pivot_triples (rows db (q2_plan params)) in
   (piv.Pivot.matrix, piv.Pivot.col_ids)
 
 let q2_join_metadata db pairs =
@@ -110,10 +112,10 @@ let q2_join_metadata db pairs =
   Ops.count (Ops.guard db.check joined)
 
 let q3_dm db params =
-  (pivot_triples (Plan.execute (catalog db) (q3_plan params))).Pivot.matrix
+  (pivot_triples (rows db (q3_plan params))).Pivot.matrix
 
 let q4_dm db params =
-  let piv = pivot_triples (Plan.execute (catalog db) (genes_plan params)) in
+  let piv = pivot_triples (rows db (genes_plan params)) in
   (piv.Pivot.matrix, piv.Pivot.col_ids)
 
 (* Q6: overlap-join variant intervals against gene intervals through the
@@ -132,7 +134,7 @@ let q6_plan (params : Query.params) =
     }
 
 let q6_dm db (params : Query.params) =
-  let rel = Plan.execute (catalog db) (q6_plan params) in
+  let rel = rows db (q6_plan params) in
   let vi = Schema.index rel.Ops.schema "variant_id" in
   let gi = Schema.index rel.Ops.schema "gene_id" in
   let oi = Schema.index rel.Ops.schema "overlap_len" in
@@ -146,7 +148,7 @@ let q6_dm db (params : Query.params) =
   List.rev !pairs
 
 let q5_dm db params ~n_patients =
-  let joined = Plan.execute (catalog db) (q5_plan params ~n_patients) in
+  let joined = rows db (q5_plan params ~n_patients) in
   let means =
     Ops.traced ~name:"aggregate"
       (Ops.aggregate ~group_by:[ "gene_id" ]

@@ -22,6 +22,24 @@ val catalog : db -> Plan.catalog
 
 val table_schema : string -> Schema.t
 
+val genes_plan : Query.params -> Plan.t
+(** Q1 and Q4: genes by function joined to the microarray, as
+    (patient_id, gene_id, value). *)
+
+val q2_plan : Query.params -> Plan.t
+(** Q2: patients by disease joined to the microarray, as
+    (patient_id, gene_id, value). *)
+
+val q5_plan : Query.params -> n_patients:int -> Plan.t
+(** Q5: the patients below {!Query.sample_size} of [n_patients] joined to
+    the microarray, as (patient_id, gene_id, value). *)
+
+val rows : db -> Plan.t -> Ops.rel
+(** Optimize and execute a plan over the db's guarded, traced scans: the
+    rows the [qN_dm] functions below pivot or aggregate, for engines
+    that run their own analytics on them. Their order is the microarray's
+    (gene-major, ascending) for the plans above. *)
+
 val q1_dm : db -> Query.params -> Gb_linalg.Mat.t * float array * int array
 (** Select genes by function, join with microarray, join drug response,
     pivot: returns (patients x selected-genes matrix, response vector,

@@ -37,27 +37,3 @@ let delay_for_det policy ~key ~attempt =
          (Int64.of_int attempt))
   in
   d *. (1. +. (policy.jitter *. Gb_util.Prng.uniform g))
-
-type 'a outcome = { value : 'a; attempts : int; backoff_s : float }
-
-let run ?(policy = default) ~rng ~charge ?remaining
-    ?(retry_on = function Gb_util.Deadline.Timeout -> false | _ -> true) f =
-  let backoff = ref 0. in
-  let rec go attempt =
-    match f ~attempt with
-    | value -> { value; attempts = attempt; backoff_s = !backoff }
-    | exception e when attempt < policy.max_attempts && retry_on e ->
-      let d = delay_for policy ~rng ~attempt in
-      (* Total-deadline cutoff: when the backoff alone would exhaust the
-         remaining budget there is no point charging it — the next
-         attempt could only ever time out, so the worst-case tail of a
-         failing call stays bounded by the deadline instead of by
-         max_attempts * max_delay. *)
-      (match remaining with
-      | Some rem when d >= rem () -> raise e
-      | _ -> ());
-      backoff := !backoff +. d;
-      charge d;
-      go (attempt + 1)
-  in
-  go 1

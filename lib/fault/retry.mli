@@ -1,12 +1,10 @@
-(** Bounded retries with exponential backoff.
+(** Exponential backoff schedules.
 
-    Backoff delays are not slept: they are *charged* through a caller-
-    supplied [charge] function, normally [Cluster.advance] or
-    [Clock.Sim.advance], so waiting consumes simulated seconds. Because
-    charging advances the simulated clock, a deadline armed on that clock
-    fires during backoff — retrying is deadline-aware for free. Jitter is
-    drawn from an explicit PRNG so a schedule replays identically from a
-    seed. *)
+    Delays are computed, not slept: [Cluster] charges its OOM backoff to
+    the simulated clock, so a deadline armed on that clock fires during
+    backoff, and the serving client's schedule becomes re-arrival events.
+    Jitter is drawn from an explicit PRNG, or keyed statelessly, so a
+    schedule replays identically from a seed. *)
 
 type policy = {
   max_attempts : int;  (** total attempts, including the first *)
@@ -31,26 +29,3 @@ val delay_for_det : policy -> key:int -> attempt:int -> float
     this on the request id so a retry schedule replays identically
     whether or not other requests retried in between. Same bounds as
     {!delay_for}. *)
-
-type 'a outcome = { value : 'a; attempts : int; backoff_s : float }
-
-val run :
-  ?policy:policy ->
-  rng:Gb_util.Prng.t ->
-  charge:(float -> unit) ->
-  ?remaining:(unit -> float) ->
-  ?retry_on:(exn -> bool) ->
-  (attempt:int -> 'a) ->
-  'a outcome
-(** [run ~rng ~charge f] calls [f ~attempt:1]; on an exception for which
-    [retry_on] holds (default: everything except
-    [Gb_util.Deadline.Timeout]), charges the backoff delay and tries
-    again, up to [policy.max_attempts] attempts, then re-raises the last
-    exception.
-
-    [remaining] is the total-deadline cutoff: when the next backoff
-    delay is at least [remaining ()] seconds the failure is re-raised
-    immediately instead of charging a sleep that could only end in a
-    timeout — without it the worst case is the full
-    [max_attempts * max_delay_s] tail even with a nearly-expired
-    deadline. *)

@@ -2,8 +2,7 @@
    backoff with deterministic (key-hashed) jitter, raised to the
    server's retry-after hint when one was returned, cut off by the
    request's remaining deadline budget. Pure decision logic — the
-   simulated load generator turns delays into re-arrival events and the
-   live client turns them into sleeps. *)
+   simulated load generator turns delays into re-arrival events. *)
 
 module Retry = Gb_fault.Retry
 
@@ -40,38 +39,6 @@ let next_delay policy ~key ~attempt ~retry_after ~remaining_s =
       | Some ra when policy.honor_retry_after -> Float.max d ra
       | _ -> d
     in
-    (* Total-deadline cutoff, same rule as Fault.Retry: when the wait
-       alone exhausts what is left of the client's budget, the retry
-       could only ever time out. *)
+    (* Total-deadline cutoff: when the wait alone exhausts what is left
+       of the client's budget, the retry could only ever time out. *)
     if d >= remaining_s then None else Some d
-
-let call ?(policy = default_policy) ~key ~budget_s ~sleep ~submit () =
-  let t0 = ref 0. in
-  let rec go attempt elapsed =
-    let r : Outcome.response = submit ~attempt in
-    if attempt = 1 then t0 := r.Outcome.submitted_s;
-    if not (retryable r) then { r with Outcome.attempt }
-    else
-      let elapsed = elapsed +. Outcome.latency_s r in
-      match
-        next_delay policy ~key ~attempt ~retry_after:r.Outcome.retry_after_s
-          ~remaining_s:(budget_s -. elapsed)
-      with
-      | None -> { r with Outcome.attempt }
-      | Some d ->
-        (* The retry decision is part of the request's story: one
-           instant per backoff, linked by the response's trace id. *)
-        if Gb_obs.Obs.active () then
-          Gb_obs.Obs.Span.instant ~track:Gb_obs.Obs.Wall
-            ~attrs:
-              [
-                ("trace", Gb_obs.Obs.Int r.Outcome.trace);
-                ("attempt", Gb_obs.Obs.Int attempt);
-                ("delay_s", Gb_obs.Obs.Float d);
-                ("reason", Gb_obs.Obs.Str (Outcome.label r));
-              ]
-            ~name:"client.retry" ();
-        sleep d;
-        go (attempt + 1) (elapsed +. d)
-  in
-  go 1 0.

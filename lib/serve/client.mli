@@ -1,4 +1,4 @@
-(** Retrying client for shed responses: capped exponential backoff with
+(** Retry schedule for shed responses: capped exponential backoff with
     deterministic, request-keyed jitter ({!Gb_fault.Retry.delay_for_det}),
     raised to the server's retry-after hint, and cut off once the
     client's remaining budget can no longer fit the wait. *)
@@ -30,15 +30,3 @@ val next_delay :
     [remaining_s]). Pure: the schedule for a given [key] replays
     identically. The simulated load generator feeds this into re-arrival
     events. *)
-
-val call :
-  ?policy:policy ->
-  key:int ->
-  budget_s:float ->
-  sleep:(float -> unit) ->
-  submit:(attempt:int -> Outcome.response) ->
-  unit ->
-  Outcome.response
-(** Live driver: submit, and while the response is a retryable shed and
-    the schedule allows, sleep and resubmit. Returns the final response
-    with its [attempt] field set to the attempt that produced it. *)

@@ -607,7 +607,10 @@ let single_node_configs =
 (* Per configuration: one 8-hex digest of each query's span ledger,
    Q1..Q6 on Small, computed before the single-node engines shared one
    program. Answers, phase structure, kernel spans and device transfers
-   must not move under a refactor of that program. *)
+   must not move under a refactor of that program. Madlib's Q2, Q4 and
+   Q6 were re-pinned when it took Postgres's data-management plans,
+   whose scan, join and project spans its dm phase now records; its Q6
+   ledger is Postgres + R's. *)
 let single_ledger_golden =
   [
     ("Vanilla R",
@@ -615,7 +618,7 @@ let single_ledger_golden =
     ("Postgres + R",
      "a7ae8795 4a9cacb8 1668a24a 394ab853 b8d7890c fe5573d0");
     ("Postgres + Madlib",
-     "8ba03f65 00e6ea72 723c2587 e331426f c9333866 0e6acab9");
+     "8ba03f65 9b0b94a5 723c2587 2e0d65e0 c9333866 fe5573d0");
     ("Column store + R",
      "a7ae8795 4a9cacb8 1668a24a 394ab853 b8d7890c fe5573d0");
     ("Column store + UDFs",
@@ -662,6 +665,59 @@ let test_single_node_ledger_golden () =
             ledgers)
         single_node_configs)
 
+(* MADlib runs Postgres's data-management plans and keeps only its own
+   analytics: on Q2, Q4 and Q6 the [op] spans under its [dm] phase are
+   Postgres + R's, in order and with their row counts, less the pivot
+   MADlib does not do. *)
+let test_madlib_dm_is_postgres () =
+  let module Obs = Gb_obs.Obs in
+  let ds = Dataset.of_size Spec.Small in
+  let dm_ops e q =
+    Obs.reset ();
+    ignore (Engine.run e ds q ~timeout_s:600. ());
+    let spans =
+      List.filter_map
+        (function Obs.Span_ev s -> Some s | Obs.Instant_ev _ -> None)
+        (Obs.events ())
+    in
+    let by_id = Hashtbl.create 64 in
+    List.iter (fun s -> Hashtbl.replace by_id s.Obs.id s) spans;
+    let rec in_dm s =
+      match Hashtbl.find_opt by_id s.Obs.parent with
+      | None -> false
+      | Some p -> (p.Obs.cat = "phase" && p.Obs.name = "dm") || in_dm p
+    in
+    List.filter_map
+      (fun s ->
+        if s.Obs.cat = "op" && s.Obs.name <> "pivot" && in_dm s then
+          Some
+            (match List.assoc_opt "rows" s.Obs.attrs with
+            | Some (Obs.Int n) -> Printf.sprintf "%s rows=%d" s.Obs.name n
+            | _ -> s.Obs.name)
+        else None)
+      spans
+  in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      List.iter
+        (fun (q, scan) ->
+          let postgres = dm_ops Engine_sql.postgres_r q in
+          let madlib = dm_ops Engine_madlib.engine q in
+          Alcotest.(check bool)
+            (Query.name q ^ ": Postgres scans " ^ scan)
+            true
+            (List.exists (String.starts_with ~prefix:(scan ^ " ")) postgres);
+          Alcotest.(check (list string)) (Query.name q) postgres madlib)
+        [
+          (Query.Q2_covariance, "scan:microarray");
+          (Query.Q4_svd, "scan:microarray");
+          (Query.Q6_overlap, "scan:variants");
+        ])
+
 let suite =
   [
     ("q1 cross-engine agreement", `Quick, test_q1_agreement);
@@ -686,5 +742,6 @@ let suite =
     ("lean store builders", `Quick, test_lean_store_builders);
     ("multi-node ledger golden", `Quick, test_multinode_ledger_golden);
     ("single-node ledger golden", `Quick, test_single_node_ledger_golden);
+    ("MADlib data management is Postgres's", `Quick, test_madlib_dm_is_postgres);
   ]
 

@@ -81,44 +81,6 @@ let test_backoff_bounds () =
       (delay <= d *. (1. +. p.Retry.jitter) +. 1e-12)
   done
 
-let test_retry_succeeds_and_charges () =
-  let rng = Gb_util.Prng.create 12L in
-  let charged = ref 0. in
-  let out =
-    Retry.run ~rng
-      ~charge:(fun s -> charged := !charged +. s)
-      (fun ~attempt -> if attempt < 3 then failwith "transient" else 42)
-  in
-  Alcotest.(check int) "value" 42 out.Retry.value;
-  Alcotest.(check int) "attempts" 3 out.Retry.attempts;
-  Alcotest.(check (float 1e-12)) "charged = backoff" out.Retry.backoff_s !charged;
-  Alcotest.(check bool) "two delays charged" true (!charged > 0.)
-
-let test_retry_gives_up () =
-  let rng = Gb_util.Prng.create 13L in
-  let calls = ref 0 in
-  Alcotest.check_raises "re-raises after budget" (Failure "always") (fun () ->
-      ignore
-        (Retry.run ~rng
-           ~charge:(fun _ -> ())
-           (fun ~attempt:_ ->
-             incr calls;
-             failwith "always")));
-  Alcotest.(check int) "max attempts" Retry.default.Retry.max_attempts !calls
-
-let test_retry_never_retries_timeout () =
-  let rng = Gb_util.Prng.create 14L in
-  let calls = ref 0 in
-  Alcotest.check_raises "timeout propagates" Gb_util.Deadline.Timeout
-    (fun () ->
-      ignore
-        (Retry.run ~rng
-           ~charge:(fun _ -> ())
-           (fun ~attempt:_ ->
-             incr calls;
-             raise Gb_util.Deadline.Timeout)));
-  Alcotest.(check int) "single attempt" 1 !calls
-
 (* Stateless jitter: a pure function of (key, attempt), so one client's
    retry schedule replays identically no matter what other traffic
    interleaved — the property the serving layer's deterministic load
@@ -145,33 +107,6 @@ let test_det_jitter () =
   Alcotest.(check bool) "different keys draw different jitter" true
     (Retry.delay_for_det p ~key:1 ~attempt:1
     <> Retry.delay_for_det p ~key:2 ~attempt:1)
-
-(* Total-deadline cutoff: when the next backoff cannot fit in what is
-   left of the deadline, the failure surfaces immediately instead of
-   charging a sleep that could only end in a timeout. *)
-let test_retry_remaining_cutoff () =
-  let rng = Gb_util.Prng.create 15L in
-  let charged = ref 0. in
-  let calls = ref 0 in
-  Alcotest.check_raises "fails fast once the budget cannot fit a backoff"
-    (Failure "transient") (fun () ->
-      ignore
-        (Retry.run ~rng
-           ~charge:(fun s -> charged := !charged +. s)
-           ~remaining:(fun () -> Retry.default.Retry.base_delay_s /. 2.)
-           (fun ~attempt:_ ->
-             incr calls;
-             failwith "transient")));
-  Alcotest.(check int) "no second attempt" 1 !calls;
-  Alcotest.(check (float 0.)) "no backoff charged" 0. !charged;
-  (* With room for the backoff, the retry proceeds as usual. *)
-  let out =
-    Retry.run ~rng
-      ~charge:(fun s -> charged := !charged +. s)
-      ~remaining:(fun () -> 1e9)
-      (fun ~attempt -> if attempt < 2 then failwith "transient" else "ok")
-  in
-  Alcotest.(check string) "recovered under a loose budget" "ok" out.Retry.value
 
 (* --- cluster fault tolerance --- *)
 
@@ -424,11 +359,7 @@ let suite =
     ("scatter classes independent", `Quick, test_scatter_independent);
     ("plan accessors", `Quick, test_plan_accessors);
     ("backoff bounds", `Quick, test_backoff_bounds);
-    ("retry succeeds and charges", `Quick, test_retry_succeeds_and_charges);
-    ("retry gives up", `Quick, test_retry_gives_up);
-    ("retry never retries timeout", `Quick, test_retry_never_retries_timeout);
     ("deterministic jitter", `Quick, test_det_jitter);
-    ("retry total-deadline cutoff", `Quick, test_retry_remaining_cutoff);
     ("crash recovery deterministic", `Quick, test_crash_recovery_deterministic);
     ("last survivor never dies", `Quick, test_last_survivor_never_dies);
     ("straggler speculation", `Quick, test_straggler_speculation);

@@ -327,24 +327,7 @@ let test_breaker_sheds_in_server () =
   Alcotest.(check bool) "trip counted" (stats.Server.breaker_trips = [ ("B", 1) ])
     true
 
-(* --- retrying client --- *)
-
-let shed_response ?(retry_after = None) ~key ~attempt () =
-  {
-    Outcome.id = 1;
-    key;
-    trace = 1;
-    attempt;
-    engine = "E";
-    query = Query.Q1_regression;
-    submitted_s = 0.;
-    finished_s = 0.;
-    queue_wait_s = 0.;
-    exec_s = 0.;
-    disposition = Outcome.Shed Outcome.Queue_full;
-    retry_after_s = retry_after;
-    engine_outcome = None;
-  }
+(* --- client backoff schedule --- *)
 
 let test_client_next_delay () =
   let policy = Client.default_policy in
@@ -379,29 +362,6 @@ let test_client_next_delay () =
        ~remaining_s:0.01
     = None)
     true
-
-let test_client_call () =
-  let sleeps = ref [] in
-  let submissions = ref 0 in
-  let final =
-    Client.call ~key:3 ~budget_s:1e9
-      ~sleep:(fun d -> sleeps := d :: !sleeps)
-      ~submit:(fun ~attempt ->
-        incr submissions;
-        if attempt < 3 then shed_response ~key:3 ~attempt ()
-        else
-          {
-            (shed_response ~key:3 ~attempt ()) with
-            Outcome.disposition = Outcome.Served Outcome.Ok_;
-          })
-      ()
-  in
-  Alcotest.(check int) "three submissions" 3 !submissions;
-  Alcotest.(check int) "two backoff sleeps" 2 (List.length !sleeps);
-  Alcotest.(check bool) "final response served"
-    (disposition final = Outcome.Served Outcome.Ok_)
-    true;
-  Alcotest.(check int) "attempt echoed" 3 final.Outcome.attempt
 
 (* --- cost model --- *)
 
@@ -1095,7 +1055,6 @@ let suite =
      test_breaker_reopens_on_probe_failure);
     ("breaker sheds in server", `Quick, test_breaker_sheds_in_server);
     ("client backoff schedule", `Quick, test_client_next_delay);
-    ("client retry loop", `Quick, test_client_call);
     ("cost model sanity", `Quick, test_estimate_sanity);
     ("engine speed classes", `Quick, test_engine_speed_classes);
     ("loadgen deterministic", `Quick, test_loadgen_deterministic);
