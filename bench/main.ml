@@ -9,7 +9,8 @@
    everything runs. Every section additionally writes its measurements
    as structured records to BENCH_<section>.json in the working
    directory (see Gb_obs.Bench_json; compare runs with
-   `genbase bench-diff`). *)
+   `genbase bench-diff`). Figures 1 and 2 share one cell grid and one
+   file, as do Figures 3 and 4. *)
 
 module H = Genbase.Harness
 
@@ -71,33 +72,22 @@ let () =
       (Printf.sprintf "wrote %s (%d records)" path (List.length records))
   in
 
-  if want "fig1" || want "fig2" then begin
-    banner "Single-node results (Figures 1 and 2)";
-    let cells = H.single_node_cells config in
-    let records = H.bench_records cells in
-    if want "fig1" then begin
-      List.iter print_endline (H.fig1 cells);
-      emit "fig1" records
-    end;
-    if want "fig2" then begin
-      List.iter print_endline (H.fig2 cells);
-      emit "fig2" records
+  (* Figures 1 and 2 chart one cell grid, as do Figures 3 and 4; each
+     grid's records go to one file, named after the first of its
+     figures that was asked for, so no record is written twice. *)
+  let grid (a, chart_a) (b, chart_b) title cells_of =
+    if want a || want b then begin
+      banner title;
+      let cells = cells_of config in
+      if want a then List.iter print_endline (chart_a cells);
+      if want b then List.iter print_endline (chart_b cells);
+      emit (if want a then a else b) (H.bench_records cells)
     end
-  end;
-
-  if want "fig3" || want "fig4" then begin
-    banner "Multi-node results (Figures 3 and 4)";
-    let cells = H.multi_node_cells config in
-    let records = H.bench_records cells in
-    if want "fig3" then begin
-      List.iter print_endline (H.fig3 cells);
-      emit "fig3" records
-    end;
-    if want "fig4" then begin
-      List.iter print_endline (H.fig4 cells);
-      emit "fig4" records
-    end
-  end;
+  in
+  grid ("fig1", H.fig1) ("fig2", H.fig2) "Single-node results (Figures 1 and 2)"
+    H.single_node_cells;
+  grid ("fig3", H.fig3) ("fig4", H.fig4) "Multi-node results (Figures 3 and 4)"
+    H.multi_node_cells;
 
   if want "fig5" then begin
     banner "Coprocessor results (Figure 5)";
@@ -169,7 +159,8 @@ let () =
   end;
 
   if want "q6" then begin
-    banner "Q6 overlap join (sweep kernel, nested-loop oracle, planner path)";
+    banner
+      "Q6 overlap join (sweep kernel, indexed join, nested loop, planner path)";
     emit "q6" (Q6_bench.run ~quick)
   end;
 

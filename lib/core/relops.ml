@@ -122,16 +122,20 @@ let q4_dm db params =
    volcano planner, so the stores execute the Interval_join node (and
    EXPLAIN ANALYZE can show its est-vs-actual overlap count).  The
    sweep's output order — ascending (variant row, gene row) over
-   id-ordered scans — is already canonical. *)
+   id-ordered scans — is already canonical.  Projecting the pair's
+   three columns lets pruning narrow the gene scan to the columns the
+   join reads. *)
 let q6_plan (params : Query.params) =
-  Plan.Interval_join
-    {
-      left = Plan.Scan ("variants", []);
-      right = Plan.Scan ("genes", []);
-      left_span = ("vstart", "vlen");
-      right_span = ("position", "length");
-      min_overlap = params.min_overlap_bp;
-    }
+  Plan.Project
+    ( [ "variant_id"; "gene_id"; "overlap_len" ],
+      Plan.Interval_join
+        {
+          left = Plan.Scan ("variants", []);
+          right = Plan.Scan ("genes", []);
+          left_span = ("vstart", "vlen");
+          right_span = ("position", "length");
+          min_overlap = params.min_overlap_bp;
+        } )
 
 let q6_dm db (params : Query.params) =
   let rel = rows db (q6_plan params) in

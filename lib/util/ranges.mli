@@ -25,7 +25,14 @@ val overlaps : ?min_overlap:int -> iv -> iv -> bool
 
 val nested_loop_join :
   ?min_overlap:int -> iv array -> iv array -> (int * int * int) list
-(** Quadratic oracle join: every overlapping pair, in input order. *)
+(** Quadratic definition of the join, which the faster kernels are
+    tested against: every overlapping pair, in input order. *)
+
+val indexed_join :
+  ?min_overlap:int -> iv array -> iv array -> (int * int * int) list
+(** Binary search over the right side's sorted starts, with a running
+    maximum of their ends. Returns exactly {!nested_loop_join}'s list,
+    in the same order, on any inputs. *)
 
 val sweep_join :
   ?min_overlap:int -> iv array -> iv array -> (int * int * int) list

@@ -248,10 +248,11 @@ let test_targeted_crash_degraded_match () =
     checkb "a node was recovered" true (recovery.Engine.recovered_nodes >= 1)
   | c -> Alcotest.failf "expected Degraded_match, got %s" (Oracle.describe c)
 
-(* --- Q6 differential: every engine against the Vanilla-R nested-loop
-   oracle. The overlap join is integer-exact, so beyond Oracle.Match we
-   demand the payload *fingerprints* agree bitwise — the acceptance
-   criterion for the query family. *)
+(* --- Q6 differential: every engine against the Vanilla-R reference,
+   and that reference against the quadratic definition of the join. The
+   overlap join is integer-exact, so beyond Oracle.Match we demand the
+   payload *fingerprints* agree bitwise — the acceptance criterion for
+   the query family. *)
 
 let test_q6_differential_three_seeds () =
   let sizes =
@@ -274,6 +275,18 @@ let test_q6_differential_three_seeds () =
             | Some p -> Compare.fingerprint p
             | None -> Alcotest.fail "oracle failed on Q6"
           in
+          let quadratic =
+            let vs = Genbase.Qcommon.variant_ivs ds in
+            let gs = Genbase.Qcommon.gene_ivs ds in
+            Genbase.Qcommon.overlaps_of ~n_variants:(Array.length vs)
+              ~n_genes:(Array.length gs)
+              (Gb_util.Ranges.nested_loop_join
+                 ~min_overlap:dflt.Query.min_overlap_bp vs gs)
+          in
+          check Alcotest.string
+            (Printf.sprintf "nested loop/%s/%Ld digest bitwise" label seed)
+            ref_digest
+            (Compare.fingerprint quadratic);
           List.iter
             (fun e ->
               if e.Engine.name <> Oracle.reference.Engine.name then begin

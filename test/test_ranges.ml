@@ -1,6 +1,7 @@
 (* Unit and property tests for the Q6 interval primitives: the sweep
-   kernel must agree exactly with the quadratic oracle, and the bin
-   ownership rule must assign every pair to exactly one bin. *)
+   and indexed kernels must agree exactly with the quadratic definition,
+   and the bin ownership rule must assign every pair to exactly one
+   bin. *)
 
 open Gb_util
 
@@ -71,6 +72,8 @@ let test_joins_agree_on_edges () =
   let nl = canon (Ranges.nested_loop_join edge_left edge_right) in
   let sw = Ranges.sweep_join edge_left edge_right in
   Alcotest.(check (list (triple int int int))) "sweep = oracle" nl sw;
+  Alcotest.(check (list (triple int int int))) "indexed = oracle" nl
+    (Ranges.indexed_join edge_left edge_right);
   (* empty interval (id 2) and the far interval (right id 3) join nothing;
      adjacency (left 0/1 vs right 1) contributes nothing. *)
   List.iter
@@ -86,6 +89,8 @@ let test_join_zero_pairs () =
   let left = [| iv 0 0 5 |] and right = [| iv 0 10 15 |] in
   Alcotest.(check (list (triple int int int))) "no pairs" []
     (Ranges.sweep_join left right);
+  Alcotest.(check (list (triple int int int))) "no indexed pairs" []
+    (Ranges.indexed_join left right);
   Alcotest.(check int) "count" 0
     (Ranges.count_pairs (Ranges.nested_loop_join left right))
 
@@ -93,7 +98,11 @@ let test_join_empty_inputs () =
   Alcotest.(check (list (triple int int int))) "empty left" []
     (Ranges.sweep_join [||] edge_right);
   Alcotest.(check (list (triple int int int))) "empty right" []
-    (Ranges.sweep_join edge_left [||])
+    (Ranges.sweep_join edge_left [||]);
+  Alcotest.(check (list (triple int int int))) "indexed, empty left" []
+    (Ranges.indexed_join [||] edge_right);
+  Alcotest.(check (list (triple int int int))) "indexed, empty right" []
+    (Ranges.indexed_join edge_left [||])
 
 (* --- bins --- *)
 
@@ -147,6 +156,49 @@ let prop_sweep_equals_nested_loop =
     arb_sides (fun (xs, ys) ->
       Ranges.sweep_join xs ys = canon (Ranges.nested_loop_join xs ys))
 
+(* The indexed join's running maximum of ends matters only where right
+   intervals overlap: starts drawn from a narrow range repeat, and a mix
+   of short and long lengths nests them, so a long early interval keeps
+   the maximum above short ones that end before a left start. Right ids
+   run opposite to input positions, so emitting by id instead of by
+   position would show. *)
+let gen_dense_ivs ~reverse_ids =
+  QCheck.Gen.(
+    let interval =
+      pair (int_range 0 120) (oneof [ int_range 0 8; int_range 0 200 ])
+    in
+    array_size (int_range 0 40) interval >|= fun raw ->
+    let n = Array.length raw in
+    Array.mapi
+      (fun i (start, len) ->
+        let id = if reverse_ids then n - 1 - i else i in
+        Ranges.of_start_len ~id ~start ~len)
+      raw)
+
+let arb_indexed =
+  let show ivs =
+    String.concat " "
+      (Array.to_list
+         (Array.map
+            (fun { Ranges.id; lo; hi } -> Printf.sprintf "%d:[%d,%d)" id lo hi)
+            ivs))
+  in
+  QCheck.make
+    ~print:(fun (xs, ys, min_overlap) ->
+      Printf.sprintf "min_overlap %d\nleft %s\nright %s" min_overlap (show xs)
+        (show ys))
+    QCheck.Gen.(
+      triple
+        (gen_dense_ivs ~reverse_ids:false)
+        (gen_dense_ivs ~reverse_ids:true)
+        (int_range (-1) 5))
+
+let prop_indexed_equals_nested_loop =
+  QCheck.Test.make ~name:"indexed_join = nested_loop_join" ~count:500
+    arb_indexed (fun (xs, ys, min_overlap) ->
+      Ranges.indexed_join ~min_overlap xs ys
+      = Ranges.nested_loop_join ~min_overlap xs ys)
+
 let prop_count_invariant_under_permutation =
   (* Shuffling the arrays (keeping ids) must not change the pair set:
      the sweep's sort makes the output order canonical regardless. *)
@@ -198,6 +250,7 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_sweep_equals_nested_loop;
+        prop_indexed_equals_nested_loop;
         prop_count_invariant_under_permutation;
         prop_bin_ownership_partitions;
       ]
